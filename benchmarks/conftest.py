@@ -62,6 +62,8 @@ def write_report(results_dir: Path, name: str, lines) -> str:
 def update_bench_json(results_dir: Path, section: str, payload: dict) -> Path:
     """Merge one section into results/BENCH_kernels.json and return its path.
 
+    Only when ``REPRO_BENCH_RECORD=1``: the file is tracked, so an ordinary
+    test run (the tier-1 command collects this harness) must leave it alone.
     The file accumulates sections from every benchmark module in a single
     run; existing sections from earlier runs are overwritten, never deleted,
     so a partial rerun keeps the rest of the trajectory intact.  Provenance
@@ -69,6 +71,8 @@ def update_bench_json(results_dir: Path, section: str, payload: dict) -> Path:
     by different runs can't be mislabelled with each other's configuration.
     """
     path = results_dir / BENCH_JSON_NAME
+    if os.environ.get("REPRO_BENCH_RECORD") != "1":
+        return path
     data = {}
     if path.exists():
         try:

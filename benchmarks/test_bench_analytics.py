@@ -146,9 +146,8 @@ class TestAnalyticsLatency:
         already-sorted, duplicate-collapsed output to the tracker as an O(1)
         stashed run.  Pure streaming must therefore never pay a tracker-side
         sort over raw triples (``full_drains == 0`` — catch-ups merge
-        pre-collapsed runs), and the total ingest overhead of tracking must
-        stay well below the ~40-75% the tracker's own periodic re-sorts cost
-        before the piggyback.
+        pre-collapsed runs).  The tracked/untracked time ratio is recorded,
+        not asserted: the exact counters are the regression guard.
         """
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
         nbatches = max(TOTAL // BATCH, 1)
@@ -189,11 +188,6 @@ class TestAnalyticsLatency:
         assert inc.full_drains == full_after_query
 
         overhead = tracked_s / untracked_s if untracked_s > 0 else 1.0
-        # Measured ~1.03x at the default 300k scale (the tracker's own
-        # periodic re-sorts cost 1.75x before the piggyback); 1.5 leaves
-        # room for noisy shared runners while still catching a regression
-        # back to per-window tracker sorts.
-        assert overhead < 1.5
         _results["piggyback"] = {
             "total_updates": TOTAL,
             "tracked_ingest_s": round(tracked_s, 6),

@@ -18,8 +18,11 @@ to stay in fast memory.
 
 Deferred layer-1 ingest
 -----------------------
-By default (``defer_ingest=True``) streaming batches are *appended* to layer
-1's pending-tuple buffer in O(n) instead of being eagerly sorted and merged.
+By default (``defer_ingest=True``) streaming batches are packed once into
+``uint64`` coordinate keys and *appended* to layer 1's pending buffer in O(n)
+instead of being eagerly sorted and merged; from there to the top layer (and
+into the reduction tracker) the keys are the only coordinate representation
+that moves — flushes and cascade merges never pack or unpack.
 The cascade check counts pending tuples via the O(1)
 ``Matrix.nvals_upper_bound``; only when stored + pending crosses the first
 cut :math:`c_1` does layer 1 pay one ``wait()`` (sort + collapse + merge,
@@ -48,7 +51,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..graphblas import Matrix, binary
+from ..graphblas import Matrix, binary, coords
 from ..graphblas import _kernels as K
 from ..graphblas.binaryop import BinaryOp
 from ..graphblas.errors import DimensionMismatch, InvalidValue
@@ -161,7 +164,8 @@ class HierarchicalMatrix:
         # and the tracker backlog in lockstep, so the layer-1 flush's sorted,
         # collapsed output can serve the tracker's drain for free (the hook
         # declines and falls back to its own sort on any misalignment).
-        if self._defer_ingest and self._incremental.supported:
+        # Shapes with no 64-bit key have nothing to hand over.
+        if self._defer_ingest and self._incremental.fan_supported:
             self._layers[0].flush_hook = self._incremental.absorb_flush
         self.name = name
 
@@ -285,32 +289,46 @@ class HierarchicalMatrix:
         values:
             Per-coordinate values, or a scalar broadcast over the whole batch
             (the traffic-matrix use case adds 1 per observed packet; this is
-            the default).
+            the default).  A scalar stays a scalar: it fills the pending
+            value column instead of being expanded first.
 
-        Returns ``self`` for chaining.  The batch is also observed by the
-        :attr:`incremental` reduction tracker (O(batch) appends) when that is
-        enabled.
+        Returns ``self`` for chaining.  The batch is validated and packed
+        once, here; layer 1 and the :attr:`incremental` reduction tracker
+        (O(batch) appends, when enabled) both receive the keys.
         """
         start = time.perf_counter()
         r = K.as_index_array(rows, "rows")
         c = K.as_index_array(cols, "cols")
-        n = int(r.size)
-        if np.isscalar(values) or (isinstance(values, np.ndarray) and values.ndim == 0):
-            v = np.full(n, values, dtype=self._dtype.np_type)
-        else:
-            v = np.asarray(values).astype(self._dtype.np_type, copy=False)
+        return self._ingest(start, r, c, self._layers[0].pack_batch(r, c), values)
+
+    def update_packed(self, keys, values=1) -> "HierarchicalMatrix":
+        """:meth:`update` for a batch that already is packed keys.
+
+        ``keys`` are ``coords.pack(rows, cols, coords.shape_split(nrows,
+        ncols))`` — the form the shard router, both binary wires and a
+        migrating slab already hold — so callers behind a wire hand them
+        straight to the layer-1 arena (one memcpy) instead of unpacking for
+        :meth:`update` to pack again.  Raises for shapes with no 64-bit
+        split and for keys outside the shape.
+        """
+        start = time.perf_counter()
+        keys = np.ascontiguousarray(keys, dtype=coords.KEY_DTYPE)
+        self._layers[0].check_keys(keys)
+        return self._ingest(start, None, None, keys, values)
+
+    def _ingest(self, start, r, c, keys, values) -> "HierarchicalMatrix":
+        """Append one validated batch (``keys`` is ``None`` on the dual-key store)."""
         # No defensive copies: both the layer-1 pending buffer and the
         # tracker backlog are preallocated arenas that copy at append time,
         # so caller-owned arrays are safe to reuse immediately.
-        track = self._incremental.supported
         self._layers[0].build(
-            r, c, v, dup_op=self._accum, lazy=self._defer_ingest, copy=False
+            r, c, values, dup_op=self._accum, lazy=self._defer_ingest, keys=keys
         )
         if self._stats is not None:
-            self._stats.record_update(n)
+            self._stats.record_update(int(r.size if keys is None else keys.size))
             self._stats.record_layer_size(0, self._layers[0].nvals_upper_bound)
-        if track:
-            self._incremental.observe(r, c, v, copy=False)
+        if self._incremental.supported:
+            self._incremental.observe(r, c, values, keys=keys)
         self._cascade()
         if self._stats is not None:
             self._stats.elapsed_seconds += time.perf_counter() - start
@@ -323,19 +341,13 @@ class HierarchicalMatrix:
                 f"update_matrix requires shape {self.shape}, got {other.shape}"
             )
         start = time.perf_counter()
-        n = other.nvals
         if self._defer_ingest:
-            # extract_tuples already returns fresh copies; hand them straight
-            # to the pending buffer instead of copying a second time.  The
-            # incremental tracker shares the same arrays (pending buffers
-            # never mutate them).
             r, c, v = other.extract_tuples()
-            self._layers[0].build(r, c, v, dup_op=self._accum, lazy=True, copy=False)
-            self._incremental.observe_matrix(r, c, v)
-        else:
-            self._layers[0].update(other, accum=self._accum)
-            if self._incremental.supported:
-                self._incremental.observe_matrix(*other.extract_tuples())
+            return self._ingest(start, r, c, self._layers[0].pack_batch(r, c), v)
+        n = other.nvals
+        self._layers[0].update(other, accum=self._accum)
+        if self._incremental.supported:
+            self._incremental.observe_matrix(*other.extract_tuples())
         if self._stats is not None:
             self._stats.record_update(n)
             self._stats.record_layer_size(0, self._layers[0].nvals_upper_bound)
@@ -383,7 +395,7 @@ class HierarchicalMatrix:
                 # Duplicate collapse brought the layer back under the cut.
                 break
             self._layers[i + 1].update(self._layers[i], accum=self._accum)
-            self._layers[i].clear()
+            self._layers[i].reset()  # keeps the pending arena for the next window
             if self._stats is not None:
                 self._stats.record_cascade(i, nvals_i)
                 self._stats.record_layer_size(i + 1, self._layers[i + 1].nvals)
@@ -447,7 +459,7 @@ class HierarchicalMatrix:
                 top.update(layer, accum=self._accum)
                 if self._stats is not None:
                     self._stats.element_writes[-1] += layer.nvals
-                layer.clear()
+                layer.reset()
         return top
 
     def get(self, row: int, col: int, default=None):

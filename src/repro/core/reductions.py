@@ -11,15 +11,21 @@ deferred-ingest design for monitoring workloads that query stats continuously.
 
 :class:`IncrementalReductions` maintains those reductions *online*:
 
-* Every ingest batch is observed in O(batch): coordinate/value array
-  references are appended to the tracker's backlog — no sort, no merge, no
-  materialize on the streaming hot path.
+* Every ingest batch is observed in O(batch): the packed keys the hierarchy
+  built for its own layer-1 append, plus the value bits, are copied into the
+  tracker's backlog — no sort, no merge, no materialize on the streaming hot
+  path.
 * Reads (and a periodic ``drain_interval`` safety valve) amortise the
-  deferred work exactly like the hierarchy's own layer-1 flush: one fused
-  packed-key sort serves the row sums, the distinct-coordinate dedupe, and
-  the exact ``nnz`` at once, one column-order sort serves the column sums,
-  and the grouped results merge into the maintained vectors via the O(n)
-  :meth:`Vector.merge_sorted <repro.graphblas.vector.Vector.merge_sorted>`.
+  deferred work exactly like the hierarchy's own layer-1 flush: the
+  deferred keys sorted alone give the distinct coordinates (fan, exact
+  ``nnz``); their row halves and column halves — split out of the keys only
+  here — are each sorted packed with their positions to group the values
+  for the row and column sums; and the grouped results merge into the
+  maintained vectors via
+  :meth:`Vector.merge_sorted <repro.graphblas.vector.Vector.merge_sorted>` —
+  the keyed merge, so a small delta costs a small merge.  All three are
+  plain (SIMD) key sorts: regrouping the additions is covered by the
+  exactness contract below, which the flush handoff already relies on.
   Crucially, reads never touch the matrix itself, so a stats query leaves
   the layer-1 pending buffer (and therefore the cascade pattern) completely
   undisturbed.
@@ -63,7 +69,7 @@ import numpy as np
 
 from ..graphblas import arena, coords
 from ..graphblas import _kernels as K
-from ..graphblas._kernels import _key_group_starts, _merge_sorted_keys
+from ..graphblas._kernels import key_group_starts, merge_keys
 from ..graphblas.binaryop import BinaryOp, binary
 from ..graphblas.errors import InvalidValue
 from ..graphblas.types import DataType, lookup_dtype
@@ -135,15 +141,15 @@ class KeySetCascade:
         if self._levels[0].size == 0:
             self._levels[0] = new_keys.astype(coords.KEY_DTYPE, copy=True)
         else:
-            self._levels[0] = _merge_sorted_keys(self._levels[0], new_keys)[0]
+            self._levels[0] = merge_keys(self._levels[0], None, new_keys, None)[0]
         for i, cut in enumerate(self._cuts):
             if self._levels[i].size <= cut:
                 break
             if self._levels[i + 1].size == 0:
                 self._levels[i + 1] = self._levels[i]
             else:
-                self._levels[i + 1] = _merge_sorted_keys(
-                    self._levels[i + 1], self._levels[i]
+                self._levels[i + 1] = merge_keys(
+                    self._levels[i + 1], None, self._levels[i], None
                 )[0]
             self._levels[i] = np.empty(0, dtype=coords.KEY_DTYPE)
 
@@ -152,7 +158,7 @@ class KeySetCascade:
         out = np.empty(0, dtype=coords.KEY_DTYPE)
         for level in self._levels:
             if level.size:
-                out = level.copy() if out.size == 0 else _merge_sorted_keys(out, level)[0]
+                out = merge_keys(out, None, level, None)[0]
         return out
 
     def clear(self) -> None:
@@ -176,7 +182,8 @@ class IncrementalReductions:
 
     One tracker is owned by each :class:`~repro.core.HierarchicalMatrix` (and
     therefore by each shard worker's private matrix).  :meth:`observe` is
-    called on the ingest hot path and costs O(batch) appends; the query
+    called on the ingest hot path and costs O(batch) appends (two memcpys
+    when the hierarchy hands over its packed keys); the query
     methods below amortise the deferred sort/merge work and never touch the
     owning matrix, so stats reads do not force the hierarchy's layer-1 flush.
 
@@ -198,8 +205,8 @@ class IncrementalReductions:
     drain_interval:
         Catch up the deferred reduction state after this many buffered
         updates even if nothing was read (default :math:`2^{20}`).  This is
-        a safety valve, not a pacing knob: it bounds the raw backlog, the
-        key-segment store, and the traffic vectors' pending arenas (plus the
+        a safety valve, not a pacing knob: it bounds the raw backlog and the
+        deferred segment store (plus the
         worst-case latency of the *first* stats query after a long
         uninterrupted stream), exactly as the hierarchy's first cut bounds
         its layer-1 pending buffer.  Streams shorter than the interval pay
@@ -236,23 +243,19 @@ class IncrementalReductions:
         self._row_fan = Vector(self._dtype, self._nrows, name="row_fan")
         self._col_fan = Vector(self._dtype, self._ncols, name="col_fan")
         self._keys = KeySetCascade(key_cuts)
-        # Deferred work, arena-backed: raw observations buffer as contiguous
-        # (rows, cols, value-bits) columns — appends are memcpys — and one
-        # fused drain serves all four vectors and the key cascade from a
-        # single packed-key sort (plus one column-order sort), instead of
-        # each consumer re-sorting its own copy of the backlog.
-        self._backlog = arena.make_pending(3)
-        # Sorted packed-key segments inherited from layer-1 flushes (see
-        # :meth:`absorb_flush`); their traffic contributions ride the
-        # vectors' own pending arenas, so only the distinct-key work remains
-        # here.  ``_deferred_count`` tracks entries stashed since the last
-        # catch-up (= each vector's pending depth).
-        self._key_segments = arena.make_pending(1)
-        self._deferred_count = 0
+        # Deferred work, arena-backed and keyed: raw observations since the
+        # last aligned flush buffer as (packed key, value-bits) columns —
+        # appends are memcpys; an unpackable shape buffers (row, col,
+        # value-bits) instead and drains with per-axis sorts.
+        self._backlog = arena.make_pending(2 if self._fan_supported else 3)
+        # Collapsed (key, value-bits) windows inherited from layer-1 flushes
+        # (see :meth:`absorb_flush`) plus drained backlog, awaiting one
+        # fused catch-up that serves all four vectors and the key cascade.
+        self._segments = arena.make_pending(2)
         self._drain_interval = max(int(drain_interval), 1)
         #: Flush windows whose sort/collapse the tracker inherited for free
-        #: (:meth:`absorb_flush`), catch-ups over deferred flush segments
-        #: only, and catch-ups that paid a full sort over raw triples.
+        #: (:meth:`absorb_flush`), catch-ups over the deferred segments, and
+        #: drains that found raw, uncollapsed observations in the backlog.
         #: Diagnostics for the ingest-overhead regression benchmark.
         self.piggybacked_drains = 0
         self.run_merges = 0
@@ -281,7 +284,7 @@ class IncrementalReductions:
     # ingest-side hook
     # ------------------------------------------------------------------ #
 
-    def observe(self, rows, cols, values=1, *, copy: bool = True) -> None:
+    def observe(self, rows, cols, values=1, *, copy: bool = True, keys=None) -> None:
         """Record one ingest batch (O(batch): appends only, no sort/merge).
 
         Parameters
@@ -290,23 +293,33 @@ class IncrementalReductions:
             Batch coordinates (arrays, sequences, or scalars — the same
             domain :meth:`HierarchicalMatrix.update` accepts).
         values:
-            Per-coordinate values or a scalar broadcast over the batch.
+            Per-coordinate values or a scalar broadcast over the batch (a
+            fill of the backlog's value column, never an ``np.full``).
         copy:
             Accepted for API compatibility.  The backlog arena copies every
             batch at append time (canonicalising values to raw bits in the
             same pass), so callers may reuse their buffers either way.
+        keys:
+            The batch already packed under ``coords.shape_split(nrows,
+            ncols)`` — what the owning hierarchy appended to layer 1.
+            ``rows``/``cols`` are then ignored (and may be ``None``) on
+            packable shapes, so the batch is packed exactly once.
         """
         if not self._supported:
             return
-        r = K.as_index_array(rows, "rows")
-        c = K.as_index_array(cols, "cols")
-        if r.size == 0:
-            return
-        if np.isscalar(values) or (isinstance(values, np.ndarray) and values.ndim == 0):
-            v = np.full(r.size, values, dtype=self._dtype.np_type)
+        if not self._fan_supported:
+            batch = (K.as_index_array(rows, "rows"), K.as_index_array(cols, "cols"))
+        elif keys is None:
+            batch = (
+                coords.pack(
+                    K.as_index_array(rows, "rows"), K.as_index_array(cols, "cols"), self._spec
+                ),
+            )
         else:
-            v = np.asarray(values)
-        self._backlog.append(r, c, arena.value_bits(v, self._dtype.np_type))
+            batch = (keys,)
+        if batch[0].size == 0:
+            return
+        self._backlog.append(*batch, arena.value_bits(values, self._dtype.np_type))
         if self._backlog.used >= self._drain_interval:
             self._drain()
 
@@ -314,81 +327,92 @@ class IncrementalReductions:
         """Record an already-extracted triple set (ownership transfers)."""
         self.observe(rows, cols, vals, copy=False)
 
-    @staticmethod
-    def _group_reduce(sorted_idx: np.ndarray, sorted_vals: np.ndarray):
-        """Collapse runs of equal indices in sorted order via one ``reduceat``."""
-        starts = _key_group_starts(sorted_idx)
-        return sorted_idx[starts], binary.plus.ufunc.reduceat(sorted_vals, starts)
+    def _group_reduce(self, sorted_idx: np.ndarray, sorted_vals: Optional[np.ndarray]):
+        """Collapse runs of equal indices in sorted order.
+
+        One ``reduceat`` sums each run's values; with no values (the fan
+        vectors count new coordinates) the run lengths are the result.
+        """
+        starts = key_group_starts(sorted_idx)
+        if sorted_vals is None:
+            sums = np.diff(starts, append=sorted_idx.size).astype(self._dtype.np_type)
+        else:
+            sums = binary.plus.ufunc.reduceat(sorted_vals, starts)
+        return sorted_idx[starts], sums
 
     def _drain(self) -> None:
-        """Fused amortised catch-up of every deferred reduction (periodic or on read).
+        """Amortised catch-up of every deferred reduction (periodic or on read).
 
-        Two independent stores feed it.  The *raw backlog* (updates observed
-        since the last aligned flush) pays the full treatment: one stable
-        argsort of the packed coordinate keys serves three consumers at once
-        — row sums (keys sort row-major), the distinct-key dedupe feeding
-        fan/nnz, and the cascade insertion — and a second sort by column
-        serves the column sums.  Unpackable (IPv6) shapes fall back to two
-        plain per-axis sorts with fan tracking disabled.  The backlog is an
-        arena, so the sorts read its used prefix directly — no concatenation
-        of per-batch chunks.  The *flush segments* absorbed by
-        :meth:`absorb_flush` then settle via :meth:`_catch_up`, which never
-        sees raw triples at all.
+        Raw backlog entries (updates observed since the last aligned flush)
+        are the same kind of data as the collapsed flush windows — ``(key,
+        value)`` pairs to be summed — so they simply join the segment store
+        and one :meth:`_catch_up` settles both.  Unpackable (IPv6) shapes
+        have no key: two plain per-axis sorts serve the traffic vectors, with
+        fan tracking disabled.  Both stores are arenas, so the sorts read
+        their used prefix directly — no concatenation of per-batch chunks.
         """
         if self._backlog.used:
             self.full_drains += 1
-            r, c, bits = self._backlog.views()
-            v = arena.bits_to_values(bits, self._dtype.np_type)
             if self._fan_supported:
-                keys = coords.pack(r, c, self._spec)
-                order = np.argsort(keys, kind="stable")
-                skeys = keys[order]
-                idx, sums = self._group_reduce(
-                    skeys >> np.uint64(self._spec.col_bits), v[order]
-                )
-                self._row_traffic.merge_sorted(idx, sums)
-                unique_keys = skeys[_key_group_starts(skeys)]
-                self._insert_new_keys(unique_keys)
+                self._segments.append(*self._backlog.views())
             else:
-                order = np.argsort(r, kind="stable")
-                idx, sums = self._group_reduce(r[order], v[order])
-                self._row_traffic.merge_sorted(idx, sums)
-            col_order = np.argsort(c, kind="stable")
-            cidx, csums = self._group_reduce(c[col_order], v[col_order])
-            self._col_traffic.merge_sorted(cidx, csums)
+                r, c, bits = self._backlog.views()
+                v = arena.bits_to_values(bits, self._dtype.np_type)
+                for vector, idx in ((self._row_traffic, r), (self._col_traffic, c)):
+                    order = np.argsort(idx)
+                    vector.merge_sorted(*self._group_reduce(idx[order], v[order]))
             self._backlog.reset()
         self._catch_up()
 
-    def _catch_up(self) -> None:
-        """Settle the deferred flush segments (the read-time half of the design).
+    @staticmethod
+    def _sort_with_order(idx: np.ndarray, nbits: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(sorted idx, permutation)`` for indices known to fit ``nbits`` bits.
 
-        The traffic contributions of absorbed flush windows already live in
-        the vectors' own pending arenas (appended by :meth:`absorb_flush`),
-        so catching up costs exactly one vector ``_wait`` each — a single
-        index argsort plus an O(n) merge, independent of how many windows
-        accumulated.  The distinct-key work sorts the stashed key segments
-        in one shot: the segment store is a concatenation of sorted runs, so
-        the stable (timsort) ``np.sort`` detects the runs and merges them in
-        far under a from-scratch sort's budget, and a single pass of the
-        result through the cascade replaces one :meth:`_insert_new_keys`
-        call *per window* with one per catch-up.
+        When the index and its position fit one ``uint64`` together, the
+        pair is packed and sorted as plain keys — ``np.sort`` on ``uint64``
+        is SIMD-vectorised and several times faster than any ``argsort`` —
+        and the permutation is read back out of the low bits.  Otherwise a
+        plain (unstable) argsort.
         """
-        if self._deferred_count == 0:
+        position_bits = 64 - nbits
+        if idx.size.bit_length() > position_bits:
+            order = np.argsort(idx)
+            return idx[order], order
+        packed = (idx << np.uint64(position_bits)) | np.arange(idx.size, dtype=np.uint64)
+        packed.sort()
+        return packed >> np.uint64(position_bits), packed & np.uint64((1 << position_bits) - 1)
+
+    def _catch_up(self) -> None:
+        """Settle the deferred segments (the read-time half of the design).
+
+        Three key sorts, no stable argsort: the stashed keys sorted alone
+        yield the distinct coordinates for fan/nnz and the cascade
+        insertion; the row halves and the column halves — split out of the
+        keys only here — are each sorted together with their positions
+        (:meth:`_sort_with_order`) to group the values for the two traffic
+        vectors.  Each grouped delta then merges into its vector with the
+        keyed merge, so the cost is independent of how many windows
+        accumulated and follows the delta, not the vector.
+        """
+        if not self._segments.used:
             return
         self.run_merges += 1
-        if self._key_segments.used:
-            (segments,) = self._key_segments.views()
-            skeys = np.sort(segments, kind="stable")
-            self._key_segments.reset()
-            self._insert_new_keys(skeys[_key_group_starts(skeys)])
-        self._row_traffic._wait()
-        self._col_traffic._wait()
-        self._deferred_count = 0
+        keys, bits = self._segments.views()
+        vals = arena.bits_to_values(bits, self._dtype.np_type)
+        spec = self._spec
+        for vector, idx, nbits in (
+            (self._row_traffic, keys >> np.uint64(spec.col_bits), spec.row_bits),
+            (self._col_traffic, keys & spec.col_mask, spec.col_bits),
+        ):
+            idx, order = self._sort_with_order(idx, nbits)
+            vector.merge_sorted(*self._group_reduce(idx, vals[order]))
+        skeys = np.sort(keys)
+        self._insert_new_keys(skeys[key_group_starts(skeys)])
+        self._segments.reset()
 
     def _clear_deferred(self) -> None:
         self._backlog.reset()
-        self._key_segments.reset()
-        self._deferred_count = 0
+        self._segments.reset()
 
     def _insert_new_keys(self, unique_keys: np.ndarray) -> None:
         """Dedupe sorted distinct keys against the cascade; update fan vectors."""
@@ -397,90 +421,77 @@ class IncrementalReductions:
             return
         self._keys.add_new(new)
         new_rows, new_cols = coords.unpack(new, self._spec)
-        nr_idx, nr_counts = self._group_reduce(
-            new_rows, np.ones(new_rows.size, dtype=self._dtype.np_type)
-        )
-        self._row_fan.merge_sorted(nr_idx, nr_counts)
-        new_cols = np.sort(new_cols, kind="stable")
-        nc_idx, nc_counts = self._group_reduce(
-            new_cols, np.ones(new_cols.size, dtype=self._dtype.np_type)
-        )
-        self._col_fan.merge_sorted(nc_idx, nc_counts)
+        self._row_fan.merge_sorted(*self._group_reduce(new_rows, None))
+        self._col_fan.merge_sorted(*self._group_reduce(np.sort(new_cols), None))
 
     def absorb_flush(self, raw_count, op, rows, cols, vals, keys=None, spec=None) -> bool:
-        """Absorb a layer-1 flush's already-sorted output as deferred segments.
+        """Absorb a layer-1 flush's already-collapsed window as a deferred segment.
 
         ``HierarchicalMatrix`` registers this as the layer-1
-        :attr:`Matrix.flush_hook`: the flush has just paid for a stable
-        packed-key sort and duplicate collapse of exactly the update window
-        the tracker has been buffering, so the tracker swaps its raw copy of
-        the window for the flush's collapsed output (historically the
-        tracker's own periodic re-sorts of the same triples cost ~40% ingest
-        rate on long unqueried streams).  The handoff itself stays on the
-        ingest hot path, so it does only memcpys: the window's (row, value)
-        and (column, value) pairs are lazily appended straight into the
-        traffic vectors' pending arenas (one ``build(lazy=True)`` each), and
-        its sorted packed keys are stashed as a segment for the distinct-key
-        cascade.  All the remaining merge/sort work lands in
-        :meth:`_catch_up` — on the next read, or here once the deferred
+        :attr:`Matrix.flush_hook`: the flush has just paid for the sort and
+        duplicate collapse of exactly the update window the tracker has been
+        buffering, so the tracker swaps its raw copy of the window for the
+        flush's collapsed output (historically the tracker's own periodic
+        re-sorts of the same triples cost ~40% ingest rate on long unqueried
+        streams).  The handoff itself stays on the ingest hot path, so it is
+        two memcpys: the window's packed keys and value bits are appended
+        as-is to the segment store.  All the remaining sort/merge work lands
+        in :meth:`_catch_up` — on the next read, or here once the deferred
         depth reaches the drain interval — where it amortises across every
-        window absorbed since: one index sort + O(n) merge per vector and
-        one timsort over the concatenated sorted key segments, instead of
-        per-window searchsorted merges against the full reduction vectors.
+        window absorbed since.
+
+        A keyed flush passes ``keys``/``spec`` (``rows``/``cols`` ``None``);
+        a dual-key flush passes sorted ``rows``/``cols``, re-packed here
+        under the tracker's own split (packing is monotone, so the window
+        stays sorted).
 
         Alignment is verified by count: the hierarchy appends every update to
         the layer-1 pending buffer and the tracker backlog in lockstep, so
         the flush's pre-collapse size equals the backlog depth unless the
         tracker drained mid-window (an interval drain inside ``observe`` or a
-        stats read).  On any mismatch the tracker falls back to a normal
-        :meth:`_drain` — correct either way, just without the free sort.
+        stats read).  On any mismatch — or a non-``plus`` window, or a shape
+        with no key — the tracker falls back to a normal :meth:`_drain`:
+        correct either way, just without the free sort.
 
-        Exactness: the flush output is collapsed per coordinate (stable,
-        insertion order) before the per-row/per-column regrouping of the
-        eventual catch-up, while a raw drain groups the triples directly.
-        Both orderings sum the same multiset per index, so results are
-        identical for any exactly representable values — the same qualifier
-        the maintained vectors already carry (see module docstring).
+        Exactness: the flush output is collapsed per coordinate before the
+        per-row/per-column regrouping of the eventual catch-up, while a raw
+        drain groups the pairs directly.  Both orderings sum the same
+        multiset per index, so results are identical for any exactly
+        representable values — the same qualifier the maintained vectors
+        already carry (see module docstring).
         """
         if not self._supported:
             return False
-        if raw_count <= 0 or raw_count != self._backlog.used:
-            # Mid-window drain desynced the window; drain now so the next
-            # flush window starts aligned with an empty backlog.
-            self._drain()
-            return False
-        if op.name != "plus":
+        if (
+            not self._fan_supported
+            or raw_count <= 0
+            or raw_count != self._backlog.used
+            or op.name != "plus"
+        ):
+            # A mid-window drain desynced the window (or it cannot be
+            # absorbed at all); drain now so the next flush window starts
+            # aligned with an empty backlog.
             self._drain()
             return False
         self._backlog.reset()
         if self.piggybacked_drains == 0:
             # First piggybacked flush: this matrix is streaming for real, and
-            # the deferred stores are bounded by the drain interval, so
-            # reserve them once up front — geometric-growth prefix copies
-            # never hit the ingest hot path, and the untouched tail of the
-            # reservation stays uncommitted (address space, not RSS).
-            self._row_traffic.reserve_pending(self._drain_interval)
-            self._col_traffic.reserve_pending(self._drain_interval)
-            self._key_segments.reserve(self._drain_interval)
-        # Straight into the vectors' pending arenas: the flush output is
-        # already validated uint64/in-range, so the public build()'s
-        # conversion and bounds checks would be pure per-flush overhead.
-        self._row_traffic._append_pending(rows, vals, binary.plus)
-        self._col_traffic._append_pending(cols, vals, binary.plus)
-        if self._fan_supported:
-            if keys is None or spec != self._spec:
-                # Packing is monotone in lexicographic (row, col) order, so
-                # re-packing the sorted flush output under the tracker's own
-                # split keeps it sorted — no new argsort needed.
-                keys = coords.pack(rows, cols, self._spec)
-            self._key_segments.append(keys)
-        self._deferred_count += int(rows.size)
-        self.piggybacked_drains += 1
-        if self._deferred_count >= self._drain_interval:
+            # the segment store is bounded by the drain interval, so reserve
+            # it once up front — geometric-growth prefix copies never hit the
+            # ingest hot path, and the untouched tail of the reservation
+            # stays uncommitted (address space, not RSS).
+            self._segments.reserve(self._drain_interval)
+        if keys is None or spec != self._spec:
+            if rows is None:
+                rows, cols = coords.unpack(keys, spec)
+            keys = coords.pack(rows, cols, self._spec)
+        if self._segments.used + keys.size > self._drain_interval:
             # Same memory/first-query bound the raw backlog has, but over
-            # collapsed windows: the raw backlog is empty here, so this
-            # settles the deferred segments only.
+            # collapsed windows — settled before this window would outgrow
+            # the reservation, so the store never reallocates.
             self._catch_up()
+        self._segments.append(keys, arena.value_bits(vals, self._dtype.np_type))
+        self.piggybacked_drains += 1
         return True
 
     # ------------------------------------------------------------------ #
@@ -568,6 +579,6 @@ class IncrementalReductions:
         )
         return (
             f"<IncrementalReductions {state}, "
-            f"backlog={self._backlog.used}+{self._deferred_count}, "
+            f"backlog={self._backlog.used}+{self._segments.used}, "
             f"distinct={self._keys.count}>"
         )

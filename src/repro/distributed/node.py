@@ -56,7 +56,6 @@ from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..graphblas import coords
 from ..graphblas.types import lookup_dtype
 from .ringbuf import ValueCodec
 from .worker import CommandExecutor
@@ -197,11 +196,7 @@ def _serve_connection(conn: socket.socket, slot: int, matrix_kwargs) -> None:
     """
     _set_parent_death_signal()
     executor = CommandExecutor(slot, matrix_kwargs, _SocketReplyChannel(conn))
-    kwargs = dict(matrix_kwargs or {})
-    spec = coords.shape_split(
-        int(kwargs.get("nrows", 2 ** 32)), int(kwargs.get("ncols", 2 ** 32))
-    )
-    np_type = lookup_dtype(kwargs.get("dtype", "fp64")).np_type
+    np_type = lookup_dtype(dict(matrix_kwargs or {}).get("dtype", "fp64")).np_type
     codec = ValueCodec(np_type) if np_type.itemsize <= 8 else None
     send_pickled(conn, F_HELLO_ACK, {"pid": os.getpid()})
     while True:
@@ -213,13 +208,13 @@ def _serve_connection(conn: socket.socket, slot: int, matrix_kwargs) -> None:
             n = len(payload) // 16
             keys = np.frombuffer(payload, dtype=np.uint64, count=n)
             bits = np.frombuffer(payload, dtype=np.uint64, count=n, offset=8 * n)
-            executor.ingest(lambda: (*coords.unpack(keys, spec), codec.decode(bits)))
+            executor.ingest(lambda: (keys, codec.decode(bits)))
         elif ftype == F_DATA_KEYONLY:
             keys = np.frombuffer(payload, dtype=np.uint64)
             # The producer proved every value's bit pattern equals scalar 1
-            # in the shard dtype; the scalar broadcast in update() rebuilds
-            # the identical array (same argument as the shm key-only frame).
-            executor.ingest(lambda: (*coords.unpack(keys, spec), 1))
+            # in the shard dtype; the scalar fill in update_packed() stores
+            # the identical bits (same argument as the shm key-only frame).
+            executor.ingest(lambda: (keys, 1))
         elif ftype == F_DATA_PICKLED:
             executor.ingest(lambda: pickle.loads(bytes(payload)))
         elif ftype == F_CONTROL:

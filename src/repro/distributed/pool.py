@@ -9,9 +9,11 @@ in-process state object when ``use_processes=False`` — owns a private
 :class:`~repro.core.HierarchicalMatrix` and executes a small command protocol:
 
 ``ingest``
-    Stream one ``(rows, cols, values)`` batch into the worker's matrix.  Fire
-    and forget: no reply, so the parent can pipeline batches to all shards
-    without per-batch round trips.  Update time is accumulated worker-side.
+    Stream one ``(rows, cols, values)`` batch — or ``(keys, values)`` when
+    the sender already holds the batch packed under the shape's 64-bit
+    split — into the worker's matrix.  Fire and forget: no reply, so the
+    parent can pipeline batches to all shards without per-batch round trips.
+    Update time is accumulated worker-side.
 ``selfgen``
     Generate and stream a power-law workload inside the worker (the paper's
     original self-generated measurement, now just one stream source among
@@ -373,9 +375,11 @@ class ShardWorkerPool:
 
         ``keys`` optionally carries the coordinates already packed under the
         shape's 64-bit split (what :meth:`ShardRouter.route
-        <repro.distributed.sharded.ShardRouter.route>` returns); the shm and
-        socket transports ship them as-is instead of packing a second time.
-        Other wires ignore it.
+        <repro.distributed.sharded.ShardRouter.route>` returns); every wire
+        ships them as-is and the in-process dispatch hands them straight to
+        :meth:`HierarchicalMatrix.update_packed
+        <repro.core.HierarchicalMatrix.update_packed>`, so a routed batch is
+        packed exactly once.
 
         With replicas the batch is *always* mirrored to every live replica
         slot — including when the primary send fails — so a later promotion
@@ -386,6 +390,7 @@ class ShardWorkerPool:
         if self._closed:
             raise RuntimeError("pool is closed")
         primary_exc = None
+        batch = (rows, cols, values) if keys is None else (keys, values)
         if self._transport is not None:
             try:
                 self._transport.send_ingest(
@@ -394,15 +399,13 @@ class ShardWorkerPool:
             except WorkerCrash as exc:
                 primary_exc = exc
         else:
-            self._states[self._primary[worker]].handle(
-                "ingest", (rows, cols, values)
-            )
+            self._states[self._primary[worker]].handle("ingest", batch)
         for slot in list(self._replicas_of[worker]):
             try:
                 if self._transport is not None:
                     self._transport.send_ingest(slot, rows, cols, values, keys=keys)
                 else:
-                    self._states[slot].handle("ingest", (rows, cols, values))
+                    self._states[slot].handle("ingest", batch)
             except WorkerCrash:
                 self._mark_replica_dead(worker, slot)
         if primary_exc is not None:

@@ -710,9 +710,11 @@ class ShardedHierarchicalMatrix:
         over the batch; scalar row/col coordinates are accepted like
         :meth:`HierarchicalMatrix.update`.  Out-of-range coordinates raise
         immediately (they have no owning shard).  Shard-local update time is
-        accumulated worker-side; see :meth:`finalize` / :meth:`reports`.  On
-        the shm transport the router's packed keys are handed straight to
-        the wire, so each batch is packed exactly once.  ``keys`` may carry
+        accumulated worker-side; see :meth:`finalize` / :meth:`reports`.
+        Whenever the router packed the batch to route it, those keys are what
+        travels — over every wire and into the in-process shards — and the
+        workers append them to their layer-1 arenas as they are, so each
+        batch is packed exactly once.  ``keys`` may carry
         the batch's coordinates already packed under the router's split
         (aligned with ``rows``) — the gateway passes the keys it decoded off
         its client wire, making the whole gateway path one pack per update.
@@ -756,7 +758,7 @@ class ShardedHierarchicalMatrix:
                     r[mask],
                     c[mask],
                     sub_values,
-                    keys=keys[mask] if (with_keys and keys is not None) else None,
+                    keys=None if keys is None else keys[mask],
                 )
             except WorkerDied:
                 # A dead primary's batch is NOT resent: submit_ingest

@@ -405,7 +405,8 @@ class QueueTransport(ProcessTransport):
         return (worker, self._matrix_kwargs, self._tasks[worker], self._replies[worker])
 
     def send_ingest(self, worker: int, rows, cols, values, keys=None) -> None:
-        self._tasks[worker].put(("ingest", (rows, cols, values)))
+        batch = (rows, cols, values) if keys is None else (keys, values)
+        self._tasks[worker].put(("ingest", batch))
 
     #: Undrained batches at which the task queue counts as "full" — queues
     #: are unbounded, so the watermark is nominal rather than a capacity.
@@ -440,24 +441,18 @@ def _shm_worker_main(
     could overtake or trail in-flight ring frames.)
     """
     executor = CommandExecutor(worker_id, matrix_kwargs, reply_queue)
-    kwargs = dict(matrix_kwargs or {})
-    spec = coords.shape_split(
-        int(kwargs.get("nrows", 2 ** 32)), int(kwargs.get("ncols", 2 ** 32))
-    )
-    codec = ValueCodec(lookup_dtype(kwargs.get("dtype", "fp64")).np_type)
+    codec = ValueCodec(lookup_dtype(dict(matrix_kwargs or {}).get("dtype", "fp64")).np_type)
     ring = ShmRing.attach(ring_name)
 
     def apply_data(frame) -> None:
         keys, bits, _ = frame
         if bits is None:
             # Key-only frame: the producer proved every value's bit pattern
-            # equals scalar 1 in the shard dtype, so the scalar broadcast in
-            # HierarchicalMatrix.update reconstructs the identical array.
-            executor.ingest(lambda: (*coords.unpack(keys, spec), 1))
+            # equals scalar 1 in the shard dtype, so the scalar fill in
+            # HierarchicalMatrix.update_packed stores the identical bits.
+            executor.ingest(lambda: (keys, 1))
         else:
-            executor.ingest(
-                lambda: (*coords.unpack(keys, spec), codec.decode(bits))
-            )
+            executor.ingest(lambda: (keys, codec.decode(bits)))
 
     try:
         while True:

@@ -194,12 +194,9 @@ class ShardState:
 
     def handle(self, cmd: str, payload) -> Any:
         if cmd == "ingest":
-            rows, cols, values = payload
-            n = rows.size
             start = time.perf_counter()
-            self.matrix.update(rows, cols, values)
+            self.done += self._apply(payload)
             self.elapsed += time.perf_counter() - start
-            self.done += int(n)
             return None
         if cmd == "selfgen":
             spec = dict(payload)
@@ -280,6 +277,20 @@ class ShardState:
             return int(rows.size)
         raise ValueError(f"unknown worker command {cmd!r}")
 
+    def _apply(self, batch) -> int:
+        """Add one batch to the matrix; returns its size.
+
+        ``(rows, cols, values)``, or ``(keys, values)`` when the sender
+        already holds the batch packed under the shape split (the router's
+        keys, a binary wire frame, a migrating slab): those go straight to
+        the layer-1 arena.
+        """
+        if len(batch) == 2:
+            self.matrix.update_packed(*batch)
+        else:
+            self.matrix.update(*batch)
+        return int(batch[0].size)
+
     # -- live slab migration (PR 5) -------------------------------------- #
     #
     # These three commands implement the worker half of
@@ -348,14 +359,6 @@ class ShardState:
                 codec.encode(vals, rows.size),
             )
         return ("coo", rows, cols, vals)
-
-    def _decode_slab(self, slab):
-        if slab[0] == "packed":
-            _, keys, bits = slab
-            rows, cols = coords.unpack(keys, self.spec)
-            return rows, cols, ValueCodec(self.matrix.dtype.np_type).decode(bits)
-        _, rows, cols, vals = slab
-        return rows, cols, vals
 
     def _extract_slab(self, payload) -> Dict[str, Any]:
         """Choose and copy out one slab; the shard's content is unchanged.
@@ -460,11 +463,13 @@ class ShardState:
         coordinate's tracked contribution *is* its combined value).
         Deliberately not counted into the ingest measurement counters.
         """
-        rows, cols, vals = self._decode_slab(slab)
-        if rows.size:
-            self.matrix.update(rows, cols, vals)
+        if slab[0] == "packed":  # keys + raw value bits: no unpack, no re-pack
+            _, keys, bits = slab
+            batch = (keys, ValueCodec(self.matrix.dtype.np_type).decode(bits))
+        else:
+            batch = slab[1:]
         self.slabs_in += 1
-        return int(rows.size)
+        return self._apply(batch) if batch[0].size else 0
 
     def _discard_slab(self, payload) -> int:
         """Drop the slab ``[lo, hi)`` and rebuild this shard without it.
@@ -524,8 +529,9 @@ class CommandExecutor:
 
     def ingest(self, decode_payload: Callable[[], tuple]) -> None:
         """Apply one fire-and-forget batch; ``decode_payload`` materialises
-        the ``(rows, cols, values)`` tuple and may itself raise (wire decode
-        errors are latched exactly like command errors)."""
+        the ``(rows, cols, values)`` or ``(keys, values)`` tuple and may
+        itself raise (wire decode errors are latched exactly like command
+        errors)."""
         if self.pending_error is not None:
             return
         try:

@@ -13,11 +13,19 @@ Each kernel runs on one of two interchangeable engines:
 
 * **Packed engine** — when the observed coordinates fit a 64-bit split (see
   :mod:`repro.graphblas.coords`), ``(row, col)`` pairs are packed into single
-  ``uint64`` sort keys.  Sorting becomes a single-key stable ``np.argsort``,
-  merging becomes ``np.searchsorted``-driven vectorised merges with no
-  concatenate-then-lexsort, and membership/point queries become one binary
-  search per batch.  This is the hot path for the paper's IPv4
-  :math:`2^{32} \\times 2^{32}` traffic matrices and anything smaller.
+  ``uint64`` sort keys and the work runs on two *keyed* kernels that never
+  see rows or columns: :func:`sort_collapse_keys` (one key sort + duplicate
+  collapse; a ``plus`` window whose values all carry one exactly-countable
+  bit pattern collapses with ``np.sort`` + run lengths instead of a stable
+  argsort) and :func:`merge_keys` (a union whose cost follows its inputs:
+  a small operand is binary-searched into a much larger one, operands of
+  comparable size merge as two sorted runs).  ``Matrix``/``Vector`` and the
+  reduction tracker keep
+  their data in key space and call these directly; the triple-shaped
+  :func:`build_triples`/:func:`union_merge` wrap them (pack → kernel →
+  unpack).  Membership/point queries are one binary search per batch.  This
+  is the hot path for the paper's IPv4 :math:`2^{32} \\times 2^{32}`
+  traffic matrices and anything smaller.
 * **Lexsort fallback** — full 64-bit IPv6 coordinate sets keep the original
   dual-key ``np.lexsort`` paths.  The two engines are bit-identical in output
   (property-tested), so callers never need to know which one ran.
@@ -44,6 +52,8 @@ __all__ = [
     "sort_coo",
     "build_triples",
     "collapse_duplicates",
+    "sort_collapse_keys",
+    "merge_keys",
     "union_merge",
     "intersect_merge",
     "difference_mask",
@@ -219,6 +229,73 @@ def collapse_duplicates(
     return rows[starts], cols[starts], _reduce_groups(vals, starts, rows.size, dup_op)
 
 
+def _countable_scalar(vals: np.ndarray):
+    """The one value every element of ``vals`` carries, if counting it is exact.
+
+    Returns ``s`` when every element has ``s``'s bit pattern *and*
+    ``count * s`` provably equals ``count`` repeated additions of ``s`` for
+    any ``count <= vals.size``: ``s`` is a nonzero integer and
+    ``vals.size * |s|`` stays below the dtype's exact-integer range
+    (``2**53`` for ``fp64``, ``2**24`` for ``fp32``, the type maximum for
+    integers), so every partial sum in any grouping is representable.
+    Anything unproven returns ``None``.
+    """
+    dtype = vals.dtype
+    if dtype.kind not in "fiu" or dtype.itemsize > 8:
+        return None
+    bits = vals.view(f"u{dtype.itemsize}")
+    if (bits != bits[0]).any():
+        return None
+    s = vals[0]
+    if dtype.kind == "f":
+        if not np.isfinite(s) or s != np.rint(s):
+            return None
+        limit = 2 ** (np.finfo(dtype).nmant + 1)
+    else:
+        limit = int(np.iinfo(dtype).max)
+    return s if 0 < vals.size * abs(int(s)) < limit else None
+
+
+def sort_collapse_keys(
+    keys: np.ndarray, vals: np.ndarray, dup_op: Optional[BinaryOp] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Sort ``(key, value)`` pairs by key and collapse duplicate keys.
+
+    The keyed build kernel: ``keys`` are packed coordinates (or plain vector
+    indices) in arrival order, duplicates combine with ``dup_op`` (default
+    ``plus``) in arrival order.  Returns fresh ``(keys, vals)`` arrays —
+    sorted, duplicate-free, never views of the inputs, so callers may hand in
+    arena views and reuse the arena immediately.
+
+    A ``plus`` window whose values all carry one bit pattern ``s`` (the
+    traffic-matrix ``+1`` stream) needs no permutation at all: the keys are
+    sorted alone (``np.sort`` on ``uint64`` is SIMD-vectorised; a stable
+    ``argsort`` is not) and each run of length ``k`` collapses to ``k * s``.
+    That path is taken only when :func:`_countable_scalar` proves the product
+    exact; everything else pays the stable argsort.
+    """
+    if dup_op is None:
+        dup_op = binary.plus
+    n = keys.size
+    if n <= 1:
+        return keys.copy(), vals.copy()
+    s = _countable_scalar(vals) if dup_op.name == "plus" else None
+    if s is not None:
+        keys = np.sort(keys)
+        starts = _key_group_starts(keys)
+        counts = np.diff(starts, append=n).astype(vals.dtype)
+        return (keys if starts.size == n else keys[starts]), counts * s
+    if np.all(keys[1:] > keys[:-1]):  # already strictly sorted
+        return keys.copy(), vals.copy()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    vals = vals[order]
+    starts = _key_group_starts(keys)
+    if starts.size == n:  # duplicate-free
+        return keys, vals
+    return keys[starts], _reduce_groups(vals, starts, n, dup_op)
+
+
 def build_triples(
     rows: np.ndarray,
     cols: np.ndarray,
@@ -229,52 +306,26 @@ def build_triples(
 ):
     """Sort raw triples and collapse duplicates in one fused kernel.
 
-    Equivalent to ``collapse_duplicates(*sort_coo(rows, cols, vals), dup_op)``
-    but packs the coordinates only once, so the streaming build/ingest path
-    pays a single key construction for both stages.
+    Equivalent to ``collapse_duplicates(*sort_coo(rows, cols, vals), dup_op)``;
+    on the packed engine it is ``pack`` → :func:`sort_collapse_keys` →
+    ``unpack``.  Callers that already live in key space (``Matrix``,
+    ``Vector``, the tracker) call the keyed kernel directly.
 
     With ``with_keys=True`` the return value is the 5-tuple ``(rows, cols,
     vals, keys, spec)`` where ``keys`` are the packed sort keys of the
     *output* triples under ``spec`` (``None``/``None`` on the lexsort
-    fallback or for trivial inputs).  Callers that immediately merge the
-    result — the layer-1 flush feeding :func:`union_merge` — hand the keys
-    onward so one flush packs its pending triples exactly once.
+    fallback or for trivial inputs).
     """
     if rows.size <= 1:
         return (rows, cols, vals, None, None) if with_keys else (rows, cols, vals)
-    if dup_op is None:
-        dup_op = binary.plus
     spec = coords.plan_pack((rows, cols))
     if spec is None:
         rows, cols, vals = _lexsort_coo(rows, cols, vals)
         out = collapse_duplicates(rows, cols, vals, dup_op)
         return (*out, None, None) if with_keys else out
-    keys = coords.pack(rows, cols, spec)
-    if not np.all(keys[1:] > keys[:-1]):
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        vals = vals[order]
-        strictly_sorted = False
-    else:
-        strictly_sorted = True
-    starts = _key_group_starts(keys)
-    if starts.size == keys.size:  # duplicate-free
-        if strictly_sorted:
-            return (rows, cols, vals, keys, spec) if with_keys else (rows, cols, vals)
-        out_rows, out_cols = coords.unpack(keys, spec)
-        return (
-            (out_rows, out_cols, vals, keys, spec)
-            if with_keys
-            else (out_rows, out_cols, vals)
-        )
-    out_keys = keys[starts]
-    out_rows, out_cols = coords.unpack(out_keys, spec)
-    out_vals = _reduce_groups(vals, starts, keys.size, dup_op)
-    return (
-        (out_rows, out_cols, out_vals, out_keys, spec)
-        if with_keys
-        else (out_rows, out_cols, out_vals)
-    )
+    keys, out_vals = sort_collapse_keys(coords.pack(rows, cols, spec), vals, dup_op)
+    out = (*coords.unpack(keys, spec), out_vals)
+    return (*out, keys, spec) if with_keys else out
 
 
 # --------------------------------------------------------------------------- #
@@ -294,19 +345,112 @@ def _locate_keys(ka: np.ndarray, kb: np.ndarray) -> Tuple[np.ndarray, np.ndarray
     return idx_c, kb[idx_c] == ka
 
 
-def _merge_sorted_keys(ka: np.ndarray, kb: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised two-way merge of sorted key arrays (ties: ``a`` before ``b``).
+#: Size ratio above which :func:`merge_keys` searches the small operand into
+#: the large one instead of merging the two as sorted runs.  Measured on
+#: ``bench``'s ``bulk`` stream: at 1:1 the run merge is 2.3x faster, at 1:14
+#: the two are level, at 1:60 the one-sided merge is 2.3x faster.
+_ONE_SIDED_RATIO = 8
 
-    Returns ``(merged_keys, pos_a, pos_b)`` where ``pos_a``/``pos_b`` are the
-    positions of each input element inside the merged array.  Replaces the
-    concatenate + lexsort idiom with two binary searches and two scatters.
+
+def merge_keys(
+    ka: np.ndarray,
+    va: Optional[np.ndarray],
+    kb: np.ndarray,
+    vb: Optional[np.ndarray],
+    op: Optional[BinaryOp] = None,
+    out_dtype: Optional[np.dtype] = None,
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Union of two sorted, duplicate-free keyed sets (the keyed ``eWiseAdd``).
+
+    Keys present in one operand copy through; keys present in both combine
+    as ``op(a_value, b_value)`` (default ``plus``).  Returns fresh ``(keys,
+    vals)``.  The cost follows the shape of the inputs: a small operand is
+    binary-searched into a much larger one (:func:`_merge_into_large` — a
+    stats read merging a small delta, a trickle window meeting a full
+    layer), operands of comparable size are merged as two sorted runs
+    (:func:`_merge_runs` — a bulk cascade step).
+
+    With ``va`` and ``vb`` both ``None`` the merge is key-only (a sorted-set
+    union, always a run merge) and the returned ``vals`` is ``None``.
     """
-    pos_a = np.arange(ka.size, dtype=np.intp) + np.searchsorted(kb, ka, side="left")
-    pos_b = np.arange(kb.size, dtype=np.intp) + np.searchsorted(ka, kb, side="right")
-    merged = np.empty(ka.size + kb.size, dtype=ka.dtype)
-    merged[pos_a] = ka
-    merged[pos_b] = kb
-    return merged, pos_a, pos_b
+    if op is None:
+        op = binary.plus
+    if va is not None and out_dtype is None:
+        out_dtype = np.promote_types(va.dtype, vb.dtype)
+    if ka.size == 0 or kb.size == 0:
+        keys, vals = (kb, vb) if ka.size == 0 else (ka, va)
+        return keys.copy(), None if vals is None else vals.astype(out_dtype, copy=True)
+    if va is not None and max(ka.size, kb.size) > _ONE_SIDED_RATIO * min(ka.size, kb.size):
+        return _merge_into_large(ka, va, kb, vb, op, out_dtype)
+    return _merge_runs(ka, va, kb, vb, op, out_dtype)
+
+
+def _merge_runs(ka, va, kb, vb, op, out_dtype):
+    """:func:`merge_keys` for operands of comparable size (and key-only unions).
+
+    The concatenation is two presorted runs, which the stable (timsort)
+    sort detects and merges in one O(n) pass — far cheaper than binary
+    searches at this size ratio.  Ties keep ``a`` before ``b``, so every
+    duplicate pair is ``a``'s entry followed by ``b``'s.
+    """
+    keys = np.concatenate([ka, kb])
+    vals = None
+    if va is None:
+        keys.sort(kind="stable")
+    else:
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        vals = np.concatenate(
+            [va.astype(out_dtype, copy=False), vb.astype(out_dtype, copy=False)]
+        )[order]
+    first = np.flatnonzero(keys[1:] == keys[:-1])
+    if first.size == 0:
+        return keys, vals
+    keep = np.ones(keys.size, dtype=bool)
+    keep[first + 1] = False
+    if vals is None:
+        return keys[keep], None
+    vals[first] = op(vals[first], vals[first + 1]).astype(out_dtype, copy=False)
+    return keys[keep], vals[keep]
+
+
+def _merge_into_large(ka, va, kb, vb, op, out_dtype):
+    """:func:`merge_keys` for one operand much smaller than the other.
+
+    One-sided: the small operand is binary-searched into the large one, its
+    misses are inserted and its hits combined in place in a copy of the
+    large side's values, so the cost is O(small · log large) searches plus
+    one pass over the large side.
+    """
+    a_small = ka.size < kb.size
+    (ks, vs), (kl, vl) = ((ka, va), (kb, vb)) if a_small else ((kb, vb), (ka, va))
+    pos = np.searchsorted(kl, ks, side="left")
+    missing = kl[np.minimum(pos, kl.size - 1)] != ks
+    nmiss = int(np.count_nonzero(missing))
+    if nmiss == 0:
+        keys, vals, at = kl.copy(), vl.astype(out_dtype, copy=True), pos
+    else:
+        # Output position of every small-side entry: its insertion point in
+        # the large side shifted by the misses inserted before it (for a hit
+        # this is where the matching large-side entry lands).
+        at = pos + np.cumsum(missing)
+        at -= missing
+        slots = at[missing]
+        keep = np.ones(kl.size + nmiss, dtype=bool)
+        keep[slots] = False
+        keys = np.empty(keep.size, dtype=kl.dtype)
+        keys[keep] = kl
+        keys[slots] = ks[missing]
+        vals = np.empty(keep.size, dtype=out_dtype)
+        vals[keep] = vl
+        vals[slots] = vs[missing]
+    if nmiss < ks.size:
+        hit = ~missing
+        at = at[hit]
+        small = vs[hit].astype(out_dtype, copy=False)
+        combined = op(small, vals[at]) if a_small else op(vals[at], small)
+        vals[at] = combined.astype(out_dtype, copy=False)
+    return keys, vals
 
 
 def union_merge(
@@ -314,21 +458,13 @@ def union_merge(
     b: Triple,
     op: Optional[BinaryOp] = None,
     out_dtype: Optional[np.dtype] = None,
-    *,
-    b_keys: Optional[np.ndarray] = None,
-    b_spec=None,
 ) -> Triple:
     """Element-wise union (``eWiseAdd``) of two sorted, duplicate-free COO sets.
 
     Coordinates present in only one operand copy through unchanged; matching
     coordinates are combined with ``op`` (default ``plus``).  The result is
-    sorted and duplicate-free.
-
-    ``b_keys``/``b_spec`` optionally carry ``b``'s packed sort keys as
-    returned by :func:`build_triples(..., with_keys=True) <build_triples>`.
-    They are reused — skipping one key construction over ``b`` — whenever the
-    split planned over both operands matches ``b_spec``; a mismatching or
-    absent spec simply repacks, so the option is always safe.
+    sorted and duplicate-free.  On the packed engine this is ``pack`` →
+    :func:`merge_keys` → ``unpack``.
     """
     if op is None:
         op = binary.plus
@@ -343,31 +479,10 @@ def union_merge(
 
     spec = coords.plan_pack((ra, ca), (rb, cb))
     if spec is not None:
-        kb = (
-            b_keys
-            if b_keys is not None and b_spec == spec
-            else coords.pack(rb, cb, spec)
+        keys, vals = merge_keys(
+            coords.pack(ra, ca, spec), va, coords.pack(rb, cb, spec), vb, op, out_dtype
         )
-        keys, pos_a, pos_b = _merge_sorted_keys(coords.pack(ra, ca, spec), kb)
-        vals = np.empty(keys.size, dtype=out_dtype)
-        vals[pos_a] = va.astype(out_dtype, copy=False)
-        vals[pos_b] = vb.astype(out_dtype, copy=False)
-        # Each input is duplicate-free, so any duplicate run has exactly two
-        # members: the `a` element immediately followed by the `b` element.
-        dup_with_next = np.zeros(keys.size, dtype=bool)
-        dup_with_next[:-1] = keys[1:] == keys[:-1]
-        matched_first = np.flatnonzero(dup_with_next)
-        if matched_first.size == 0:
-            out_rows, out_cols = coords.unpack(keys, spec)
-            return out_rows, out_cols, vals
-        keep = np.ones(keys.size, dtype=bool)
-        keep[matched_first + 1] = False
-        combined = op(vals[matched_first], vals[matched_first + 1])
-        out_vals = vals[keep]
-        kept_positions = np.cumsum(keep) - 1
-        out_vals[kept_positions[matched_first]] = combined.astype(out_dtype, copy=False)
-        out_rows, out_cols = coords.unpack(keys[keep], spec)
-        return out_rows, out_cols, out_vals
+        return (*coords.unpack(keys, spec), vals)
 
     # Lexsort fallback (full 64-bit coordinate sets).
     rows = np.concatenate([ra, rb])

@@ -56,8 +56,10 @@ __all__ = [
 #: dtype of every arena column (indices and raw value bits alike).
 COLUMN_DTYPE = np.dtype(np.uint64)
 
-#: Smallest capacity a growth allocates; below this, doubling is all noise.
-MIN_CAPACITY = 1024
+#: Smallest capacity a growth allocates; below this, doubling is all noise
+#: (a packet-window batch is ~1k entries, and the first allocation should
+#: hold more than one of them).
+MIN_CAPACITY = 2048
 
 # Module-level switch so tests and benchmarks can force the legacy
 # list-append backend (mirrors coords.packing_disabled).
@@ -221,9 +223,11 @@ class PendingArena:
         """Copy one batch (one array per column) into the arena.
 
         Arrays must be parallel and of unsigned (or ``uint64``-castable)
-        dtype; the slice assignment zero-extends narrower patterns.  The
-        arena owns its storage, so callers may freely reuse or mutate their
-        batch buffers afterwards.
+        dtype; the slice assignment zero-extends narrower patterns, and a
+        length-1 array after the first column is a fill (a scalar value
+        broadcast over the batch costs no ``np.full``).  The arena owns its
+        storage, so callers may freely reuse or mutate their batch buffers
+        afterwards.
         """
         n = int(arrays[0].size)
         if n == 0:
@@ -306,7 +310,9 @@ class PendingChunks:
         if n == 0:
             return
         for chunk_list, a in zip(self._chunks, arrays):
-            chunk_list.append(np.array(a, dtype=COLUMN_DTYPE, copy=True))
+            chunk = np.empty(n, dtype=COLUMN_DTYPE)
+            chunk[:] = a  # copies; a length-1 column is a fill, as in the arena
+            chunk_list.append(chunk)
         self._used += n
 
     def views(self) -> Tuple[np.ndarray, ...]:

@@ -1,11 +1,26 @@
 """Hypersparse GraphBLAS matrices.
 
-A :class:`Matrix` stores only its nonzero entries as sorted coordinate triples
-(``uint64`` rows, ``uint64`` cols, values), so storage and operation cost are
-proportional to ``nvals`` and never to ``nrows * ncols``.  That is the
-*hypersparse* property required for IP traffic matrices whose logical
-dimensions are :math:`2^{32} \\times 2^{32}` (IPv4) or
+A :class:`Matrix` stores only its nonzero entries, sorted by coordinate, so
+storage and operation cost are proportional to ``nvals`` and never to
+``nrows * ncols``.  That is the *hypersparse* property required for IP traffic
+matrices whose logical dimensions are :math:`2^{32} \\times 2^{32}` (IPv4) or
 :math:`2^{64} \\times 2^{64}` (IPv6).
+
+Keyed store
+-----------
+While every coordinate fits the matrix's *key spec* (the 64-bit split of its
+shape, or the canonical 32/32 split for shapes too large to have one), the
+authoritative store is ``(keys, vals)``: one sorted ``uint64`` packed key per
+entry (see :mod:`repro.graphblas.coords`) plus its value, 16 bytes per
+``fp64`` entry.  The streaming operations — lazy ``build``, the pending
+flush, ``update`` — run entirely in key space on the two keyed kernels of
+:mod:`repro.graphblas._kernels` and never pack or unpack; ``rows``/``cols``
+are derived lazily for the operations that still want them and dropped again
+on the next mutation.  A coordinate that does not fit the key spec demotes
+the matrix to the dual-key ``(rows, cols, vals)`` store *before* anything is
+stored (keys never alias), and ``coords.packing_disabled()`` runs every
+operation on the dual-key lexsort kernels — the reference the keyed path is
+property-tested against.
 
 The class mirrors the GraphBLAS C API surface used by the paper (build,
 setElement/extractElement, eWiseAdd, eWiseMult, mxm/mxv, reduce, apply, select,
@@ -80,8 +95,9 @@ class Matrix:
         "_nrows",
         "_ncols",
         "_dtype",
-        "_rows",
-        "_cols",
+        "_spec",
+        "_keys",
+        "_rc",
         "_vals",
         "_pend",
         "_pend_op",
@@ -97,22 +113,92 @@ class Matrix:
         self._dtype = lookup_dtype(dtype)
         self._nrows = _check_dim(nrows, "nrows")
         self._ncols = _check_dim(ncols, "ncols")
-        self._rows = np.empty(0, dtype=K.INDEX_DTYPE)
-        self._cols = np.empty(0, dtype=K.INDEX_DTYPE)
-        self._vals = np.empty(0, dtype=self._dtype.np_type)
-        # Pending (row, col, value-bits) triples live in a preallocated
-        # arena: appends are memcpys, the flush sorts the used prefix
-        # directly — no per-flush concatenation.
-        self._pend = arena.make_pending(3)
-        self._pend_op: Optional[BinaryOp] = None
         # Optional observer of pending-buffer flushes.  Called from _wait()
         # as hook(raw_count, op, rows, cols, vals, keys, spec) with the
-        # sorted, duplicate-collapsed flush output (keys/spec may be None
-        # when the shape does not pack); raw_count is the pre-collapse
-        # pending size.  HierarchicalMatrix points this at its incremental
-        # reduction tracker so stats drains ride the flush's sort.
+        # sorted, duplicate-collapsed flush window: a keyed flush passes
+        # (None, None, vals, keys, spec), a dual-key flush (rows, cols,
+        # vals, None, None); raw_count is the pre-collapse pending size.
+        # HierarchicalMatrix points this at its incremental reduction
+        # tracker so stats drains ride the flush's sort.
         self.flush_hook = None
         self.name = name
+        self._enter_key_space()
+
+    def _enter_key_space(self) -> None:
+        """Start (or restart) empty, in key space under the shape's key spec."""
+        self._spec: Optional[coords.PackedSpec] = (
+            coords.shape_split(self._nrows, self._ncols) or coords.IPV4_SPEC
+        )
+        self._keys: Optional[np.ndarray] = np.empty(0, dtype=coords.KEY_DTYPE)
+        self._rc: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._vals = np.empty(0, dtype=self._dtype.np_type)
+        # Pending (key, value-bits) pairs live in a preallocated arena:
+        # appends are memcpys (a scalar value is a fill), the flush sorts the
+        # used prefix directly — no per-flush concatenation.
+        self._pend = arena.make_pending(2)
+        self._pend_op: Optional[BinaryOp] = None
+
+    # ------------------------------------------------------------------ #
+    # the store: packed keys while they fit, (rows, cols) otherwise
+    # ------------------------------------------------------------------ #
+
+    @property
+    def key_spec(self) -> Optional[coords.PackedSpec]:
+        """The 64-bit split the stored keys use; ``None`` once demoted."""
+        return self._spec
+
+    def _coo(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Stored ``(rows, cols)``, unpacked from the keys on first use."""
+        if self._rc is None:
+            self._rc = coords.unpack(self._keys, self._spec)
+        return self._rc
+
+    @property
+    def _rows(self) -> np.ndarray:
+        return self._coo()[0]
+
+    @property
+    def _cols(self) -> np.ndarray:
+        return self._coo()[1]
+
+    def _packed(self) -> np.ndarray:
+        """Stored coordinates as sorted packed keys (key space only)."""
+        if self._keys is None:
+            self._keys = coords.pack(*self._rc, self._spec)
+        return self._keys
+
+    def _set_keys(self, keys: np.ndarray, vals: np.ndarray) -> None:
+        self._keys, self._rc, self._vals = keys, None, vals
+
+    def _set_coo(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
+        """Replace the content with sorted, duplicate-free triples."""
+        if self._spec is not None and rows.size and not self._fits(rows.max(), cols.max()):
+            self._demote()
+        self._keys, self._rc, self._vals = None, (rows, cols), vals
+
+    def _fits(self, max_row, max_col) -> bool:
+        return int(max_row) <= self._spec.max_row and int(max_col) <= self._spec.max_col
+
+    def _demote(self) -> None:
+        """Leave key space for good: a coordinate does not fit one 64-bit key.
+
+        Runs *before* the offending coordinate is stored.  Stored rows/cols
+        become authoritative and the pending window moves, in order, into a
+        three-column arena; only :meth:`clear` returns to key space.
+        """
+        self._coo()
+        pending_keys, bits = self._pend.views()
+        pend = arena.make_pending(3)
+        pend.append(*coords.unpack(pending_keys, self._spec), bits)
+        self._keys, self._pend, self._spec = None, pend, None
+
+    def _keep(self, mask: np.ndarray) -> None:
+        """Drop the stored entries where ``mask`` is False."""
+        if self._keys is not None:
+            self._set_keys(self._keys[mask], self._vals[mask])
+        else:
+            rows, cols = self._rc
+            self._set_coo(rows[mask], cols[mask], self._vals[mask])
 
     # -- alternate constructors ----------------------------------------- #
 
@@ -188,9 +274,11 @@ class Matrix:
         self._wait()
         target = lookup_dtype(dtype) if dtype is not None else self._dtype
         out = Matrix(target, self._nrows, self._ncols, name=name or self.name)
-        out._rows = self._rows.copy()
-        out._cols = self._cols.copy()
-        out._vals = self._vals.astype(target.np_type, copy=True)
+        vals = self._vals.astype(target.np_type, copy=True)
+        if self._keys is not None:
+            out._set_keys(self._keys.copy(), vals)
+        else:
+            out._set_coo(self._rows.copy(), self._cols.copy(), vals)
         return out
 
     # ------------------------------------------------------------------ #
@@ -221,7 +309,7 @@ class Matrix:
     def nvals(self) -> int:
         """Number of stored entries.  Forces completion of pending updates."""
         self._wait()
-        return int(self._rows.size)
+        return int(self._vals.size)
 
     #: alias matching the sparse-matrix convention
     @property
@@ -237,7 +325,7 @@ class Matrix:
         hierarchical cascade uses it to decide cheaply when a layer may need
         flushing.
         """
-        return int(self._rows.size) + self._pend.used
+        return int(self._vals.size) + self._pend.used
 
     @property
     def has_pending(self) -> bool:
@@ -254,10 +342,11 @@ class Matrix:
         capacity while traffic estimates follow the used bytes (see
         :meth:`repro.memory.hierarchy.MemoryHierarchy.placement_level`).
         """
+        coordinate_bytes = 0 if self._keys is None else self._keys.nbytes
+        if self._rc is not None:
+            coordinate_bytes += self._rc[0].nbytes + self._rc[1].nbytes
         return {
-            "stored_bytes": int(
-                self._rows.nbytes + self._cols.nbytes + self._vals.nbytes
-            ),
+            "stored_bytes": int(coordinate_bytes + self._vals.nbytes),
             "pending_used_bytes": int(self._pend.used_bytes),
             "pending_capacity_bytes": int(self._pend.capacity_bytes),
         }
@@ -277,87 +366,145 @@ class Matrix:
     # pending-tuple machinery
     # ------------------------------------------------------------------ #
 
-    def _append_pending(self, r: np.ndarray, c: np.ndarray, v: np.ndarray, op: BinaryOp) -> None:
-        """Append validated triples to the pending buffer under operator ``op``.
+    def _append_pending(self, keys, rows, cols, values, op: BinaryOp) -> None:
+        """Append one validated batch to the pending buffer under operator ``op``.
 
-        The whole pending buffer shares one combining operator; switching
+        ``keys`` are the batch's packed keys from :meth:`pack_batch` (``None``
+        on the dual-key store, which appends ``rows``/``cols`` instead).  The
+        whole pending buffer shares one combining operator; switching
         operators (e.g. interleaving ``setElement`` replace semantics with a
         lazy ``plus`` build) flushes the buffer first so ordering semantics
         are preserved exactly.  Values are canonicalised to the matrix dtype
-        here — as raw bits, so the flush never re-casts — and the arena
-        copies, so callers may reuse their batch buffers freely.
+        here — as raw bits, so the flush never re-casts; a scalar is a
+        one-element column the arena broadcasts — and the arena copies, so
+        callers may reuse their batch buffers freely.
         """
-        if r.size == 0:
+        coordinates = (keys,) if keys is not None else (rows, cols)
+        if coordinates[0].size == 0:
             return
         if self._pend.used and self._pend_op is not None and self._pend_op is not op:
             self._wait()
         self._pend_op = op
-        self._pend.append(r, c, arena.value_bits(v, self._dtype.np_type))
+        self._pend.append(*coordinates, arena.value_bits(values, self._dtype.np_type))
+
+    def _keyed(self) -> bool:
+        """Whether operations run on the keyed kernels right now."""
+        return self._spec is not None and coords.packing_enabled()
+
+    def _merge_keyed(self, keys: np.ndarray, vals: np.ndarray, op: BinaryOp) -> None:
+        self._set_keys(
+            *K.merge_keys(self._packed(), self._vals, keys, vals, op, self._dtype.np_type)
+        )
+
+    def _merge_coo(self, rows, cols, vals, op: BinaryOp) -> None:
+        self._set_coo(
+            *K.union_merge(
+                (self._rows, self._cols, self._vals),
+                (rows, cols, vals),
+                op,
+                out_dtype=self._dtype.np_type,
+            )
+        )
 
     def _wait(self) -> None:
         """Merge any pending tuples into the sorted representation.
 
         Mirrors ``GrB_wait``: pending insertions are sorted (stably, so
-        insertion order survives), duplicate coordinates are collapsed with
-        the buffer's pending operator, and the result is union-merged into the
-        sorted arrays with the same operator.  ``setElement`` buffers under
-        ``second`` (later insertions win, matching repeated-store semantics);
-        lazy ``build`` buffers under its ``dup_op`` (``plus`` for the
-        streaming-accumulate hot path).
+        insertion order survives — or, for a ``plus`` window of one exactly
+        countable value, by a plain key sort plus run lengths), duplicate
+        coordinates are collapsed with the buffer's pending operator, and the
+        result is union-merged into the stored entries with the same
+        operator.  ``setElement`` buffers under ``second`` (later insertions
+        win, matching repeated-store semantics); lazy ``build`` buffers under
+        its ``dup_op`` (``plus`` for the streaming-accumulate hot path).  In
+        key space the whole flush is two keyed kernel calls and packs
+        nothing: the window arrived packed and the stored keys are resident.
         """
         if self._pend.used == 0:
             return
         raw_count = self._pend.used
         op = self._pend_op if self._pend_op is not None else binary.second
-        pr_v, pc_v, bits_v = self._pend.views()
-        pv_v = arena.bits_to_values(bits_v, self._dtype.np_type)
-        # One flush packs its pending triples exactly once: build_triples
-        # hands the sorted keys (and their split) onward, and union_merge
-        # reuses them whenever the merge plans the same split — always true
-        # while stored and pending coordinates share the canonical 32/32
-        # plan, i.e. the whole IPv4 traffic-matrix hot path.
-        pr, pc, pv, pk, pspec = K.build_triples(pr_v, pc_v, pv_v, op, with_keys=True)
-        # build_triples passes already-sorted duplicate-free input through
-        # unchanged; detach such outputs from the arena before it is reused.
-        if pr is pr_v:
-            pr = pr.copy()
-        if pc is pc_v:
-            pc = pc.copy()
-        if pv is pv_v:
-            pv = pv.copy()
+        *pending, bits = self._pend.views()
+        raw = arena.bits_to_values(bits, self._dtype.np_type)
+        pr = pc = pk = None
+        if self._keyed():
+            # The kernel returns fresh arrays, so the arena can be reused.
+            pk, pv = K.sort_collapse_keys(pending[0], raw, op)
+        else:
+            if self._spec is not None:  # reference engine over a keyed window
+                pending = coords.unpack(pending[0], self._spec)
+            # build_triples passes already-sorted duplicate-free input through
+            # unchanged; detach such outputs from the arena before it is reused.
+            pr, pc, pv = (
+                out.copy() if out is view else out
+                for out, view in zip(
+                    K.build_triples(*pending, raw, op), (*pending, raw)
+                )
+            )
         self._pend.reset()
         self._pend_op = None
-        self._rows, self._cols, self._vals = K.union_merge(
-            (self._rows, self._cols, self._vals),
-            (pr, pc, pv),
-            op,
-            out_dtype=self._dtype.np_type,
-            b_keys=pk,
-            b_spec=pspec,
-        )
+        if pk is not None:
+            self._merge_keyed(pk, pv, op)
+        else:
+            self._merge_coo(pr, pc, pv, op)
         if self.flush_hook is not None:
-            self.flush_hook(raw_count, op, pr, pc, pv, pk, pspec)
+            self.flush_hook(
+                raw_count, op, pr, pc, pv, pk, None if pk is None else self._spec
+            )
 
     def wait(self) -> "Matrix":
         """Public ``GrB_wait`` equivalent; returns ``self`` for chaining."""
         self._wait()
         return self
 
-    def _check_indices(self, rows: np.ndarray, cols: np.ndarray) -> None:
+    def pack_batch(self, rows: np.ndarray, cols: np.ndarray) -> Optional[np.ndarray]:
+        """Validate a coordinate batch and pack it under this matrix's key spec.
+
+        Returns the batch's packed ``uint64`` keys — what :meth:`build`
+        accepts as ``keys=`` — or ``None`` when the matrix keeps the dual-key
+        store.  Out-of-range coordinates raise; an in-range coordinate that
+        does not fit the key spec (possible only for shapes too large to
+        have a 64-bit split) demotes the matrix *first*, so a key is never
+        built from a coordinate it cannot represent.
+        """
         if rows.size != cols.size:
             raise DimensionMismatch(
                 f"row and column index arrays differ in length ({rows.size} vs {cols.size})"
             )
         if rows.size == 0:
+            return None if self._spec is None else np.empty(0, dtype=coords.KEY_DTYPE)
+        max_row, max_col = int(rows.max()), int(cols.max())
+        if max_row >= self._nrows:
+            raise IndexOutOfBound(
+                f"row index {max_row} out of range for nrows={self._nrows}"
+            )
+        if max_col >= self._ncols:
+            raise IndexOutOfBound(
+                f"column index {max_col} out of range for ncols={self._ncols}"
+            )
+        if self._spec is not None and not self._fits(max_row, max_col):
+            self._demote()
+        return None if self._spec is None else coords.pack(rows, cols, self._spec)
+
+    def check_keys(self, keys: np.ndarray) -> None:
+        """Validate keys packed elsewhere under this matrix's shape split.
+
+        The bounds check :meth:`pack_batch` does on coordinates, for callers
+        that received keys off a wire.  Free when the shape fills its split
+        exactly (the IPv4 :math:`2^{32} \\times 2^{32}` case: every key is
+        in range).
+        """
+        spec = coords.shape_split(self._nrows, self._ncols)
+        if spec is None or spec != self._spec:
+            raise InvalidValue(
+                f"a {self._nrows}x{self._ncols} matrix has no packed-key form"
+            )
+        if keys.size == 0:
             return
-        if self._nrows < MAX_DIM and rows.max() >= np.uint64(self._nrows):
-            raise IndexOutOfBound(
-                f"row index {int(rows.max())} out of range for nrows={self._nrows}"
-            )
-        if self._ncols < MAX_DIM and cols.max() >= np.uint64(self._ncols):
-            raise IndexOutOfBound(
-                f"column index {int(cols.max())} out of range for ncols={self._ncols}"
-            )
+        if self._nrows <= spec.max_row and int(keys.max()) >> spec.col_bits >= self._nrows:
+            raise IndexOutOfBound(f"packed key row out of range for nrows={self._nrows}")
+        if self._ncols <= spec.max_col and int((keys & spec.col_mask).max()) >= self._ncols:
+            raise IndexOutOfBound(f"packed key column out of range for ncols={self._ncols}")
 
     # ------------------------------------------------------------------ #
     # element and bulk updates
@@ -373,6 +520,7 @@ class Matrix:
         clear: bool = False,
         lazy: bool = False,
         copy: bool = True,
+        keys: Optional[np.ndarray] = None,
     ) -> "Matrix":
         """Insert a batch of coordinate triples.
 
@@ -381,16 +529,21 @@ class Matrix:
         ``plus``), which is exactly the streaming-update usage of the paper.
         Set ``clear=True`` for the strict replace-all behaviour.
 
-        With ``lazy=True`` the triples are copied into the pending-tuple
-        buffer in O(n) and the sort + duplicate-collapse + merge is deferred
+        With ``lazy=True`` the batch is packed once and copied into the
+        pending buffer in O(n) — a scalar ``values`` is a fill, never an
+        ``np.full`` — and the sort + duplicate-collapse + merge is deferred
         until the next :meth:`wait` (or any operation that forces one).  This
         is the streaming-insert hot path the hierarchical cascade rides:
         almost every batch becomes a plain append, and the deferred work is
         amortised over many batches.  The logical result is identical to the
-        eager path for any associative ``dup_op`` because the stable pending
-        sort preserves insertion order within equal coordinates; deferral
-        would regroup batches under a non-associative ``dup_op``, so those
-        ignore ``lazy`` and run eagerly.
+        eager path for any associative ``dup_op`` because the pending sort
+        preserves insertion order within equal coordinates (or proves it
+        irrelevant); deferral would regroup batches under a non-associative
+        ``dup_op``, so those ignore ``lazy`` and run eagerly.
+
+        ``keys`` hands in the batch already validated and packed by
+        :meth:`pack_batch` (or checked by :meth:`check_keys`); ``rows`` and
+        ``cols`` are then ignored and may be ``None``.
 
         ``copy`` is accepted for API compatibility: the pending arena copies
         every batch at append time, so both values are equally safe and
@@ -398,52 +551,58 @@ class Matrix:
         """
         if clear:
             self.clear()
-        r = K.as_index_array(rows, "rows")
-        c = K.as_index_array(cols, "cols")
-        if np.isscalar(values) or (isinstance(values, np.ndarray) and values.ndim == 0):
-            v = np.full(r.size, values, dtype=self._dtype.np_type)
-        else:
-            v = np.asarray(values).astype(self._dtype.np_type, copy=False)
-        if v.size != r.size:
+        r = c = None
+        if keys is None:
+            r = K.as_index_array(rows, "rows")
+            c = K.as_index_array(cols, "cols")
+            keys = self.pack_batch(r, c)
+        n = keys.size if keys is not None else r.size
+        scalar = np.isscalar(values) or (isinstance(values, np.ndarray) and values.ndim == 0)
+        v = values if scalar else np.asarray(values).astype(self._dtype.np_type, copy=False)
+        if not scalar and v.size != n:
             raise DimensionMismatch(
-                f"values length {v.size} does not match index length {r.size}"
+                f"values length {v.size} does not match index length {n}"
             )
-        self._check_indices(r, c)
         if dup_op is None:
             dup_op = binary.plus
         if lazy and dup_op.associative:
-            self._append_pending(r, c, v, dup_op)
+            self._append_pending(keys, r, c, v, dup_op)
             return self
         self._wait()
-        r, c, v = K.build_triples(r, c, v, dup_op)
-        if self._rows.size == 0:
-            self._rows, self._cols, self._vals = r.copy(), c.copy(), v.copy()
+        if scalar:
+            v = np.full(n, values, dtype=self._dtype.np_type)
+        if keys is not None and self._keyed():
+            self._merge_keyed(*K.sort_collapse_keys(keys, v, dup_op), dup_op)
         else:
-            self._rows, self._cols, self._vals = K.union_merge(
-                (self._rows, self._cols, self._vals),
-                (r, c, v),
-                dup_op,
-                out_dtype=self._dtype.np_type,
-            )
+            if r is None:
+                r, c = coords.unpack(keys, self._spec)
+            self._merge_coo(*K.build_triples(r, c, v, dup_op), dup_op)
         return self
 
     def setElement(self, row: int, col: int, value) -> None:
         """Set a single entry (buffered; merged lazily like SuiteSparse pending tuples)."""
         r = K.as_index_array([row], "row")
         c = K.as_index_array([col], "col")
-        self._check_indices(r, c)
-        self._append_pending(
-            r, c, np.asarray([value], dtype=self._dtype.np_type), binary.second
-        )
+        self._append_pending(self.pack_batch(r, c), r, c, value, binary.second)
 
     __setitem_scalar__ = setElement
 
+    def _find(self, row: int, col: int) -> int:
+        """Position of one stored coordinate, or -1 (forces pending merges)."""
+        self._wait()
+        r = K.as_index_array([row], "row")
+        c = K.as_index_array([col], "col")
+        if self._keys is None:
+            return int(K.search_sorted_coo(self._rows, self._cols, r, c)[0])
+        if not self._vals.size or not self._fits(r[0], c[0]):
+            return -1
+        key = coords.pack(r, c, self._spec)[0]
+        pos = int(np.searchsorted(self._keys, key))
+        return pos if pos < self._keys.size and self._keys[pos] == key else -1
+
     def extractElement(self, row: int, col: int, default=None):
         """Read a single entry; returns ``default`` when the entry is not stored."""
-        self._wait()
-        pos = K.search_sorted_coo(
-            self._rows, self._cols, np.asarray([row]), np.asarray([col])
-        )[0]
+        pos = self._find(row, col)
         if pos < 0:
             return default
         return self._vals[pos].item()
@@ -452,25 +611,37 @@ class Matrix:
 
     def removeElement(self, row: int, col: int) -> bool:
         """Delete a single entry; returns True if it was present."""
-        self._wait()
-        pos = K.search_sorted_coo(
-            self._rows, self._cols, np.asarray([row]), np.asarray([col])
-        )[0]
+        pos = self._find(row, col)
         if pos < 0:
             return False
-        keep = np.ones(self._rows.size, dtype=bool)
+        keep = np.ones(self._vals.size, dtype=bool)
         keep[pos] = False
-        self._rows = self._rows[keep]
-        self._cols = self._cols[keep]
-        self._vals = self._vals[keep]
+        self._keep(keep)
         return True
 
     def clear(self) -> "Matrix":
-        """Remove every stored entry (dimensions and type are retained)."""
-        self._rows = np.empty(0, dtype=K.INDEX_DTYPE)
-        self._cols = np.empty(0, dtype=K.INDEX_DTYPE)
-        self._vals = np.empty(0, dtype=self._dtype.np_type)
-        self._pend.clear()
+        """Remove every stored entry (dimensions and type are retained).
+
+        Releases the pending arena's storage and returns a demoted matrix to
+        key space.
+        """
+        self._enter_key_space()
+        return self
+
+    def reset(self) -> "Matrix":
+        """Remove every stored and pending entry but keep the pending capacity.
+
+        For owners that empty a matrix only to refill it — the hierarchical
+        cascade empties layer *i* after every merge into layer *i + 1* — so
+        the next window appends into storage that is already resident
+        instead of restarting the arena's growth ladder.
+        """
+        if self._spec is None:
+            return self.clear()
+        self._set_keys(
+            np.empty(0, dtype=coords.KEY_DTYPE), np.empty(0, dtype=self._dtype.np_type)
+        )
+        self._pend.reset()
         self._pend_op = None
         return self
 
@@ -479,18 +650,17 @@ class Matrix:
         nrows = _check_dim(nrows, "nrows")
         ncols = _check_dim(ncols, "ncols")
         self._wait()
-        if self._rows.size:
-            keep = np.ones(self._rows.size, dtype=bool)
-            if nrows < MAX_DIM:
-                keep &= self._rows < np.uint64(nrows)
-            if ncols < MAX_DIM:
-                keep &= self._cols < np.uint64(ncols)
-            if not np.all(keep):
-                self._rows = self._rows[keep]
-                self._cols = self._cols[keep]
-                self._vals = self._vals[keep]
+        rows, cols = self._coo()
+        keep = np.ones(rows.size, dtype=bool)
+        if nrows < MAX_DIM:
+            keep &= rows < np.uint64(nrows)
+        if ncols < MAX_DIM:
+            keep &= cols < np.uint64(ncols)
+        vals = self._vals[keep]
         self._nrows = nrows
         self._ncols = ncols
+        self._enter_key_space()  # the key spec follows the shape
+        self._set_coo(rows[keep], cols[keep], vals)
         return self
 
     def update(self, other: "Matrix", accum: Optional[BinaryOp] = None) -> "Matrix":
@@ -498,7 +668,8 @@ class Matrix:
 
         This is the hierarchical cascade's workhorse: ``A_{i+1}.update(A_i)``
         performs ``A_{i+1} += A_i`` using the GraphBLAS ``plus`` accumulator by
-        default.
+        default.  Two matrices in the same key space merge key-to-key with no
+        pack or unpack (:func:`~repro.graphblas._kernels.merge_keys`).
         """
         if accum is None:
             accum = binary.plus
@@ -508,19 +679,19 @@ class Matrix:
             )
         self._wait()
         other._wait()
-        if other._rows.size == 0:
+        if other._vals.size == 0:
             return self
-        self._rows, self._cols, self._vals = K.union_merge(
-            (self._rows, self._cols, self._vals),
-            (other._rows, other._cols, other._vals),
-            accum,
-            out_dtype=self._dtype.np_type,
-        )
+        if self._keyed() and other._spec == self._spec:
+            self._merge_keyed(other._packed(), other._vals, accum)
+        else:
+            self._merge_coo(other._rows, other._cols, other._vals, accum)
         return self
 
     def extract_tuples(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return ``(rows, cols, values)`` copies of all stored entries."""
         self._wait()
+        if self._rc is None:  # unpacking already yields fresh arrays
+            return (*coords.unpack(self._keys, self._spec), self._vals.copy())
         return self._rows.copy(), self._cols.copy(), self._vals.copy()
 
     to_coo = extract_tuples
@@ -562,7 +733,7 @@ class Matrix:
             op,
             out_dtype=out_type.np_type,
         )
-        out._rows, out._cols, out._vals = r, c, v.astype(out_type.np_type, copy=False)
+        out._set_coo(r, c, v.astype(out_type.np_type, copy=False))
         return out._apply_mask(mask, desc)
 
     def ewise_mult(
@@ -589,7 +760,7 @@ class Matrix:
             op,
             out_dtype=out_type.np_type,
         )
-        out._rows, out._cols, out._vals = r, c, v.astype(out_type.np_type, copy=False)
+        out._set_coo(r, c, v.astype(out_type.np_type, copy=False))
         return out._apply_mask(mask, desc)
 
     # Operator sugar ----------------------------------------------------- #
@@ -695,19 +866,21 @@ class Matrix:
             order = np.argsort(prod_keys, kind="stable")
             skeys = prod_keys[order]
             starts2 = K.key_group_starts(skeys)
-            out._rows, out._cols = coords.unpack(skeys[starts2], spec)
-            out._vals = op.add.reduce_groups(prod_vals[order], starts2).astype(
-                out_type.np_type, copy=False
+            out._set_coo(
+                *coords.unpack(skeys[starts2], spec),
+                op.add.reduce_groups(prod_vals[order], starts2).astype(
+                    out_type.np_type, copy=False
+                ),
             )
             return out._apply_mask(mask, desc)
         prod_rows = a_rows[rep]
         prod_cols = b_cols[b_idx]
         prod_rows, prod_cols, prod_vals = K.sort_coo(prod_rows, prod_cols, prod_vals)
         starts2 = K.group_starts(prod_rows, prod_cols)
-        out._rows = prod_rows[starts2]
-        out._cols = prod_cols[starts2]
-        out._vals = op.add.reduce_groups(prod_vals, starts2).astype(
-            out_type.np_type, copy=False
+        out._set_coo(
+            prod_rows[starts2],
+            prod_cols[starts2],
+            op.add.reduce_groups(prod_vals, starts2).astype(out_type.np_type, copy=False),
         )
         return out._apply_mask(mask, desc)
 
@@ -765,7 +938,7 @@ class Matrix:
         cols = self._cols[rep_a] * np.uint64(other._ncols) + other._cols[rep_b]
         vals = op(self._vals[rep_a], other._vals[rep_b]).astype(out_type.np_type, copy=False)
         rows, cols, vals = K.sort_coo(rows, cols, vals)
-        out._rows, out._cols, out._vals = rows, cols, vals
+        out._set_coo(rows, cols, vals)
         return out
 
     # ------------------------------------------------------------------ #
@@ -825,9 +998,11 @@ class Matrix:
             else:
                 new_vals = op(self._vals, np.full(self._vals.size, right))
         out = Matrix(out_type, self._nrows, self._ncols)
-        out._rows = self._rows.copy()
-        out._cols = self._cols.copy()
-        out._vals = np.asarray(new_vals).astype(out_type.np_type, copy=False)
+        out._set_coo(
+            self._rows.copy(),
+            self._cols.copy(),
+            np.asarray(new_vals).astype(out_type.np_type, copy=False),
+        )
         return out._apply_mask(mask, desc)
 
     def select(self, op: Union[SelectOp, str], thunk=None) -> "Matrix":
@@ -837,9 +1012,7 @@ class Matrix:
         self._wait()
         keep = np.asarray(op(self._rows, self._cols, self._vals, thunk), dtype=bool)
         out = Matrix(self._dtype, self._nrows, self._ncols)
-        out._rows = self._rows[keep]
-        out._cols = self._cols[keep]
-        out._vals = self._vals[keep]
+        out._set_coo(self._rows[keep], self._cols[keep], self._vals[keep])
         return out
 
     @staticmethod
@@ -895,7 +1068,7 @@ class Matrix:
 
         if not reindex:
             out = Matrix(self._dtype, self._nrows, self._ncols)
-            out._rows, out._cols, out._vals = r, c, v
+            out._set_coo(r, c, v)
             return out
 
         out_nrows = self._nrows if row_sel is None else max(int(row_sel.size), 1)
@@ -938,7 +1111,7 @@ class Matrix:
                 v = v[rep]
         out = Matrix(self._dtype, out_nrows, out_ncols)
         r, c, v = K.sort_coo(r, c, v)
-        out._rows, out._cols, out._vals = r, c, v
+        out._set_coo(r, c, v)
         return out
 
     def assign(self, value, rows=_ALL, cols=_ALL, *, accum: Optional[BinaryOp] = None) -> "Matrix":
@@ -977,7 +1150,7 @@ class Matrix:
         out = Matrix(self._dtype, self._ncols, self._nrows)
         if self._rows.size:
             r, c, v = K.sort_coo(self._cols.copy(), self._rows.copy(), self._vals.copy())
-            out._rows, out._cols, out._vals = r, c, v
+            out._set_coo(r, c, v)
         return out
 
     def diag(self):
@@ -1011,9 +1184,7 @@ class Matrix:
         member = K.membership_mask(self._rows, self._cols, m_rows, m_cols)
         if mask.complement:
             member = ~member
-        self._rows = self._rows[member]
-        self._cols = self._cols[member]
-        self._vals = self._vals[member]
+        self._keep(member)
         return self
 
     # ------------------------------------------------------------------ #

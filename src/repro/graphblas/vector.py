@@ -15,6 +15,11 @@ sorted, duplicate-free pairs.  The incremental reduction trackers in
 :mod:`repro.core.reductions` merge their fused group-reductions through
 ``merge_sorted``, so maintaining per-endpoint degree/traffic profiles never
 re-sorts against the growing stored vectors.
+
+A vector index is its own 64-bit sort key, so every build, flush and merge
+here runs on the same two keyed kernels as :class:`Matrix`
+(:func:`~repro.graphblas._kernels.sort_collapse_keys`,
+:func:`~repro.graphblas._kernels.merge_keys`) with nothing to pack.
 """
 
 from __future__ import annotations
@@ -189,18 +194,6 @@ class Vector:
         self._pend_op = op
         self._pend.append(idx, arena.value_bits(v, self._dtype.np_type))
 
-    def reserve_pending(self, capacity: int) -> "Vector":
-        """Preallocate the pending buffer for a known fill bound.
-
-        See :meth:`PendingArena.reserve
-        <repro.graphblas.arena.PendingArena.reserve>`: one reservation
-        replaces the geometric growth ladder for callers that stream a
-        bounded number of lazy entries between flushes (the incremental
-        reduction trackers).  No-op on the legacy list backend.
-        """
-        self._pend.reserve(int(capacity))
-        return self
-
     def _wait(self) -> None:
         """Merge any pending entries into the sorted representation.
 
@@ -209,30 +202,25 @@ class Vector:
         indices are collapsed with the buffer's operator, and the result is
         union-merged into the stored arrays with the same operator.  The
         pending arena is read as zero-copy views — no concatenation, no
-        dtype conversion — and the argsort gather is the flush's single
-        value-array allocation.
+        dtype conversion.
         """
         if self._pend.used == 0:
             return
         op = self._pend_op if self._pend_op is not None else binary.second
         idx_view, bits_view = self._pend.views()
         v_view = arena.bits_to_values(bits_view, self._dtype.np_type)
-        order = np.argsort(idx_view, kind="stable")
-        idx, v = idx_view[order], v_view[order]  # fresh arrays, detached
+        idx, v = K.sort_collapse_keys(idx_view, v_view, op)  # fresh arrays, detached
         self._pend.reset()
         self._pend_op = None
-        zeros = np.zeros(idx.size, dtype=K.INDEX_DTYPE)
-        idx, _, v = K.collapse_duplicates(idx, zeros, v, op)
-        if self._indices.size == 0:
-            self._indices, self._vals = idx, v
-        else:
-            i, _, vv = K.union_merge(
-                (self._indices, np.zeros(self._indices.size, dtype=K.INDEX_DTYPE), self._vals),
-                (idx, np.zeros(idx.size, dtype=K.INDEX_DTYPE), v),
-                op,
-                out_dtype=self._dtype.np_type,
-            )
-            self._indices, self._vals = i, vv
+        self._merge(idx, v, op)
+
+    def _merge(self, idx: np.ndarray, v: np.ndarray, op: BinaryOp) -> None:
+        """Union sorted, duplicate-free ``(idx, v)`` into the stored entries."""
+        if idx.size == 0:
+            return
+        self._indices, self._vals = K.merge_keys(
+            self._indices, self._vals, idx, v, op, self._dtype.np_type
+        )
 
     def wait(self) -> "Vector":
         """Public ``GrB_wait`` equivalent; returns ``self`` for chaining."""
@@ -292,21 +280,7 @@ class Vector:
             self._append_pending(idx, v, dup_op)
             return self
         self._wait()
-        order = np.argsort(idx, kind="stable")
-        idx, v = idx[order], v[order]
-        # Collapse duplicates within the batch.
-        zeros = np.zeros(idx.size, dtype=K.INDEX_DTYPE)
-        idx, _, v = K.collapse_duplicates(idx, zeros, v, dup_op)
-        if self._indices.size == 0:
-            self._indices, self._vals = idx.copy(), v.copy()
-        else:
-            i, _, vv = K.union_merge(
-                (self._indices, np.zeros(self._indices.size, dtype=K.INDEX_DTYPE), self._vals),
-                (idx, np.zeros(idx.size, dtype=K.INDEX_DTYPE), v),
-                dup_op,
-                out_dtype=self._dtype.np_type,
-            )
-            self._indices, self._vals = i, vv
+        self._merge(*K.sort_collapse_keys(idx, v, dup_op), dup_op)
         return self
 
     def merge_sorted(self, indices: np.ndarray, values: np.ndarray,
@@ -330,19 +304,7 @@ class Vector:
                 f"values length {v.size} does not match index length {idx.size}"
             )
         self._wait()
-        if idx.size == 0:
-            return self
-        if self._indices.size == 0:
-            self._indices = idx.astype(K.INDEX_DTYPE, copy=True)
-            self._vals = v.copy()
-            return self
-        i, _, vv = K.union_merge(
-            (self._indices, np.zeros(self._indices.size, dtype=K.INDEX_DTYPE), self._vals),
-            (idx, np.zeros(idx.size, dtype=K.INDEX_DTYPE), v),
-            op,
-            out_dtype=self._dtype.np_type,
-        )
-        self._indices, self._vals = i, vv
+        self._merge(idx, v, op)
         return self
 
     def setElement(self, index: int, value) -> None:
@@ -423,13 +385,9 @@ class Vector:
         other._wait()
         out_type = op.output_type(self._dtype, other._dtype)
         out = Vector(out_type, self._size)
-        i, _, v = K.union_merge(
-            (self._indices, np.zeros(self._indices.size, dtype=K.INDEX_DTYPE), self._vals),
-            (other._indices, np.zeros(other._indices.size, dtype=K.INDEX_DTYPE), other._vals),
-            op,
-            out_dtype=out_type.np_type,
+        out._indices, out._vals = K.merge_keys(
+            self._indices, self._vals, other._indices, other._vals, op, out_type.np_type
         )
-        out._indices, out._vals = i, v.astype(out_type.np_type, copy=False)
         return out
 
     def ewise_mult(self, other: "Vector", op=None) -> "Vector":

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import FixedCuts, GeometricCuts, HierarchicalMatrix
-from repro.graphblas import Matrix, binary
+from repro.graphblas import Matrix, arena, binary
 from repro.graphblas.errors import DimensionMismatch, InvalidValue
 
 
@@ -216,6 +216,23 @@ class TestCorrectness:
         assert H.stats.total_updates == 0
         H.update([1], [1], [1.0])
         assert H.nvals == 1
+
+    def test_cascades_keep_the_pending_arena(self):
+        """A cascade empties layer i with reset(), not clear(): the stream's
+        2,000 appends grow the arenas a handful of times in total, not once
+        per doubling per cascade (633 before); user-facing clear() releases."""
+        rng = np.random.default_rng(3)
+        H = HierarchicalMatrix(2**32, 2**32, cuts=[2**13, 2**16, 2**19])
+        before = arena.grow_calls()
+        for _ in range(2_000):
+            rows = rng.integers(0, 2**22, 1_000, dtype=np.uint64)
+            H.update(rows, rows[::-1], 1)
+        H.wait()
+        assert H.stats.cascades[0] > 100
+        assert arena.grow_calls() - before <= 10
+        assert H.memory_breakdown["pending_capacity_bytes"] > 0
+        H.layers[0].clear()
+        assert H.layers[0].memory_breakdown["pending_capacity_bytes"] == 0
 
     def test_min_accumulator(self):
         H = HierarchicalMatrix(cuts=[2, 10], accum=binary.min)

@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core import HierarchicalMatrix
-from repro.graphblas import Matrix, binary
+from repro.graphblas import Matrix, binary, coords
 
 # A batch is a list of (row, col, value) triples over a small space.
 batch_strategy = st.lists(
@@ -116,3 +116,89 @@ def test_get_matches_materialized_elements(batches):
             seen[(r, c)] = seen.get((r, c), 0.0) + v
     for (r, c), v in list(seen.items())[:20]:
         assert H.get(r, c) == v
+
+
+# --------------------------------------------------------------------------- #
+# the packed-key spine: every entry point, against both references
+# --------------------------------------------------------------------------- #
+
+# Heavy duplication (long runs inside one flush window) and values on both
+# sides of the uniform-window guard: countable integers, an integer whose
+# n * s leaves 2**53 after a few additions, inexact decimals, negatives.
+spine_coordinate = st.sampled_from([0, 1, 2, 2**32 - 1])
+spine_pairs = st.lists(st.tuples(spine_coordinate, spine_coordinate), min_size=1, max_size=30)
+EXACT_VALUES = [1.0, 3.0, -2.0, float(2**20)]  # every partial sum stays an exact integer
+ANY_VALUES = EXACT_VALUES + [0.1, 0.3, float(2**50), float(2**52 + 1)]
+KINDS = ["scalar", "uniform", "mixed", "packed_scalar", "packed_array"]
+
+
+def spine_batches(values):
+    value = st.sampled_from(values)
+    return st.lists(
+        st.tuples(st.sampled_from(KINDS), spine_pairs, st.lists(value, min_size=3, max_size=3)),
+        min_size=1,
+        max_size=12,
+    )
+
+
+def batch_arrays(batch):
+    """``(rows, cols, per-entry values)`` of one generated batch."""
+    kind, pairs, values = batch
+    rows = np.array([p[0] for p in pairs], dtype=np.uint64)
+    cols = np.array([p[1] for p in pairs], dtype=np.uint64)
+    if kind in ("mixed", "packed_array"):
+        return rows, cols, np.resize(np.array(values, dtype=np.float64), rows.size)
+    return rows, cols, np.full(rows.size, values[0])
+
+
+def feed(H, batches):
+    """Drive one stream through update() and update_packed() as each batch says."""
+    for batch in batches:
+        kind = batch[0]
+        rows, cols, vals = batch_arrays(batch)
+        if kind.endswith("scalar"):
+            vals = batch[2][0]  # a scalar stays a scalar all the way to the arena
+        if kind.startswith("packed"):
+            H.update_packed(coords.pack(rows, cols, coords.IPV4_SPEC), vals)
+        else:
+            H.update(rows, cols, vals)
+    return H
+
+
+def coo_bits(matrix):
+    rows, cols, vals = matrix.to_coo()
+    return rows, cols, vals.view(np.uint64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spine_batches(ANY_VALUES), cuts_strategy)
+def test_spine_is_bit_identical_to_the_dual_key_engine(batches, cuts):
+    """Same cuts, same grouping: the keyed path may not change a single bit."""
+    keyed = feed(HierarchicalMatrix(2**32, 2**32, cuts=cuts), batches)
+    with coords.packing_disabled():
+        reference = feed(HierarchicalMatrix(2**32, 2**32, cuts=cuts), batches)
+        expected = coo_bits(reference.materialize())
+    assert keyed.stats.cascades == reference.stats.cascades
+    for got, want in zip(coo_bits(keyed.materialize()), expected):
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spine_batches(EXACT_VALUES), cuts_strategy)
+def test_spine_equals_flat_matrix_and_tracks_its_reductions(batches, cuts):
+    """Exactly representable values: the hierarchy, a flat Matrix and the
+    tracker's four vectors (after the keyed catch-up) all agree exactly."""
+    H = feed(HierarchicalMatrix(2**32, 2**32, cuts=cuts), batches)
+    flat = Matrix("fp64", 2**32, 2**32)
+    for batch in batches:
+        flat.build(*batch_arrays(batch))
+    pending = H.layers[0].has_pending
+    inc = H.incremental
+    assert inc.row_traffic().isequal(flat.reduce_rowwise())
+    assert inc.col_traffic().isequal(flat.reduce_columnwise())
+    ones = flat.apply("one")
+    assert inc.row_fan().isequal(ones.reduce_rowwise())
+    assert inc.col_fan().isequal(ones.reduce_columnwise())
+    assert inc.nnz() == flat.nvals
+    assert H.layers[0].has_pending == pending  # reads never flush layer 1
+    assert H.materialize().isequal(flat, check_dtype=True)

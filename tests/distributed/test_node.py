@@ -287,7 +287,10 @@ class TestMaterializeFreeSlabExtraction:
             "extract_slab", {"partition": "hash", "lo": 0, "hi": keyspace}
         )
         assert result["count"] == ref_rows.size
-        rows, cols, vals = state._decode_slab(result["slab"])
+        form, keys, bits = result["slab"]
+        assert form == "packed"
+        rows, cols = coords.unpack(keys, state.spec)
+        vals = ValueCodec(np.float64).decode(bits)
         order = np.lexsort((cols, rows))
         ref_order = np.lexsort((ref_cols, ref_rows))
         np.testing.assert_array_equal(rows[order], ref_rows[ref_order])

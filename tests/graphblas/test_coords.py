@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import HierarchicalMatrix
@@ -263,6 +263,248 @@ class TestMatrixAndHierarchyParity:
         assert m[1, 1] == 9.0
         m.build([1], [1], [4.0], dup_op=binary.plus, lazy=True)
         assert m[1, 1] == 13.0
+
+
+# --------------------------------------------------------------------------- #
+# the keyed store: (keys, vals) authoritative, rows/cols derived
+# --------------------------------------------------------------------------- #
+
+NAN_PAYLOAD = float(np.array([0x7FF8_0000_0000_BEEF], dtype=np.uint64).view(np.float64)[0])
+
+#: Values on both sides of the uniform-window exactness guard: countable
+#: integers, integers whose n*s straddles 2**53 for the batch sizes drawn
+#: below, inexact decimals, negatives, zero, a NaN with a payload.
+FP64_VALUES = [1.0, 3.0, -2.0, float(2**50), float(2**52 + 1), 0.1, 0.3, 0.0, NAN_PAYLOAD]
+#: int32: small, and large enough that a handful of additions wraps.
+INT32_VALUES = [1, 7, -3, 2**27, 2**30]
+
+# A tiny coordinate pool: long runs of one coordinate inside a window, which
+# is where count * s and repeated addition can part ways.
+small_coordinate = st.sampled_from([0, 1, U32_MAX])
+pair_list = st.lists(st.tuples(small_coordinate, small_coordinate), min_size=1, max_size=40)
+
+
+def stream_ops(pairs, values):
+    """One mutation of a Matrix: (kind, coordinates, value-or-values)."""
+    value = st.sampled_from(values)
+    return st.one_of(
+        st.tuples(st.just("scalar"), pairs, value),
+        st.tuples(st.just("uniform"), pairs, value),
+        st.tuples(st.just("mixed"), pairs, st.lists(value, min_size=3, max_size=3)),
+        st.tuples(st.just("set"), pairs, value),
+        st.tuples(st.just("min"), pairs, value),
+        st.tuples(st.just("merge"), pairs, value),
+        st.tuples(st.just("wait"), pairs, value),
+    )
+
+
+def apply_op(M, op, dtype, *, lazy=True):
+    kind, pairs, value = op
+    rows = np.array([p[0] for p in pairs], dtype=np.uint64)
+    cols = np.array([p[1] for p in pairs], dtype=np.uint64)
+    if kind == "scalar":
+        M.build(rows, cols, value, lazy=lazy)
+    elif kind == "uniform":
+        M.build(rows, cols, np.full(rows.size, value, dtype=dtype), lazy=lazy)
+    elif kind == "mixed":
+        M.build(rows, cols, np.resize(np.array(value, dtype=dtype), rows.size), lazy=lazy)
+    elif kind == "set":
+        for r, c in pairs[:3]:
+            M.setElement(r, c, value)
+    elif kind == "min":
+        M.build(rows, cols, value, dup_op=binary.min, lazy=lazy)
+    elif kind == "merge":
+        other = Matrix(M.dtype, M.nrows, M.ncols)
+        other.build(rows, cols, np.full(rows.size, value, dtype=dtype))
+        M.update(other)
+    else:
+        M.wait()
+
+
+def coo_bits(M):
+    rows, cols, vals = M.to_coo()
+    return rows, cols, vals.view(f"u{vals.dtype.itemsize}")
+
+
+def assert_bit_identical(a, b):
+    assert a.dtype is b.dtype
+    for x, y in zip(coo_bits(a), coo_bits(b)):
+        assert np.array_equal(x, y)
+
+
+class TestKeyedStore:
+    """The keyed streaming path against the dual-key reference, bit for bit."""
+
+    @given(ops=st.lists(stream_ops(pair_list, FP64_VALUES), min_size=1, max_size=12))
+    # Long runs of one coordinate in one uniform window, on the far side of
+    # each half of the guard (integrality; the 2**53 bound).
+    @example(ops=[("scalar", [(0, 0)] * 12, 0.1)])
+    @example(ops=[("uniform", [(1, 1)] * 6 + [(0, 1)], float(2**52 + 1))])
+    @example(ops=[("scalar", [(1, 0)] * 7, 0.3), ("uniform", [(1, 0)] * 7, 0.3)])
+    @settings(max_examples=120, deadline=None)
+    def test_fp64_stream_matches_reference_engine(self, ops):
+        keyed = Matrix("fp64", 2**32, 2**32)
+        for op in ops:
+            apply_op(keyed, op, np.float64)
+        with coords.packing_disabled():
+            reference = Matrix("fp64", 2**32, 2**32)
+            for op in ops:
+                apply_op(reference, op, np.float64)
+            reference.wait()
+        assert keyed.key_spec == coords.IPV4_SPEC
+        assert_bit_identical(keyed, reference)
+
+    @given(ops=st.lists(stream_ops(pair_list, INT32_VALUES), min_size=1, max_size=12))
+    @settings(max_examples=80, deadline=None)
+    def test_int32_stream_matches_reference_engine(self, ops):
+        keyed = Matrix("int32", 2**32, 2**32)
+        for op in ops:
+            apply_op(keyed, op, np.int32)
+        with coords.packing_disabled():
+            reference = Matrix("int32", 2**32, 2**32)
+            for op in ops:
+                apply_op(reference, op, np.int32)
+            reference.wait()
+        assert_bit_identical(keyed, reference)
+
+    @given(
+        ops=st.lists(
+            stream_ops(pair_list, [1.0, 3.0, -2.0, float(2**20), 0.5]), min_size=1, max_size=12
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_deferred_stream_matches_eager_flat_matrix(self, ops):
+        """Exactly representable values: regrouping by the deferred flush is invisible."""
+        deferred = Matrix("fp64", 2**32, 2**32)
+        flat = Matrix("fp64", 2**32, 2**32)
+        for op in ops:
+            apply_op(deferred, op, np.float64)
+            apply_op(flat, op, np.float64, lazy=False)
+        assert_bit_identical(deferred, flat)
+
+    @given(
+        ops=st.lists(
+            stream_ops(
+                st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=25),
+                [1.0, 3.0, 0.1],
+            ),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_coordinates_straddling_the_key_spec_demote_before_store(self, ops):
+        """On a shape too large for one key, a misfit demotes first: nothing aliases."""
+        keyed = Matrix("fp64", 2**64, 2**64)
+        fits = True
+        for op in ops:
+            apply_op(keyed, op, np.float64)
+            if op[0] != "wait":
+                touched = op[1][:3] if op[0] == "set" else op[1]
+                fits = fits and all(max(p) <= U32_MAX for p in touched)
+            assert (keyed.key_spec is not None) == fits
+        with coords.packing_disabled():
+            reference = Matrix("fp64", 2**64, 2**64)
+            for op in ops:
+                apply_op(reference, op, np.float64)
+            reference.wait()
+        assert_bit_identical(keyed, reference)
+
+    def test_demotion_keeps_the_pending_window_in_order(self):
+        M = Matrix("fp64", 2**64, 2**64)
+        M.setElement(5, 6, 1.0)
+        M.setElement(5, 6, 2.0)
+        assert M.key_spec is not None and M.has_pending
+        M.setElement(2**40, 6, 9.0)  # does not fit 32/32: demote, then store
+        assert M.key_spec is None and M.has_pending
+        M.setElement(5, 6, 3.0)
+        assert M[5, 6] == 3.0 and M[2**40, 6] == 9.0 and M.nvals == 2
+        M.clear()
+        assert M.key_spec == coords.IPV4_SPEC and M.nvals == 0
+
+    def test_rows_and_cols_are_dropped_on_mutation(self):
+        M = Matrix("fp64", 2**32, 2**32).build([3, 1, 3], [4, 2, 4], 1.0)
+        stored = M.memory_breakdown["stored_bytes"]
+        assert stored == 2 * 16  # one key + one value per entry
+        assert np.array_equal(M.reduce_rowwise().to_coo()[0], [1, 3])  # derives rows/cols
+        assert M.memory_breakdown["stored_bytes"] == stored + 2 * 16
+        M.build([9], [9], 1.0)
+        assert M.memory_breakdown["stored_bytes"] == 3 * 16
+
+    def test_point_reads_do_not_unpack_the_store(self):
+        M = Matrix("fp64", 2**32, 2**32).build([3, 1], [4, 2], [7.0, 8.0])
+        assert M[3, 4] == 7.0 and M.get(3, 5) is None and (1, 2) in M
+        assert M.removeElement(1, 2) and not M.removeElement(1, 2)
+        assert M._rc is None and M.nvals == 1
+
+
+class TestPackOnce:
+    """The pack-count contract (replaces the old "2 packs per flush" pin)."""
+
+    @staticmethod
+    def batches(n, size, seed=11):
+        rng = np.random.default_rng(seed)
+        return [
+            (
+                rng.integers(0, 2**20, size, dtype=np.uint64),
+                rng.integers(0, 2**20, size, dtype=np.uint64),
+            )
+            for _ in range(n)
+        ]
+
+    def test_flush_and_cascade_merge_never_pack(self):
+        M = Matrix("fp64", 2**32, 2**32)
+        (r0, c0), (r1, c1) = self.batches(2, 500)
+        M.build(r0, c0, 1.0)  # non-empty stored side
+        M.build(r1, c1, 1.0, lazy=True)
+        upper = Matrix("fp64", 2**32, 2**32).build(r0, c1, 2.0)
+        before = coords.pack_calls()
+        M.wait()  # flush: sort-collapse + merge, in key space
+        upper.update(M)  # cascade merge: key to key
+        assert coords.pack_calls() == before
+
+    def test_one_pack_per_update_batch(self):
+        H = HierarchicalMatrix(2**32, 2**32, cuts=[64, 512])
+        batches = self.batches(40, 50)
+        before = coords.pack_calls()
+        for rows, cols in batches:
+            H.update(rows, cols, 1)
+        H.wait()
+        H.incremental.nnz()  # tracker catch-up included
+        assert H.stats.cascades[0] > 0
+        assert coords.pack_calls() - before == len(batches)
+
+    def test_update_packed_never_packs(self):
+        H = HierarchicalMatrix(2**32, 2**32, cuts=[64, 512])
+        reference = HierarchicalMatrix(2**32, 2**32, cuts=[64, 512])
+        keyed = [
+            (rows, cols, coords.pack(rows, cols, coords.IPV4_SPEC))
+            for rows, cols in self.batches(40, 50)
+        ]
+        before = coords.pack_calls()
+        for i, (_, _, keys) in enumerate(keyed):
+            H.update_packed(keys, 1 if i % 2 else np.full(keys.size, 2.0))
+        H.wait()
+        assert coords.pack_calls() == before
+        for i, (rows, cols, _) in enumerate(keyed):
+            reference.update(rows, cols, 1 if i % 2 else np.full(rows.size, 2.0))
+        assert H.materialize().isequal(reference.materialize(), check_dtype=True)
+        assert H.incremental.row_traffic().isequal(reference.incremental.row_traffic())
+
+    def test_update_packed_validates_keys_and_shape(self):
+        from repro.graphblas.errors import IndexOutOfBound, InvalidValue
+
+        small = HierarchicalMatrix(1000, 1000, cuts=[8])
+        spec = coords.shape_split(1000, 1000)
+        ok = coords.pack(np.array([999], np.uint64), np.array([999], np.uint64), spec)
+        small.update_packed(ok, 1)
+        assert small.get(999, 999) == 1.0
+        for row, col in ((1000, 0), (0, 1000)):
+            bad = coords.pack(np.array([row], np.uint64), np.array([col], np.uint64), spec)
+            with pytest.raises(IndexOutOfBound):
+                small.update_packed(bad, 1)
+        with pytest.raises(InvalidValue):
+            HierarchicalMatrix(cuts=[8]).update_packed(ok, 1)  # 2^64 x 2^64: no key form
 
 
 class TestMultiplyAndExtractParity:

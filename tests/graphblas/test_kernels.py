@@ -1,9 +1,14 @@
 """Tests for the low-level sorted-COO kernels."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphblas import _kernels as K
+from repro.graphblas import coords
 from repro.graphblas.binaryop import binary
 from repro.graphblas.errors import InvalidIndex
 
@@ -252,3 +257,215 @@ class TestMembershipAndSearch:
         empty = np.empty(0, dtype=np.uint64)
         pos = K.search_sorted_coo(empty, empty, [1], [1])
         assert pos[0] == -1
+
+
+# --------------------------------------------------------------------------- #
+# the two keyed kernels (what Matrix / Vector / the tracker run on)
+# --------------------------------------------------------------------------- #
+
+
+def bits(values):
+    """Values as raw unsigned bit patterns, so NaN payloads and -0.0 compare."""
+    values = np.ascontiguousarray(values)
+    return values.view(f"u{values.dtype.itemsize}")
+
+
+def reference_collapse(keys, vals, op):
+    """The dual-key lexsort engine: the behaviour every keyed path must reproduce."""
+    with coords.packing_disabled():
+        rows, _, out = K.build_triples(keys, np.zeros_like(keys), vals, op)
+    return rows, out
+
+
+#: (dtype, value) pairs on both sides of the exactness guard.  ``n`` below is
+#: 64, so ``2**47`` keeps ``n * s`` under 2**53 and ``2**48`` puts it over.
+GUARD_VALUES = [
+    (np.float64, 1.0),
+    (np.float64, 7.0),
+    (np.float64, -3.0),
+    (np.float64, float(2**47 - 1)),
+    (np.float64, float(2**48)),
+    (np.float64, float(2**53)),
+    (np.float64, 0.1),
+    (np.float64, 0.5),
+    (np.float64, 0.0),
+    (np.float64, -0.0),
+    (np.float64, np.inf),
+    (np.float32, 3.0),
+    (np.float32, float(2**19)),
+    (np.int64, 5),
+    (np.int64, -5),
+    (np.int32, 2**24),
+    (np.int32, 2**26),
+    (np.uint64, 2**40),
+    (np.bool_, True),
+]
+
+
+class TestSortCollapseKeys:
+    N = 64
+
+    def keys(self, seed=0):
+        # Few distinct keys: long runs, unsorted arrival order.
+        return np.random.default_rng(seed).integers(0, 9, self.N).astype(np.uint64)
+
+    @pytest.mark.parametrize("dtype,value", GUARD_VALUES)
+    def test_uniform_window_equals_stable_fold(self, dtype, value):
+        keys = self.keys()
+        vals = np.full(self.N, value, dtype=dtype)
+        got_k, got_v = K.sort_collapse_keys(keys, vals, binary.plus)
+        ref_k, ref_v = reference_collapse(keys, vals, binary.plus)
+        assert np.array_equal(got_k, ref_k)
+        assert got_v.dtype == ref_v.dtype
+        assert np.array_equal(bits(got_v), bits(ref_v))
+
+    def test_nan_payloads_survive(self):
+        keys = self.keys(1)
+        payload = np.array([0x7FF8_0000_0000_BEEF], dtype=np.uint64).view(np.float64)[0]
+        vals = np.full(self.N, payload)
+        got_k, got_v = K.sort_collapse_keys(keys, vals, binary.plus)
+        ref_k, ref_v = reference_collapse(keys, vals, binary.plus)
+        assert np.array_equal(got_k, ref_k)
+        assert np.array_equal(bits(got_v), bits(ref_v))
+
+    def test_guard_proves_or_declines(self):
+        n = self.N
+        proven = [
+            np.full(n, 1.0),
+            np.full(n, -3.0),
+            np.full(n, float(2**47 - 1)),
+            np.full(n, 3.0, dtype=np.float32),
+            np.full(n, 2**24, dtype=np.int32),
+            np.full(n, 2**40, dtype=np.uint64),
+        ]
+        for vals in proven:
+            assert K._countable_scalar(vals) == vals[0]
+        declined = [
+            np.full(n, 0.1),  # not integral
+            np.full(n, 0.0),  # zero: nothing to count
+            np.full(n, -0.0),
+            np.full(n, np.nan),
+            np.full(n, np.inf),
+            np.full(n, float(2**47)),  # n * s == 2**53 exactly: not provable
+            np.full(n, float(2**60)),
+            np.full(n, float(2**19), dtype=np.float32),  # 2**25 > 2**24
+            np.full(n, 2**26, dtype=np.int32),  # n * s overflows int32
+            np.full(n, True),
+            np.arange(n, dtype=np.float64),  # not uniform
+            np.where(np.arange(n) % 2, 0.0, -0.0),  # equal values, unequal bits
+        ]
+        for vals in declined:
+            assert K._countable_scalar(vals) is None
+
+    def test_count_path_never_runs_unproven(self, monkeypatch):
+        """A window the guard declines must pay the stable argsort."""
+        called = []
+        real_argsort = np.argsort
+
+        def spy(a, *args, **kwargs):
+            called.append(kwargs.get("kind"))
+            return real_argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(K.np, "argsort", spy)
+        keys = self.keys(2)
+        K.sort_collapse_keys(keys, np.full(self.N, 1.0), binary.plus)
+        assert called == []  # proven: key sort + run lengths only
+        K.sort_collapse_keys(keys, np.full(self.N, 0.1), binary.plus)
+        K.sort_collapse_keys(keys, np.full(self.N, 1.0), binary.second)
+        assert called == ["stable", "stable"]
+
+    @pytest.mark.parametrize("op_name", ["plus", "second", "first", "min", "max", "times"])
+    def test_mixed_window_is_stable(self, op_name):
+        keys = self.keys(3)
+        vals = (np.arange(self.N) % 5 + 1).astype(np.float64)
+        op = binary[op_name]
+        got = K.sort_collapse_keys(keys, vals, op)
+        ref = reference_collapse(keys, vals, op)
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+    @pytest.mark.parametrize("vals", [np.ones(6), np.arange(6.0)])
+    def test_outputs_never_alias_inputs(self, vals):
+        for keys in (np.arange(6, dtype=np.uint64), np.array([3, 1, 1, 0, 3, 2], np.uint64)):
+            out_k, out_v = K.sort_collapse_keys(keys, vals, binary.plus)
+            assert not np.shares_memory(out_k, keys)
+            assert not np.shares_memory(out_v, vals)
+
+    def test_trivial_sizes(self):
+        empty = np.empty(0, dtype=np.uint64)
+        k, v = K.sort_collapse_keys(empty, np.empty(0), binary.plus)
+        assert k.size == 0 and v.size == 0
+        k, v = K.sort_collapse_keys(np.array([9], np.uint64), np.array([2.0]))
+        assert k.tolist() == [9] and v.tolist() == [2.0]
+
+
+def reference_merge(ka, va, kb, vb, op, out_dtype):
+    merged = {int(k): v for k, v in zip(ka, va.astype(out_dtype))}
+    for k, v in zip(kb, vb.astype(out_dtype)):
+        k = int(k)
+        if k in merged:
+            merged[k] = op(np.asarray(merged[k]), np.asarray(v)).astype(out_dtype)[()]
+        else:
+            merged[k] = v
+    keys = np.array(sorted(merged), dtype=np.uint64)
+    return keys, np.array([merged[int(k)] for k in keys], dtype=out_dtype)
+
+
+keyed_set = st.lists(st.integers(0, 60), max_size=40, unique=True).map(sorted)
+
+
+class TestMergeKeys:
+    @given(
+        a=keyed_set,
+        b=keyed_set,
+        op_name=st.sampled_from(["plus", "minus", "second", "first", "min", "times"]),
+        dtypes=st.sampled_from(
+            [(np.float64, np.float64), (np.int32, np.float64), (np.int64, np.int64)]
+        ),
+        ratio=st.sampled_from([0, K._ONE_SIDED_RATIO, 10**9]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dictionary_merge(self, a, b, op_name, dtypes, ratio):
+        ka = np.array(a, dtype=np.uint64)
+        kb = np.array(b, dtype=np.uint64)
+        va = (np.arange(ka.size) % 7 + 2).astype(dtypes[0])
+        vb = (np.arange(kb.size) % 5 + 11).astype(dtypes[1])
+        op = binary[op_name]
+        out_dtype = np.promote_types(*dtypes)
+        # ratio 0 forces the one-sided search, 10**9 the two-run merge.
+        with mock.patch.object(K, "_ONE_SIDED_RATIO", ratio):
+            keys, vals = K.merge_keys(ka, va, kb, vb, op)
+        ref_keys, ref_vals = reference_merge(ka, va, kb, vb, op, out_dtype)
+        assert np.array_equal(keys, ref_keys)
+        assert vals.dtype == out_dtype and np.array_equal(vals, ref_vals)
+        # Fresh outputs, whichever side was the larger one.
+        for src in (ka, kb):
+            assert not np.shares_memory(keys, src)
+        for src in (va, vb):
+            assert not np.shares_memory(vals, src)
+
+    @given(a=keyed_set, b=keyed_set)
+    @settings(max_examples=80, deadline=None)
+    def test_key_only_is_sorted_set_union(self, a, b):
+        ka = np.array(a, dtype=np.uint64)
+        kb = np.array(b, dtype=np.uint64)
+        keys, vals = K.merge_keys(ka, None, kb, None)
+        assert vals is None
+        assert np.array_equal(keys, np.union1d(ka, kb))
+
+    def test_small_side_may_be_either_operand(self):
+        big = np.arange(0, 1000, 2, dtype=np.uint64)
+        small = np.array([3, 10, 999, 1001], dtype=np.uint64)
+        vb, vs = np.full(big.size, 10.0), np.array([1.0, 2.0, 3.0, 4.0])
+        k1, v1 = K.merge_keys(big, vb, small, vs, binary.minus)
+        k2, v2 = K.merge_keys(small, vs, big, vb, binary.minus)
+        assert np.array_equal(k1, k2)
+        hit = np.searchsorted(k1, 10)
+        assert v1[hit] == 8.0 and v2[hit] == -8.0  # op(a, b), never op(b, a)
+        assert k1.size == big.size + 3
+
+    def test_matches_union_merge_wrapper(self):
+        a = make([0, 1, 5], [0, 1, 5], [1.0, 10.0, 3.0])
+        b = make([1, 2], [1, 2], [5.0, 7.0])
+        r, c, v = K.union_merge(a, b, binary.plus)
+        assert np.array_equal(r, [0, 1, 2, 5])
+        assert np.array_equal(v, [1.0, 15.0, 7.0, 3.0])

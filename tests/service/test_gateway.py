@@ -342,7 +342,12 @@ class TestGatewayServing:
     def test_gateway_rebalances_live_clients(self):
         """An attached rebalancer migrates mid-serving; reads stay exact."""
         matrix = ShardedHierarchicalMatrix(3, cuts=CUTS, partition="range")
-        policy = AutoRebalancer(matrix, trigger=1.2, interval=0.01, cooldown=0.01)
+        # A clock frozen before the first due check: the policy thread's
+        # maybe_step() never fires, so only rebalance_now() can migrate and
+        # its reports cannot be pre-empted by the timer.
+        policy = AutoRebalancer(
+            matrix, trigger=1.2, interval=0.01, cooldown=0.01, clock=lambda: -1.0
+        )
         gw = IngestGateway(matrix, flush_interval=0.01, rebalancer=policy)
         gw.start()
         flat = HierarchicalMatrix(2 ** 32, 2 ** 32, cuts=CUTS)
