@@ -10,19 +10,13 @@ the shard count two ways and records the trajectory into
   the single-clock wall rate is recorded alongside.
 * **weak scaling** — the stream grows with the shard count (fixed updates per
   shard), the paper's actual experimental shape.
-* **transport sweep (PR 4, socket added in PR 7)** — the same fixed stream
-  through process-backed workers on each transport (``queue`` pickled FIFO
-  queues vs ``shm`` shared-memory ring buffers vs ``socket`` TCP streams to
-  local :class:`~repro.distributed.NodeAgent` endpoints), quantifying how
-  much of the ``rate_wall`` vs ``rate_sum`` gap is pickle/unpickle and
-  kernel-boundary overhead.  Recorded into the ``sharded`` section of
-  ``BENCH_kernels.json`` and reported as ``transport_sweep.txt`` (a CI
-  artifact next to ``sharded_scaling.txt``).
+* **rebalance sweep (PR 5)** — a skewed stream with and without live slab
+  migration, reported as ``rebalance_sweep.txt``.
 
-Shards run as real worker processes when the platform can fork (matching the
-serving configuration); a correctness gate asserts the sharded result stays
-bit-identical to a flat hierarchical matrix fed the same stream on every
-transport.
+Shards run as real worker processes forked over the socket wire when the
+platform can fork (matching the serving configuration); a correctness gate
+asserts the sharded result stays bit-identical to a flat hierarchical matrix
+fed the same stream, with workers forked locally and hosted by node agents.
 """
 
 from __future__ import annotations
@@ -44,7 +38,6 @@ from .conftest import scaled, update_bench_json, write_report
 pytestmark = pytest.mark.bench
 
 SHARD_COUNTS = [1, 2, 4]
-TRANSPORTS = ["queue", "shm", "socket"]
 STRONG_TOTAL = scaled(200_000, minimum=20_000)
 WEAK_PER_SHARD = scaled(100_000, minimum=10_000)
 BATCH = max(STRONG_TOTAL // 20, 1_000)
@@ -53,8 +46,6 @@ USE_PROCESSES = hasattr(os, "fork")
 
 _strong = {}
 _weak = {}
-_transport = {}
-_rebalance = {}
 
 #: Rebalance sweep shape: a skewed stream whose active rows occupy only the
 #: bottom 2^24 of the 2^32 row space — under the uniform range partition every
@@ -78,46 +69,17 @@ def _skewed_batches(total: int, batch: int):
     return out
 
 
-@contextlib.contextmanager
-def _wire_kwargs(transport: str, nagents: int = 2):
-    """Transport kwargs, spinning up local NodeAgents for the socket wire."""
-    with contextlib.ExitStack() as stack:
-        kwargs = {"transport": transport}
-        if transport == "socket":
-            if not USE_PROCESSES:
-                pytest.skip("socket transport requires os.fork")
-            addresses, _procs = stack.enter_context(spawn_local_agents(nagents))
-            kwargs["nodes"] = addresses
-        yield kwargs
-
-
-def _run_sharded(
-    nshards: int,
-    total: int,
-    *,
-    transport: str = "queue",
-    force_processes: bool = None,
-):
+def _run_sharded(nshards: int, total: int):
     """Route one externally generated stream across nshards; return metrics."""
     batches = list(paper_stream(total_entries=total, nbatches=max(total // BATCH, 1), seed=7))
-    use_processes = (
-        force_processes
-        if force_processes is not None
-        else USE_PROCESSES and nshards > 1
-    )
-    with contextlib.ExitStack() as stack:
-        wire_kwargs = stack.enter_context(_wire_kwargs(transport))
-        matrix = stack.enter_context(
-            ShardedHierarchicalMatrix(
-                nshards,
-                2 ** 32,
-                2 ** 32,
-                cuts=CUTS,
-                use_processes=use_processes,
-                **wire_kwargs,
-            )
-        )
-        wire = matrix.transport  # the wire in force, not merely requested
+    with ShardedHierarchicalMatrix(
+        nshards,
+        2 ** 32,
+        2 ** 32,
+        cuts=CUTS,
+        use_processes=USE_PROCESSES and nshards > 1,
+    ) as matrix:
+        wire = matrix.transport
         wall_start = time.perf_counter()
         for batch in batches:
             matrix.update(batch.rows, batch.cols, batch.values)
@@ -138,22 +100,28 @@ def _run_sharded(
 
 
 class TestShardedScaling:
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_equivalence_gate(self, benchmark, transport):
-        """Before timing anything: sharded == flat, on every transport."""
+    @pytest.mark.parametrize("mode", ["local", "agent"])
+    def test_equivalence_gate(self, benchmark, mode):
+        """Before timing anything: sharded == flat over the process wire, with
+        workers forked by the router (local) and hosted by agents (agent)."""
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
         total = min(STRONG_TOTAL, 20_000)
         batches = list(paper_stream(total_entries=total, nbatches=10, seed=7))
         flat = HierarchicalMatrix(2 ** 32, 2 ** 32, cuts=CUTS)
         for b in batches:
             flat.update(b.rows, b.cols, b.values)
-        with _wire_kwargs(transport) as wire_kwargs:
-            with ShardedHierarchicalMatrix(
-                4, cuts=CUTS, use_processes=USE_PROCESSES, **wire_kwargs
-            ) as sharded:
-                for b in batches:
-                    sharded.update(b.rows, b.cols, b.values)
-                assert sharded.materialize().isequal(flat.materialize())
+        with contextlib.ExitStack() as stack:
+            nodes = None
+            if mode == "agent" and USE_PROCESSES:
+                nodes, _procs = stack.enter_context(spawn_local_agents(2))
+            sharded = stack.enter_context(
+                ShardedHierarchicalMatrix(
+                    4, cuts=CUTS, use_processes=USE_PROCESSES, nodes=nodes
+                )
+            )
+            for b in batches:
+                sharded.update(b.rows, b.cols, b.values)
+            assert sharded.materialize().isequal(flat.materialize())
 
     @pytest.mark.parametrize("nshards", SHARD_COUNTS)
     def test_strong_scaling(self, benchmark, nshards):
@@ -169,25 +137,7 @@ class TestShardedScaling:
         _weak[nshards] = _run_sharded(nshards, WEAK_PER_SHARD * nshards)
         assert _weak[nshards]["total_updates"] == WEAK_PER_SHARD * nshards
 
-    @pytest.mark.parametrize("nshards", SHARD_COUNTS)
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_transport_sweep(self, benchmark, transport, nshards):
-        """The same stream through real processes on each transport.
-
-        Unlike the strong/weak sweeps this forces worker processes even for
-        one shard, so the recorded numbers isolate the IPC wire itself —
-        the ``queue``-vs-``shm`` delta is the pickle/unpickle cost the ring
-        removes from the ingest path.
-        """
-        benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-        m = _run_sharded(
-            nshards, STRONG_TOTAL, transport=transport, force_processes=USE_PROCESSES
-        )
-        _transport[(transport, nshards)] = m
-        assert m["total_updates"] == STRONG_TOTAL
-
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_rebalance_sweep(self, benchmark, transport, results_dir):
+    def test_rebalance_sweep(self, benchmark, results_dir):
         """Skewed-stream live rebalancing vs the static range partition (PR 5).
 
         The same skewed stream (every key in shard 0's uniform range slab)
@@ -202,20 +152,14 @@ class TestShardedScaling:
         batches = _skewed_batches(REB_TOTAL, BATCH)
         results = {}
         for label in ("static", "rebalanced"):
-            stack = contextlib.ExitStack()
-            with stack:
-                wire_kwargs = stack.enter_context(_wire_kwargs(transport))
-                matrix = stack.enter_context(
-                    ShardedHierarchicalMatrix(
-                        REB_SHARDS,
-                        2 ** 32,
-                        2 ** 32,
-                        cuts=CUTS,
-                        partition="range",
-                        use_processes=USE_PROCESSES,
-                        **wire_kwargs,
-                    )
-                )
+            with ShardedHierarchicalMatrix(
+                REB_SHARDS,
+                2 ** 32,
+                2 ** 32,
+                cuts=CUTS,
+                partition="range",
+                use_processes=USE_PROCESSES,
+            ) as matrix:
                 wire = matrix.transport
                 events = []
                 wall_start = time.perf_counter()
@@ -253,16 +197,6 @@ class TestShardedScaling:
         # four shards).
         assert results["rebalanced"]["imbalance"] < results["static"]["imbalance"]
         assert results["rebalanced"]["migrations"] >= 1
-        _rebalance[transport] = results
-        self._write_rebalance_outputs(results_dir)
-
-    @staticmethod
-    def _write_rebalance_outputs(results_dir):
-        """(Re)write the rebalance report from every sweep recorded so far.
-
-        Called per transport so a ``-k "rebalance and shm"`` CI leg still
-        produces the artifact; a full run simply rewrites it with both wires.
-        """
         header = (
             f"{'transport':>10} {'variant':>11} {'imbalance':>10} {'migrations':>11} "
             f"{'moved':>9} {'rate wall':>13} {'per-shard nnz'}"
@@ -275,14 +209,13 @@ class TestShardedScaling:
             header,
             "-" * len(header),
         ]
-        for transport, results in sorted(_rebalance.items()):
-            for label in ("static", "rebalanced"):
-                m = results[label]
-                lines.append(
-                    f"{m['transport']:>10} {label:>11} {m['imbalance']:>10.3f} "
-                    f"{m['migrations']:>11} {m['entries_moved']:>9,} "
-                    f"{m['rate_wall']:>13,.0f} {m['shard_nnz']}"
-                )
+        for label in ("static", "rebalanced"):
+            m = results[label]
+            lines.append(
+                f"{m['transport']:>10} {label:>11} {m['imbalance']:>10.3f} "
+                f"{m['migrations']:>11} {m['entries_moved']:>9,} "
+                f"{m['rate_wall']:>13,.0f} {m['shard_nnz']}"
+            )
         lines += [
             "",
             "imbalance is max/mean per-shard stored-entry count (1.0 = even).",
@@ -302,7 +235,7 @@ class TestShardedScaling:
                 "row_space": REB_NODES,
                 "partition": "range",
                 "use_processes": USE_PROCESSES,
-                "sweep": dict(sorted(_rebalance.items())),
+                **results,
             },
         )
 
@@ -310,7 +243,6 @@ class TestShardedScaling:
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
         assert len(_strong) == len(SHARD_COUNTS)
         assert len(_weak) == len(SHARD_COUNTS)
-        assert len(_transport) == len(TRANSPORTS) * len(SHARD_COUNTS)
         header = (
             f"{'shards':>7} {'updates':>12} {'wall s':>9} "
             f"{'rate sum':>14} {'rate wall':>14}"
@@ -348,39 +280,6 @@ class TestShardedScaling:
         ]
         write_report(results_dir, "sharded_scaling", lines)
 
-        # --- queue vs shm transport sweep (PR 4) ------------------------- #
-        theader = (
-            f"{'shards':>7} {'transport':>10} {'wall s':>9} "
-            f"{'rate sum':>14} {'rate wall':>14} {'wall/sum':>9}"
-        )
-        tlines = [
-            "Shard transport sweep: the same externally fed stream "
-            f"({STRONG_TOTAL:,} updates, batch={BATCH:,}) through real worker "
-            f"processes (processes={USE_PROCESSES})",
-            "",
-            theader,
-            "-" * len(theader),
-        ]
-        for k in SHARD_COUNTS:
-            for t in TRANSPORTS:
-                m = _transport[(t, k)]
-                gap = m["rate_wall"] / m["rate_sum"] if m["rate_sum"] else 0.0
-                tlines.append(
-                    f"{m['shards']:>7} {m['transport']:>10} {m['wall_seconds']:>9.3f} "
-                    f"{m['rate_sum']:>14,.0f} {m['rate_wall']:>14,.0f} {gap:>9.3f}"
-                )
-        tlines += [
-            "",
-            "wall/sum is the fraction of the summed per-shard rate the single",
-            "clock observes: the queue-vs-shm delta is the per-batch",
-            "pickle/unpickle (and queue feeder) overhead the shared-memory ring",
-            "removes from the parent's side of the ingest path.  On single-core",
-            "hosts some of that time reappears inside the workers' timed",
-            "sections (shared CPU), so read rate_wall — not the ratio alone —",
-            "for the end-to-end effect.",
-        ]
-        write_report(results_dir, "transport_sweep", tlines)
-
         update_bench_json(
             results_dir,
             "sharded",
@@ -390,9 +289,5 @@ class TestShardedScaling:
                 "cuts": CUTS,
                 "strong": [_strong[k] for k in SHARD_COUNTS],
                 "weak": [_weak[k] for k in SHARD_COUNTS],
-                "transport_sweep": {
-                    t: [_transport[(t, k)] for k in SHARD_COUNTS]
-                    for t in TRANSPORTS
-                },
             },
         )

@@ -12,8 +12,8 @@ Six commands mirror the paper's experiments and the serving architecture:
   synthetic packet traffic, or a replayed triple file) across K worker shards
   and report per-shard and aggregate rates plus the globally merged matrix;
 * ``repro-node`` — host shard workers behind a listening TCP endpoint, the
-  agent half of multi-node serving (``repro-shard --transport socket
-  --nodes host:port,...`` is the router half);
+  agent half of multi-node serving (``repro-shard --nodes host:port,...`` is
+  the router half);
 * ``repro-gateway`` — serve a sharded matrix behind the asyncio ingest
   gateway (``serve``), stream a synthetic workload into a running gateway as
   a client (``send``), or query its snapshot statistics (``stats``).
@@ -88,6 +88,13 @@ def _exact_stream(batches, total: int):
 
 def _parse_cuts(text: str) -> List[int]:
     return [int(part) for part in text.split(",") if part.strip()]
+
+
+def _parse_nodes(text: Optional[str]) -> Optional[List[str]]:
+    """``--nodes HOST:PORT,...`` -> endpoint list (None when not given)."""
+    if text is None:
+        return None
+    return [part.strip() for part in text.split(",") if part.strip()]
 
 
 # --------------------------------------------------------------------------- #
@@ -266,19 +273,13 @@ def main_shard(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--processes", action="store_true",
-        help="back shards with long-lived worker processes (default: in-process)",
-    )
-    parser.add_argument(
-        "--transport", choices=["queue", "shm", "socket"], default="queue",
-        help="worker wire with --processes: pickled FIFO queues (default), "
-        "shared-memory ring buffers carrying packed uint64 batches (zero "
-        "pickling; falls back to queue for non-packable IPv6 shapes), or "
-        "TCP connections to repro-node agents (requires --nodes)",
+        help="back shards with long-lived worker processes forked by this "
+        "router (default: in-process)",
     )
     parser.add_argument(
         "--nodes", metavar="HOST:PORT,...", default=None,
-        help="comma-separated repro-node agent endpoints for "
-        "--transport socket (implies --processes)",
+        help="comma-separated repro-node agent endpoints hosting the worker "
+        "processes instead (implies --processes)",
     )
     parser.add_argument(
         "--replicas", type=int, default=0,
@@ -344,13 +345,7 @@ def main_shard(argv: Optional[Sequence[str]] = None) -> int:
         )
         stream_updates = args.updates
 
-    nodes = None
-    if args.nodes is not None:
-        nodes = [part.strip() for part in args.nodes.split(",") if part.strip()]
-        if args.transport != "socket":
-            parser.error("--nodes requires --transport socket")
-    if args.transport == "socket" and nodes is None:
-        parser.error("--transport socket requires --nodes host:port,...")
+    nodes = _parse_nodes(args.nodes)
     matrix = ShardedHierarchicalMatrix(
         args.shards,
         2 ** 32,
@@ -358,7 +353,6 @@ def main_shard(argv: Optional[Sequence[str]] = None) -> int:
         cuts=args.cuts,
         partition=args.partition,
         use_processes=args.processes or nodes is not None,
-        transport=args.transport,
         nodes=nodes,
         replicas=args.replicas,
     )
@@ -384,7 +378,7 @@ def main_shard(argv: Optional[Sequence[str]] = None) -> int:
         else:
             # Interleave live migrations with the stream: ingest continues on
             # every other shard while a slab moves, and batches routed before
-            # a migration are fenced by the transport barrier ordering.
+            # a migration are fenced by the wire's barrier ordering.
             rebalancer = None
             if args.rebalance == "auto":
                 # The policy (trigger/settle hysteresis, cool-down after a
@@ -544,7 +538,7 @@ def main_node(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-node",
         description="Listen for shard-worker connections from a repro-shard "
-        "router (--transport socket).  Each accepted connection forks one "
+        "router (--nodes).  Each accepted connection forks one "
         "worker process owning a private hierarchical matrix; the agent "
         "serves until interrupted.",
     )
@@ -596,15 +590,12 @@ def main_gateway(argv: Optional[Sequence[str]] = None) -> int:
     serve.add_argument("--cuts", type=_parse_cuts, default=[2 ** 17, 2 ** 20, 2 ** 23])
     serve.add_argument(
         "--processes", action="store_true",
-        help="back shards with long-lived worker processes",
-    )
-    serve.add_argument(
-        "--transport", choices=["queue", "shm", "socket"], default="queue",
-        help="worker wire with --processes (see repro-shard --help)",
+        help="back shards with long-lived worker processes forked by the gateway",
     )
     serve.add_argument(
         "--nodes", metavar="HOST:PORT,...", default=None,
-        help="repro-node agent endpoints for --transport socket",
+        help="repro-node agent endpoints hosting the worker processes instead "
+        "(implies --processes)",
     )
     serve.add_argument("--replicas", type=int, default=0, help="replica workers per shard")
     serve.add_argument(
@@ -652,13 +643,7 @@ def main_gateway(argv: Optional[Sequence[str]] = None) -> int:
         from .distributed.node import format_address
         from .service import AutoRebalancer, AutoRejoiner, IngestGateway
 
-        nodes = None
-        if args.nodes is not None:
-            nodes = [part.strip() for part in args.nodes.split(",") if part.strip()]
-            if args.transport != "socket":
-                serve.error("--nodes requires --transport socket")
-        if args.transport == "socket" and nodes is None:
-            serve.error("--transport socket requires --nodes host:port,...")
+        nodes = _parse_nodes(args.nodes)
         if args.auto_rejoin and args.replicas <= 0:
             serve.error("--auto-rejoin requires --replicas > 0")
         matrix = ShardedHierarchicalMatrix(
@@ -668,7 +653,6 @@ def main_gateway(argv: Optional[Sequence[str]] = None) -> int:
             cuts=args.cuts,
             partition=args.partition,
             use_processes=args.processes or nodes is not None,
-            transport=args.transport,
             nodes=nodes,
             replicas=args.replicas,
         )

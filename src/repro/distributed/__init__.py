@@ -1,14 +1,16 @@
 """Distributed-scaling substrate: the SuperCloud model, the persistent shard
-worker pool and its pluggable transports (pickled queues, shared-memory ring
-buffers, or TCP sockets to :class:`~repro.distributed.node.NodeAgent`
-endpoints), the sharded hierarchical matrix with replica failover, the local
-parallel ingest engine, and the Figure 2 table assembly."""
+worker pool and its one process wire (length-prefixed socket frames to
+workers forked over a ``socketpair`` or hosted by
+:class:`~repro.distributed.node.NodeAgent` endpoints), the sharded
+hierarchical matrix with replica failover, the local parallel ingest engine,
+and the Figure 2 table assembly."""
 
 from .aggregate import DEFAULT_SERVER_COUNTS, Figure2Row, build_figure2_table, format_table
 from .engine import ParallelIngestEngine, ParallelIngestResult, ingest_worker
 from .node import (
     NodeAgent,
     RemoteWorkerHandle,
+    ValueCodec,
     format_address,
     parse_address,
     restart_local_agent,
@@ -21,7 +23,6 @@ from .partition import (
     partition_keyspace,
 )
 from .pool import ShardWorkerPool, WorkerCrash, WorkerDied, WorkerReport, stream_powerlaw
-from .ringbuf import DEFAULT_RING_SLOTS, RingClosed, RingTimeout, ShmRing
 from .sharded import (
     RebalanceReport,
     ShardRouter,
@@ -29,17 +30,7 @@ from .sharded import (
     ShardedIncrementalReductions,
 )
 from .supercloud import ClusterConfig, ScalingPoint, SuperCloudModel
-from .transport import (
-    TRANSPORT_NAMES,
-    ProcessTransport,
-    QueueTransport,
-    ShardTransport,
-    ShmRingTransport,
-    SocketTransport,
-    ValueCodec,
-    make_transport,
-    shm_supported,
-)
+from .transport import ShardTransport, SocketTransport
 
 __all__ = [
     "ClusterConfig",
@@ -62,24 +53,14 @@ __all__ = [
     "partition_keyspace",
     "PARTITION_NAMES",
     "ShardTransport",
-    "ProcessTransport",
-    "QueueTransport",
-    "ShmRingTransport",
     "SocketTransport",
     "ValueCodec",
-    "make_transport",
-    "shm_supported",
-    "TRANSPORT_NAMES",
     "NodeAgent",
     "RemoteWorkerHandle",
     "spawn_local_agents",
     "restart_local_agent",
     "parse_address",
     "format_address",
-    "ShmRing",
-    "RingClosed",
-    "RingTimeout",
-    "DEFAULT_RING_SLOTS",
     "Figure2Row",
     "build_figure2_table",
     "format_table",

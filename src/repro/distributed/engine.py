@@ -128,7 +128,7 @@ class ParallelIngestEngine:
 
     Workers are the persistent pool's long-lived shard workers executing the
     ``selfgen`` command, so the measured configuration matches the serving
-    path (same worker loop, same queues) rather than a one-shot ``pool.map``.
+    path (same worker loop, same wire) rather than a one-shot ``pool.map``.
 
     Parameters
     ----------
@@ -140,11 +140,6 @@ class ParallelIngestEngine:
         When False the workers run sequentially in-process (useful on
         single-core machines and in unit tests where fork overhead dominates);
         the aggregation logic is identical.
-    transport:
-        Worker wire for process-backed runs (``"queue"`` or ``"shm"``; see
-        :mod:`repro.distributed.transport`).  The self-generated workload
-        never ships batches across the boundary, so this mainly matters when
-        comparing engine runs against externally fed sharded ingest.
 
     Examples
     --------
@@ -160,14 +155,12 @@ class ParallelIngestEngine:
         *,
         cuts: Sequence[int] = (2 ** 17, 2 ** 20, 2 ** 23),
         use_processes: bool = True,
-        transport: str = "queue",
     ):
         self.nworkers = int(nworkers) if nworkers is not None else (os.cpu_count() or 1)
         if self.nworkers < 1:
             raise ValueError("nworkers must be >= 1")
         self.cuts = list(cuts)
         self.use_processes = use_processes
-        self.transport = transport
 
     def run(
         self,
@@ -193,7 +186,6 @@ class ParallelIngestEngine:
             self.nworkers,
             matrix_kwargs=matrix_kwargs,
             use_processes=self.use_processes and self.nworkers > 1,
-            transport=self.transport,
         ) as pool:
             reports = pool.request_all("selfgen", spec)
         wall = time.perf_counter() - wall_start

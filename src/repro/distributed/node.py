@@ -1,15 +1,14 @@
-"""Node agents: shard workers hosted behind a listening socket endpoint.
+"""The shard wire's frames and worker loop, and the agents that host workers.
 
-Before this module the distributed stack had one topology — a routing parent
-that *forks* its own workers.  A :class:`NodeAgent` inverts that: it owns the
-worker lifecycle on its machine and exposes a ``host:port`` endpoint that any
-routing parent can *connect to*.  The parent's
-:class:`~repro.distributed.transport.SocketTransport` opens one TCP
-connection per worker slot; the agent forks a fresh worker child per
-connection, and from then on the connection *is* the worker's task queue,
-ingest wire, and reply channel in one — a single FIFO byte stream, which is
-what gives control commands the same barrier ordering against in-flight
-ingest batches that the shm ring provides with explicit barrier frames.
+Every process-backed shard worker serves one stream socket with
+:func:`_serve_connection`: the connection *is* the worker's task queue,
+ingest wire, and reply channel in one — a single FIFO byte stream, so a
+reply-bearing control command is a barrier for exactly the ingest frames
+sent before it.  :class:`~repro.distributed.transport.SocketTransport`
+reaches a worker in one of two ways: it forks a local child over a
+``socketpair``, or it dials a :class:`NodeAgent`, which owns the worker
+lifecycle on its machine, exposes a ``host:port`` endpoint, and forks one
+worker child per accepted connection.
 
 Wire format (all little-endian; one 9-byte header per frame)::
 
@@ -22,23 +21,24 @@ Wire format (all little-endian; one 9-byte header per frame)::
     CONTROL       pickled (command, payload)
     REPLY         pickled (status, value)
 
-Ingest frames carry the PR-1 packed ``uint64`` coordinate keys plus the
-:class:`~repro.distributed.ringbuf.ValueCodec` raw value bits — no pickle on
-the hot path, exactly the shm ring's payload, so the conformance battery's
-bit-identity argument transfers unchanged.  All-ones batches (the traffic
-workload) ship key-only.  Shapes that do not pack into 64 bits and value
-types wider than 8 bytes fall back to pickled ingest frames on the same
-connection, so the socket wire serves *every* shard configuration.
+HELLO/HELLO_ACK is the agent handshake only; a forked worker starts serving
+at once.  Ingest frames carry the PR-1 packed ``uint64`` coordinate keys plus
+the :class:`ValueCodec` raw value bits — no pickle on the hot path.
+All-ones batches (the traffic workload) ship key-only.  Shapes that do not
+pack into 64 bits and value types wider than 8 bytes fall back to pickled
+ingest frames on the same connection, so the wire serves *every* shard
+configuration.
 
-Failure model: a worker child sets ``PR_SET_PDEATHSIG`` so a SIGKILLed agent
-takes all of its workers down with it, and a dead worker closes its
-connection — the parent observes EOF (reply path) or a send error (ingest
-path) instead of hanging.  The fault battery kills workers through
-:class:`RemoteWorkerHandle`, which wraps the HELLO_ACK pid in the
-``Process``-like surface (``kill`` / ``is_alive`` / ``join``) the existing
-tests already use; pid-based liveness is meaningful for the localhost agents
-the tests and benchmarks run — for genuinely remote nodes only the socket
-EOF signal applies.
+Failure model: an agent's worker child sets ``PR_SET_PDEATHSIG`` so a
+SIGKILLed agent takes its workers down with it; a forked worker holds only
+its own end of the connection, so the router's death (or the router closing
+its end) is the worker's EOF.  A dead worker closes its connection — the parent observes
+EOF (reply path) or a send error (ingest path) instead of hanging.  The
+fault battery kills agent-hosted workers through :class:`RemoteWorkerHandle`,
+which wraps the HELLO_ACK pid in the ``Process``-like surface (``kill`` /
+``is_alive`` / ``join``) forked workers have natively; pid-based liveness is
+meaningful for the localhost agents the tests and benchmarks run — for
+genuinely remote nodes only the socket EOF signal applies.
 """
 
 from __future__ import annotations
@@ -57,12 +57,11 @@ from typing import Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from ..graphblas.types import lookup_dtype
-from .ringbuf import ValueCodec
-from .worker import CommandExecutor
 
 __all__ = [
     "NodeAgent",
     "RemoteWorkerHandle",
+    "ValueCodec",
     "spawn_local_agents",
     "restart_local_agent",
     "parse_address",
@@ -104,6 +103,76 @@ def format_address(addr: Union[str, Address]) -> str:
     """The canonical ``host:port`` string of an address."""
     host, port = parse_address(addr)
     return f"{host}:{port}"
+
+
+class ValueCodec:
+    """Bit-exact ``values <-> uint64`` wire codec for one shard value type.
+
+    The sender converts values to the shard's dtype — the same (single)
+    conversion :meth:`HierarchicalMatrix.update
+    <repro.core.HierarchicalMatrix.update>` would apply worker-side — then
+    transmits *raw bit patterns*: 8-byte types cross as their own bits,
+    narrower types as zero-padded raw bytes.  No numeric widening happens
+    after the dtype conversion, so even exotic payloads (signalling NaNs,
+    negative zeros) cross unchanged and every framing built on this codec
+    (ingest frames, migration slab payloads, gateway client frames) stays
+    bit-identical to applying the values in-process.  Types wider than 8
+    bytes are not representable (their batches travel as pickled frames).
+    Producer and consumer share one machine, so native byte order is
+    consistent by construction.
+    """
+
+    def __init__(self, np_type) -> None:
+        self.np_type = np.dtype(np_type)
+        self.itemsize = int(self.np_type.itemsize)
+        if self.itemsize > 8:
+            raise ValueError(
+                f"value type {self.np_type} does not fit an 8-byte wire slot"
+            )
+
+    def encode(self, values, n: int) -> np.ndarray:
+        """Bit pattern of ``values`` (scalar broadcast over ``n``) as uint64."""
+        if np.isscalar(values) or (isinstance(values, np.ndarray) and values.ndim == 0):
+            typed = np.full(n, values, dtype=self.np_type)
+        else:
+            typed = np.ascontiguousarray(np.asarray(values), dtype=self.np_type)
+        if self.itemsize == 8:
+            return typed.view(np.uint64)
+        out = np.zeros(typed.size, dtype=np.uint64)
+        out.view(np.uint8).reshape(-1, 8)[:, : self.itemsize] = typed.view(
+            np.uint8
+        ).reshape(-1, self.itemsize)
+        return out
+
+    def decode(self, bits: np.ndarray) -> np.ndarray:
+        """Invert :meth:`encode` back to a typed value array."""
+        if self.itemsize == 8:
+            return bits.view(self.np_type)
+        raw = np.ascontiguousarray(
+            bits.view(np.uint8).reshape(-1, 8)[:, : self.itemsize]
+        )
+        return raw.view(self.np_type).reshape(-1)
+
+    @property
+    def one_bits(self) -> np.uint64:
+        """The encoded bit pattern of the scalar ``1`` in this value type.
+
+        Key-only framing elides the value payload when every value equals 1
+        — the dominant one-count-per-packet traffic workload — and the
+        consumer re-synthesises it from this word.
+        """
+        return self.encode(1, 1)[0]
+
+    def encodes_to_ones(self, values, bits: np.ndarray) -> bool:
+        """Whether ``bits`` (the encoding of ``values``) is uniformly the
+        all-ones pattern, i.e. the value payload can be elided on the wire.
+
+        ``values`` is consulted only for the scalar fast path (one word
+        compared instead of the whole array).
+        """
+        if np.isscalar(values) or (isinstance(values, np.ndarray) and values.ndim == 0):
+            return bool(bits[:1] == self.one_bits) if bits.size else True
+        return bool(np.all(bits == self.one_bits))
 
 
 # --------------------------------------------------------------------------- #
@@ -155,7 +224,7 @@ def recv_frame(sock: socket.socket) -> Optional[Tuple[int, bytearray]]:
 
 
 # --------------------------------------------------------------------------- #
-# worker side: one forked child per accepted connection
+# worker side: the frame loop every process-backed worker runs
 # --------------------------------------------------------------------------- #
 
 
@@ -165,7 +234,10 @@ def _set_parent_death_signal() -> None:
     This is what makes "SIGKILL the node" mean "the node's workers are gone
     too" in the failover tests; on platforms without ``prctl`` the workers
     instead exit on the EOF their connection sees when the routing parent
-    goes away.
+    goes away.  Only agent children set it: the signal fires when the
+    *thread* that forked the child exits, and a router forks local workers
+    from whichever thread drives it (a gateway respawns replicas from its
+    event-loop thread) — those workers rely on the EOF alone.
     """
     if not hasattr(os, "fork"):  # pragma: no cover - fork implies unix
         return
@@ -192,13 +264,15 @@ def _serve_connection(conn: socket.socket, slot: int, matrix_kwargs) -> None:
 
     Frames are handled strictly in arrival order, so every control command is
     automatically a barrier against the ingest frames sent before it — the
-    property the conformance battery pins for every transport.
+    property the conformance battery pins for both connection modes.  The
+    loop ends at a ``stop`` command or at EOF, i.e. once every copy of the
+    routing parent's end of the connection is closed.
     """
-    _set_parent_death_signal()
+    from .worker import CommandExecutor  # worker.py imports this module's codec
+
     executor = CommandExecutor(slot, matrix_kwargs, _SocketReplyChannel(conn))
     np_type = lookup_dtype(dict(matrix_kwargs or {}).get("dtype", "fp64")).np_type
     codec = ValueCodec(np_type) if np_type.itemsize <= 8 else None
-    send_pickled(conn, F_HELLO_ACK, {"pid": os.getpid()})
     while True:
         frame = recv_frame(conn)
         if frame is None:
@@ -213,7 +287,7 @@ def _serve_connection(conn: socket.socket, slot: int, matrix_kwargs) -> None:
             keys = np.frombuffer(payload, dtype=np.uint64)
             # The producer proved every value's bit pattern equals scalar 1
             # in the shard dtype; the scalar fill in update_packed() stores
-            # the identical bits (same argument as the shm key-only frame).
+            # the identical bits.
             executor.ingest(lambda: (keys, 1))
         elif ftype == F_DATA_PICKLED:
             executor.ingest(lambda: pickle.loads(bytes(payload)))
@@ -287,6 +361,10 @@ class NodeAgent:
             try:
                 self._sock.close()
                 conn.settimeout(None)
+                # Armed before the ACK: a slot the router holds must die
+                # with its agent.
+                _set_parent_death_signal()
+                send_pickled(conn, F_HELLO_ACK, {"pid": os.getpid()})
                 _serve_connection(
                     conn, int(hello.get("slot", 0)), hello.get("matrix_kwargs")
                 )

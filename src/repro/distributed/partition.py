@@ -30,9 +30,9 @@ sides use to decide membership, so router and worker can never disagree about
 what a slab contains).
 
 Epoch fencing: the router routes every batch under exactly one epoch, and
-migration commands are reply-bearing — on every transport they act as
-barriers against in-flight ingest (the shm wire orders them with its in-band
-barrier frames, PR 4).  A new epoch is published only after the slab has been
+migration commands are reply-bearing — in every worker mode they act as
+barriers against in-flight ingest (on the socket wire because a byte stream
+cannot reorder).  A new epoch is published only after the slab has been
 extracted, installed, and discarded, so each coordinate is owned by exactly
 one shard at every epoch and lands there in stream order.
 """

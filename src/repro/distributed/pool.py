@@ -1,4 +1,4 @@
-"""Persistent shard-worker pool: long-lived workers behind pluggable transports.
+"""Persistent shard-worker pool: long-lived workers behind one socket wire.
 
 PR 1's parallel engine could only run *one-shot* workers (``pool.map`` over a
 function that generated its own workload), which rules out the serving shapes
@@ -38,23 +38,21 @@ in-process state object when ``use_processes=False`` — owns a private
     copy a partition-key slab out of a shard (packed keys + raw value
     bits), apply a migrated slab, and drop a slab after its new owner
     confirmed.  All reply-bearing, so they are barriers against in-flight
-    ingest on every transport.
+    ingest.
 ``report`` / ``clear`` / ``stop``
     Measurement snapshot, state reset, and shutdown.
 
-How commands travel is the transport's business
-(:mod:`repro.distributed.transport`, PR 4): the default ``queue`` wire moves
-everything over per-worker pickled FIFO queues; the ``shm`` wire moves ingest
-batches through per-worker shared-memory ring buffers as packed ``uint64``
-keys + raw value bits (zero pickling on the hot path) with a watermarked
-control side-channel; the ``socket`` wire (PR 7) connects to workers hosted
-by :class:`~repro.distributed.node.NodeAgent` endpoints.  Either way the
-ordering contract is identical — a reply-bearing command acts as a barrier
-for every ``ingest`` submitted before it — and worker-side exceptions are
-re-raised in the parent as :class:`WorkerCrash` at the next reply instead of
-deadlocking; a worker that *dies* is detected by liveness polling (or stream
-EOF).  The conformance suite (``tests/distributed/test_transport.py``)
-asserts every transport yields bit-identical results.
+How commands travel is the wire's business
+(:class:`~repro.distributed.transport.SocketTransport`): one stream socket
+per worker slot, to a child the pool forks over a ``socketpair`` or, with
+``nodes``, to a worker hosted by a :class:`~repro.distributed.node.NodeAgent`
+endpoint.  Either way the ordering contract is identical — a reply-bearing
+command acts as a barrier for every ``ingest`` submitted before it — and
+worker-side exceptions are re-raised in the parent as :class:`WorkerCrash` at
+the next reply instead of deadlocking; a worker that *dies* is detected by
+stream EOF and raised as :class:`WorkerDied`.  The conformance suite
+(``tests/distributed/test_transport.py``) asserts both connection modes and
+the in-process mode yield bit-identical results.
 
 Replication (PR 7): with ``replicas=r`` the pool provisions ``(1 + r)``
 worker slots per shard.  Every ingest batch is *mirrored* to the shard's
@@ -80,7 +78,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Dict, Optional
 
-from .transport import make_transport
+from .transport import SocketTransport
 from .worker import (
     KNOWN_COMMANDS,
     REPLY_COMMANDS,
@@ -101,7 +99,7 @@ __all__ = [
 
 
 class ShardWorkerPool:
-    """K long-lived shard workers behind a pluggable transport.
+    """K long-lived shard workers behind the socket wire.
 
     Parameters
     ----------
@@ -113,31 +111,23 @@ class ShardWorkerPool:
         ``dtype``, ``cuts``, ``defer_ingest`` ...).  ``accum`` may be given as
         an operator *name* so it crosses the process boundary.
     use_processes:
-        When True each worker is a separate long-lived process (fork when
-        available, else spawn).  When False workers are in-process state
-        objects executing synchronously — identical semantics, no IPC, which
-        is what unit tests and the bit-identity property suite use.
-    transport:
-        Wire between the parent and process-backed workers: ``"queue"``
-        (default; pickled FIFO queues), ``"shm"`` (shared-memory ring
-        buffers for ingest batches; falls back to ``queue`` for
-        configurations the ring cannot carry bit-exactly, e.g. full 64-bit
-        IPv6 shapes), or ``"socket"`` (TCP connections to
-        :class:`~repro.distributed.node.NodeAgent` endpoints; requires
-        ``nodes``).  Ignored when ``use_processes=False``.
-    ring_slots:
-        Ring capacity per worker for the ``shm`` transport (slots of one
-        coordinate key + one value each); default
-        :data:`~repro.distributed.ringbuf.DEFAULT_RING_SLOTS`.
+        When True each worker is a separate long-lived process on the
+        other end of a :class:`~repro.distributed.transport.SocketTransport`
+        stream (forked locally unless ``nodes`` is given, which needs
+        ``os.fork``).  When False workers are in-process state objects
+        executing synchronously — identical semantics, no IPC, which is
+        what unit tests and the bit-identity property suite use.
     replicas:
         Replica workers per shard (default 0).  Each shard gets ``1 +
         replicas`` worker slots; ingest is mirrored to every replica and a
         dead primary can be :meth:`promote`-d without data loss.
     nodes:
-        Agent endpoints for the ``socket`` transport (``"host:port"``
-        strings or ``(host, port)`` pairs).  Slots are placed so a shard's
-        primary and its replicas always land on *different* nodes (when
-        there are at least two), making node death survivable.
+        :class:`~repro.distributed.node.NodeAgent` endpoints to host the
+        process-backed workers (``"host:port"`` strings or ``(host, port)``
+        pairs) instead of forking them locally.  Slots are placed so a
+        shard's primary and its replicas always land on
+        *different* nodes (when there are at least two), making node death
+        survivable.
 
     Examples
     --------
@@ -156,8 +146,6 @@ class ShardWorkerPool:
         *,
         matrix_kwargs: Optional[Dict[str, Any]] = None,
         use_processes: bool = True,
-        transport: str = "queue",
-        ring_slots: Optional[int] = None,
         replicas: int = 0,
         nodes: Optional[list] = None,
     ):
@@ -194,13 +182,8 @@ class ShardWorkerPool:
                     for r in range(1 + self.replicas)
                     for s in range(self.nworkers)
                 ]
-            self._transport = make_transport(
-                transport,
-                nslots,
-                self._matrix_kwargs,
-                ring_slots=ring_slots,
-                nodes=nodes,
-                placement=placement,
+            self._transport = SocketTransport(
+                nslots, self._matrix_kwargs, nodes=nodes, placement=placement
             )
             self._states = None
             self._pending = None
@@ -211,12 +194,7 @@ class ShardWorkerPool:
 
     @property
     def transport_name(self) -> str:
-        """Wire actually in force: ``"inproc"``, ``"queue"``, ``"shm"``, or
-        ``"socket"``.
-
-        May differ from the requested transport when ``shm`` fell back to
-        ``queue`` for a non-packable configuration.
-        """
+        """Wire in force: ``"inproc"`` or ``"socket"``."""
         return self._transport.name if self._transport is not None else "inproc"
 
     @property
@@ -375,8 +353,8 @@ class ShardWorkerPool:
 
         ``keys`` optionally carries the coordinates already packed under the
         shape's 64-bit split (what :meth:`ShardRouter.route
-        <repro.distributed.sharded.ShardRouter.route>` returns); every wire
-        ships them as-is and the in-process dispatch hands them straight to
+        <repro.distributed.sharded.ShardRouter.route>` returns); the wire ships
+        them as-is and the in-process dispatch hands them straight to
         :meth:`HierarchicalMatrix.update_packed
         <repro.core.HierarchicalMatrix.update_packed>`, so a routed batch is
         packed exactly once.

@@ -35,9 +35,11 @@ additions, so bit-identity is guaranteed for exactly representable values
 (integer packet/byte counts — the same qualifier the sharded guarantee has
 carried since PR 2); arbitrary float streams agree to rounding.
 
-Since PR 7 the shards can also live on *other machines*: ``transport="socket"``
-connects every worker slot to a :class:`~repro.distributed.node.NodeAgent`
-endpoint instead of forking locally, and ``replicas=r`` provisions ``r``
+Process-backed shards (``use_processes=True``) are forked workers on the
+other end of one stream socket each; since PR 7 they can also live on
+*other machines*: ``nodes`` connects every worker slot to a
+:class:`~repro.distributed.node.NodeAgent` endpoint instead of forking
+locally — the same frames either way — and ``replicas=r`` provisions ``r``
 mirror workers per shard.  Every ingest batch is mirrored before any failure
 is even detectable, so when a primary worker (or its whole node) dies the
 router *fails over*: the pool promotes a live replica and the next partition
@@ -184,30 +186,28 @@ class ShardRouter:
         rows: np.ndarray,
         cols: np.ndarray,
         *,
-        with_keys: bool = False,
         keys: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Shard index of each pair, plus the packed keys when available.
+        """Shard index of each pair, plus the packed keys.
 
         Returns ``(shard, keys)`` where ``keys`` is the packed ``uint64``
-        coordinate key array under :attr:`spec` — the exact wire format of
-        the shm transport, so callers that already routed a batch can ship
-        it without packing a second time.  ``keys`` is ``None`` when the
-        shape has no 64-bit split, or when it was neither requested
-        (``with_keys``) nor needed for routing (single shard).
+        coordinate key array under :attr:`spec` — what the wire frames and
+        every shard's layer-1 arena take, so a routed batch is packed
+        exactly once.  ``keys`` is ``None`` only when the shape has no
+        64-bit split.
 
         Callers that already hold the packed keys (the gateway decodes them
         straight off its client wire) pass them in as ``keys`` — aligned
         with ``rows`` and packed under :attr:`spec` — and routing reuses
-        them instead of packing a second time.  Supplied keys are ignored
-        for shapes with no 64-bit split.
+        them instead of packing.  Supplied keys are ignored for shapes with
+        no 64-bit split.
         """
-        if keys is not None and self.spec is not None:
-            keys = np.asarray(keys, dtype=np.uint64)
-        elif self.spec is not None and (with_keys or self.nshards > 1):
-            keys = coords.pack(rows, cols, self.spec)
-        else:
+        if self.spec is None:
             keys = None
+        elif keys is not None:
+            keys = np.asarray(keys, dtype=np.uint64)
+        else:
+            keys = coords.pack(rows, cols, self.spec)
         if self.nshards == 1:
             return np.zeros(rows.size, dtype=np.int64), keys
         pkeys = partition_keys(rows, cols, self.partition, self.spec, keys=keys)
@@ -368,9 +368,9 @@ class ShardedHierarchicalMatrix:
 
     Each shard is a private :class:`~repro.core.HierarchicalMatrix` owned by a
     long-lived worker (a separate process when ``use_processes=True``, an
-    in-process state otherwise) fed batches over queues, so external streams —
-    packet windows, session batches, replayed triple files — can be routed,
-    ingested at streaming rates, and then queried globally.
+    in-process state otherwise), so external streams — packet windows,
+    session batches, replayed triple files — can be routed, ingested at
+    streaming rates, and then queried globally.
 
     Parameters
     ----------
@@ -392,26 +392,19 @@ class ShardedHierarchicalMatrix:
     use_processes:
         Back shards with long-lived worker processes (streaming parallelism)
         instead of in-process shard states (zero IPC; the default, right for
-        tests and single-core machines).
+        tests and single-core machines).  Each worker is reached over one
+        stream socket carrying packed ``uint64`` keys + raw value bits
+        (:class:`~repro.distributed.transport.SocketTransport`); without
+        ``nodes`` the workers are forked locally, which needs ``os.fork``.
     transport:
-        Wire between the router and process-backed shard workers:
-        ``"queue"`` (default; pickled FIFO queues), ``"shm"``
-        (shared-memory ring buffers carrying ingest batches as packed
-        ``uint64`` keys + raw value bits — zero pickling on the hot path),
-        or ``"socket"`` (TCP connections to
-        :class:`~repro.distributed.node.NodeAgent` endpoints given by
-        ``nodes``; same packed-key wire format as ``shm``, length-prefixed).
-        ``shm`` falls back to ``queue`` for configurations the ring cannot
-        carry bit-exactly (full 64-bit IPv6 shapes); read :attr:`transport`
-        for the wire in force.  Ignored when ``use_processes=False``.
-    ring_slots:
-        Per-shard ring capacity for the ``shm`` transport (default
-        :data:`~repro.distributed.ringbuf.DEFAULT_RING_SLOTS`).
+        Accepted for compatibility; ``"socket"`` is the only wire and the
+        only legal value.
     nodes:
-        Agent endpoints for the ``socket`` transport — ``"host:port"``
-        strings (or ``(host, port)`` pairs) of running ``repro-node``
-        agents.  Worker slots are staggered so a shard's primary and its
-        replicas land on different nodes whenever there are at least two.
+        ``"host:port"`` strings (or ``(host, port)`` pairs) of running
+        ``repro-node`` agents to host the process-backed workers instead of
+        forking them locally.  Worker slots are staggered so a shard's
+        primary and its replicas land on different nodes whenever there are
+        at least two.
     replicas:
         Replica workers per shard (default 0).  Ingest batches are mirrored
         to every replica before the primary's failure could even be
@@ -448,8 +441,7 @@ class ShardedHierarchicalMatrix:
         accum: Union[BinaryOp, str, None] = None,
         partition: str = "hash",
         use_processes: bool = False,
-        transport: str = "queue",
-        ring_slots: Optional[int] = None,
+        transport: str = "socket",
         nodes: Optional[Sequence] = None,
         replicas: int = 0,
         defer_ingest: bool = True,
@@ -457,6 +449,12 @@ class ShardedHierarchicalMatrix:
         track_reductions: bool = True,
         name: str = "",
     ):
+        if transport != "socket":
+            raise ValueError(
+                f"unknown transport {transport!r}: the queue and shared-memory "
+                "ring wires were removed; process-backed shards always use the "
+                "socket wire (transport='socket')"
+            )
         self._router = ShardRouter(
             nshards, nrows=nrows, ncols=ncols, partition=partition
         )
@@ -481,8 +479,6 @@ class ShardedHierarchicalMatrix:
             nshards,
             matrix_kwargs=matrix_kwargs,
             use_processes=use_processes,
-            transport=transport,
-            ring_slots=ring_slots,
             nodes=list(nodes) if nodes is not None else None,
             replicas=replicas,
         )
@@ -532,13 +528,8 @@ class ShardedHierarchicalMatrix:
 
     @property
     def transport(self) -> str:
-        """Worker wire in force: ``"inproc"``, ``"queue"``, ``"shm"``, or
-        ``"socket"``.
-
-        ``"inproc"`` when ``use_processes=False``; otherwise the transport
-        actually running — which is ``"queue"`` even under ``transport="shm"``
-        when the configuration is not 64-bit-packable (the IPv6 fallback).
-        """
+        """Worker wire in force: ``"inproc"`` when ``use_processes=False``,
+        else ``"socket"``."""
         return self._pool.transport_name
 
     @property
@@ -619,11 +610,11 @@ class ShardedHierarchicalMatrix:
 
         A plain :class:`WorkerCrash` means the command itself raised — the
         worker keeps serving, so the error propagates unchanged (the
-        pre-replication contract).  :class:`WorkerDied` — the transports'
-        own death signal, raised only from liveness polls, ring closure, or
-        stream EOF, so it cannot be confused with a surviving worker's error
-        (and unlike an after-the-fact pid poll it cannot race with the
-        process still tearing down) — triggers :meth:`_failover` and one
+        pre-replication contract).  :class:`WorkerDied` — the wire's own
+        death signal, raised only from stream EOF or a failed send, so it
+        cannot be confused with a surviving worker's error (and unlike an
+        after-the-fact pid poll it cannot race with the process still
+        tearing down) — triggers :meth:`_failover` and one
         retry against the promoted replica.  ``mirrored=True`` routes
         state-mutating commands through
         :meth:`ShardWorkerPool.request_mirrored`; after a failover those are
@@ -711,13 +702,13 @@ class ShardedHierarchicalMatrix:
         :meth:`HierarchicalMatrix.update`.  Out-of-range coordinates raise
         immediately (they have no owning shard).  Shard-local update time is
         accumulated worker-side; see :meth:`finalize` / :meth:`reports`.
-        Whenever the router packed the batch to route it, those keys are what
-        travels — over every wire and into the in-process shards — and the
-        workers append them to their layer-1 arenas as they are, so each
-        batch is packed exactly once.  ``keys`` may carry
-        the batch's coordinates already packed under the router's split
-        (aligned with ``rows``) — the gateway passes the keys it decoded off
-        its client wire, making the whole gateway path one pack per update.
+        Whenever the shape packs, the router's keys are what travels — over
+        the wire and into the in-process shards — and the workers append
+        them to their layer-1 arenas as they are, so each batch is packed
+        exactly once.  ``keys`` may carry the batch's coordinates already
+        packed under the router's split (aligned with ``rows``) — the
+        gateway passes the keys it decoded off its client wire, making the
+        whole gateway path one pack per update.
         """
         r = K.as_index_array(rows, "rows")
         c = K.as_index_array(cols, "cols")
@@ -745,8 +736,7 @@ class ShardedHierarchicalMatrix:
                 raise DimensionMismatch(
                     f"keys length {keys.size} does not match index length {r.size}"
                 )
-        with_keys = self._pool.transport_name in ("shm", "socket")
-        shard, keys = self._router.route(r, c, with_keys=with_keys, keys=keys)
+        shard, keys = self._router.route(r, c, keys=keys)
         for s in range(self.nshards):
             mask = shard == s
             if not mask.any():
@@ -790,7 +780,7 @@ class ShardedHierarchicalMatrix:
         return self._total_updates - before
 
     def finalize(self) -> List[dict]:
-        """Barrier: drain every shard's queue and force its deferred flush.
+        """Barrier: drain every shard's wire and force its deferred flush.
 
         The flush happens inside each worker's timed section, so per-shard
         ``elapsed_seconds`` afterwards reflect the full ingest cost.  Returns
@@ -845,9 +835,9 @@ class ShardedHierarchicalMatrix:
     def ingest_pressure(self) -> float:
         """Worst ingest-wire fill fraction across worker slots (0..1).
 
-        Surfaces the transport watermarks (ring occupancy, task-queue depth,
-        kernel send-queue bytes) so the service layer can derive admission
-        control from real wire state instead of guessing.  0.0 when the wire
+        Surfaces the wire watermarks (kernel send-queue bytes over the send
+        buffer size) so the service layer can derive admission control from
+        real wire state instead of guessing.  0.0 when the wire
         has no signal or the shards are in-process.
         """
         return self._pool.ingest_pressure()
@@ -872,8 +862,8 @@ class ShardedHierarchicalMatrix:
         for manual placement.  Repeated calls converge: each migration moves
         half the remaining max-min gap.
 
-        The stream never stops.  The protocol rides the transport barrier
-        ordering (PR 4), so in-flight batches routed under the old epoch land
+        The stream never stops.  The protocol rides the wire's barrier
+        ordering, so in-flight batches routed under the old epoch land
         before the slab is cut:
 
         1. ``extract_slab`` on the source — a reply-bearing barrier command
@@ -974,9 +964,9 @@ class ShardedHierarchicalMatrix:
         except Exception:
             # The source still holds the authoritative copy; best-effort
             # removal of whatever the destination applied keeps the old
-            # epoch exact if the destination survived its error.  (Process
-            # wires surface failures as WorkerCrash; the in-process pool
-            # re-raises the worker exception directly.)
+            # epoch exact if the destination survived its error.  (The
+            # process wire surfaces failures as WorkerCrash; the in-process
+            # pool re-raises the worker exception directly.)
             self._discard_quietly(dest, discard)
             raise
         try:

@@ -1,11 +1,11 @@
-"""Shard-worker state and command protocol, shared by every transport.
+"""Shard-worker state and command protocol, shared by every worker mode.
 
 A shard worker owns a private :class:`~repro.core.HierarchicalMatrix` and
 executes a small command protocol (see :mod:`repro.distributed.pool` for the
 command reference).  This module holds everything that runs *identically*
-regardless of how commands reach the worker — in-process calls, pickled FIFO
-queues, or the shared-memory ring transport — so the transports in
-:mod:`repro.distributed.transport` stay pure plumbing and the conformance
+regardless of how commands reach the worker — in-process calls, or frames
+over the socket wire to a forked or agent-hosted process — so the wire in
+:mod:`repro.distributed.transport` stays pure plumbing and the conformance
 suite (``tests/distributed/test_transport.py``) can assert that plumbing
 never changes results.
 """
@@ -24,8 +24,8 @@ from ..core.checkpoint import checkpoint_bytes, load_checkpoint_bytes
 from ..graphblas import Matrix, coords
 from ..graphblas.binaryop import binary
 from ..workloads.powerlaw import powerlaw_edges
+from .node import ValueCodec
 from .partition import interval_mask, partition_keys
-from .ringbuf import ValueCodec
 
 __all__ = [
     "WorkerReport",
@@ -76,11 +76,11 @@ class WorkerCrash(RuntimeError):
 class WorkerDied(WorkerCrash):
     """The worker *process* is gone (SIGKILL, OOM, node failure).
 
-    Raised only from the transports' own death-detection paths (queue
-    liveness poll, ring closure, socket EOF/send failure), never from a
-    worker-raised exception — so catching this, rather than polling pid
-    liveness after the fact, is the race-free way to tell "the shard needs
-    failover" from "the command failed but the worker survives".  A dying
+    Raised only from the wire's own death-detection paths (socket EOF or
+    send failure), never from a worker-raised exception — so catching this,
+    rather than polling pid liveness after the fact, is the race-free way to
+    tell "the shard needs failover" from "the command failed but the worker
+    survives".  A dying
     worker closes its wire *before* its pid disappears from the process
     table, so a liveness poll taken at crash time can still read alive.
     """
@@ -165,8 +165,8 @@ KNOWN_COMMANDS = REPLY_COMMANDS | {"ingest", "stop"}
 class ShardState:
     """One worker's state: a private hierarchical matrix plus ingest counters.
 
-    Runs identically inside a long-lived child process (whatever the
-    transport) and in-process (``use_processes=False``), so unit tests and
+    Runs identically inside a long-lived child process (forked or
+    agent-hosted) and in-process (``use_processes=False``), so unit tests and
     single-core machines exercise the same command protocol without fork
     overhead.
     """
@@ -295,7 +295,7 @@ class ShardState:
     #
     # These three commands implement the worker half of
     # ShardedHierarchicalMatrix.rebalance().  All of them are reply-bearing,
-    # so on every transport they are barriers against in-flight ingest
+    # so in every worker mode they are barriers against in-flight ingest
     # batches: the slab the source cuts always reflects every batch routed
     # to it under the old map epoch.  extract_slab only *copies* — the
     # source stays authoritative until the coordinator has confirmed the
@@ -345,8 +345,8 @@ class ShardState:
     def _encode_slab(self, rows, cols, vals):
         """Slab wire form: packed uint64 keys + raw value bits when possible.
 
-        Reuses the shm ring's framing pieces (the PR-1 coordinate codec and
-        the :class:`~repro.distributed.ringbuf.ValueCodec` bit codec), so a
+        Reuses the ingest frames' pieces (the PR-1 coordinate codec and
+        the :class:`~repro.distributed.node.ValueCodec` bit codec), so a
         migrating slab crosses the reply channel as two flat uint64 arrays
         instead of three pickled object arrays; unpackable (IPv6) shapes
         fall back to plain COO triples.
@@ -504,21 +504,21 @@ class ShardState:
 
 
 class CommandExecutor:
-    """The error-latching reply protocol every transport's worker loop shares.
+    """The error-latching reply protocol of the worker loop.
 
     Wraps a :class:`ShardState` (constructed here, so even a failing
     constructor is latched instead of crashing the loop) and owns the one
-    piece of semantics the wires must never let drift: a command exception is
+    piece of semantics the wire must never let drift: a command exception is
     captured as the *pending error*, fire-and-forget commands after it are
     skipped, and the next reply-bearing command delivers ``("error",
     traceback)`` — after which the worker resumes serving (unless
     construction itself failed, in which case every reply repeats the
-    error).  Transports only decide *when* :meth:`execute` runs, never what
-    it does.
+    error).  The frame loop only decides *when* :meth:`execute` runs, never
+    what it does.
     """
 
-    def __init__(self, worker_id: int, matrix_kwargs, reply_queue) -> None:
-        self._reply_queue = reply_queue
+    def __init__(self, worker_id: int, matrix_kwargs, reply_channel) -> None:
+        self._reply_channel = reply_channel
         self.state: Optional[ShardState] = None
         self._init_error: Optional[str] = None
         try:
@@ -549,7 +549,7 @@ class CommandExecutor:
                 self.pending_error = traceback.format_exc()
         if cmd in REPLY_COMMANDS:
             if self.pending_error is not None:
-                self._reply_queue.put(("error", self.pending_error))
+                self._reply_channel.put(("error", self.pending_error))
                 self.pending_error = self._init_error
             else:
-                self._reply_queue.put(("ok", result))
+                self._reply_channel.put(("ok", result))

@@ -31,12 +31,12 @@ from ..distributed.node import (
     F_HELLO,
     F_HELLO_ACK,
     F_REPLY,
+    ValueCodec,
     parse_address,
     recv_frame,
     send_frame,
     send_pickled,
 )
-from ..distributed.ringbuf import ValueCodec
 from ..graphblas import _kernels as K
 from ..graphblas import coords
 from ..graphblas.errors import InvalidIndex

@@ -9,7 +9,7 @@ all-ones batches, pickled fallback for unpackable shapes — carries over:
 
 * ``F_HELLO`` ``{"client": name}`` → ``F_HELLO_ACK`` with the matrix shape,
   dtype, accumulator and the gateway's coalescing bound, so the client can
-  build the same packed-key codec the transports use.
+  build the same packed-key codec the shard wire uses.
 * ``F_DATA`` / ``F_DATA_KEYONLY`` / ``F_DATA_PICKLED`` — update batches,
   fire-and-forget (acknowledged collectively by the next ``sync``).
 * ``F_SET_OP`` (gateway extension) — switches the connection's combine
@@ -59,9 +59,9 @@ from ..distributed.node import (
     F_HELLO_ACK,
     F_REPLY,
     _HEADER,
+    ValueCodec,
     format_address,
 )
-from ..distributed.ringbuf import ValueCodec
 from ..graphblas import _kernels as K
 from ..graphblas import coords
 from ..graphblas.errors import InvalidIndex

@@ -12,10 +12,10 @@ restart somebody had to notice the spent failure budget and call
   a pure bookkeeping lookup that never touches the wire, so an idle healthy
   cluster pays nothing.
 * **Re-dial with back-off** — a retired slot is respawned through the
-  transport (the socket wire re-dials the slot's *original* endpoint, where
-  a restarted agent rebinds thanks to ``SO_REUSEADDR``); while the agent is
-  still down the attempt fails, and the check interval doubles up to
-  ``max_backoff`` times.  Any successful rejoin — or a fully healthy
+  wire (a forked slot forks again; an agent slot re-dials its *original*
+  endpoint, where a restarted agent rebinds thanks to ``SO_REUSEADDR``);
+  while the agent is still down the attempt fails, and the check interval
+  doubles up to ``max_backoff`` times.  Any successful rejoin — or a fully healthy
   observation — re-arms the interval.
 * **Checkpoint catch-up, hands-off** — each rejoin drives
   :meth:`~repro.distributed.ShardedHierarchicalMatrix.resync_replica`:

@@ -1,4 +1,11 @@
-"""Shared fixtures for the distributed suite: a hang-proofing deadline guard.
+"""Shared fixtures for the distributed suite: worker modes and a deadline guard.
+
+Worker modes: ``"inproc"`` (in-process shard states) and the two connection
+modes of the one process wire — ``"local"`` (workers forked over a
+``socketpair``) and ``"agent"`` (workers behind dialled
+:class:`~repro.distributed.NodeAgent` endpoints).  :func:`mode_kwargs` turns
+a mode name into pool/matrix keyword arguments; the mode name is embedded in
+every parametrized test id.
 
 The fault-injection contract (PR 4) is that a dead worker surfaces as
 :class:`~repro.distributed.WorkerCrash` *instead of a hang* — so a regression
@@ -17,6 +24,42 @@ import signal
 import threading
 
 import pytest
+
+from repro.distributed import spawn_local_agents
+
+#: The connection modes of the process wire.
+PROCESS_MODES = ["local", "agent"]
+
+#: Lazily spawned localhost NodeAgent pair serving every ``"agent"``-mode test
+#: that kills only *workers* (the agents survive those tests; node-kill tests
+#: spawn their own disposable agents).  Torn down at session end.
+_AGENT_STACK = contextlib.ExitStack()
+_AGENT_ADDRESSES: list = []
+
+
+def agent_nodes():
+    if not _AGENT_ADDRESSES:
+        addresses, _procs = _AGENT_STACK.enter_context(spawn_local_agents(2))
+        _AGENT_ADDRESSES.extend(addresses)
+    return list(_AGENT_ADDRESSES)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _agent_teardown():
+    yield
+    _AGENT_STACK.close()
+    _AGENT_ADDRESSES.clear()
+
+
+def mode_kwargs(mode, **extra):
+    """Pool / sharded-matrix keyword arguments for one worker mode."""
+    if mode == "inproc":
+        return {"use_processes": False, **extra}
+    kwargs = {"use_processes": True, **extra}
+    if mode == "agent":
+        kwargs["nodes"] = agent_nodes()
+    return kwargs
+
 
 #: Generous per-test ceiling; any distributed test that takes this long is
 #: deadlocked, not slow.

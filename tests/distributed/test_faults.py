@@ -1,82 +1,43 @@
 """Fault-injection tests: dead or crashing workers must surface, never hang.
 
-The contract (pinned per transport): a worker that *raises* delivers the
-traceback as :class:`~repro.distributed.WorkerCrash` at the next reply and
-keeps serving; a worker that *dies* (SIGKILL here — the OOM-killer case) is
-detected by liveness polling and surfaces as :class:`WorkerCrash` at the next
-reply, or at the next ring push once the dead shard's buffer fills.  Every
-wait under test runs inside a tight :func:`deadline` guard, so a regression
-fails with a ``TimeoutError`` pointing at the blocked call instead of
-deadlocking the suite (the directory-wide guard in ``conftest.py`` backstops
-everything else).
+The contract (pinned for both connection modes of the process wire): a
+worker that *raises* delivers the traceback as
+:class:`~repro.distributed.WorkerCrash` at the next reply and keeps serving;
+a worker that *dies* (SIGKILL here — the OOM-killer case) closes its end of
+the stream and surfaces as :class:`~repro.distributed.WorkerDied` at the next
+reply (EOF) or the next ingest push (send failure).  Every wait under test
+runs inside a tight :func:`deadline` guard, so a regression fails with a
+``TimeoutError`` pointing at the blocked call instead of deadlocking the
+suite (the directory-wide guard in ``conftest.py`` backstops everything
+else).
 """
 
 from __future__ import annotations
 
 import os
 import signal
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.core import HierarchicalMatrix
 from repro.distributed import (
-    RingClosed,
     ShardedHierarchicalMatrix,
     ShardWorkerPool,
     WorkerCrash,
     WorkerDied,
-    shm_supported,
     spawn_local_agents,
 )
 
-from .conftest import deadline
+from .conftest import PROCESS_MODES, deadline, mode_kwargs
 
 CUTS = [500, 5_000]
-TRANSPORTS = ["queue", "shm", "socket"]
-
-#: Tests that reach into the ring itself need the shm wire actually in force.
-requires_shm = pytest.mark.skipif(
-    not shm_supported(None), reason="shm transport unavailable on this host"
-)
-
-#: Localhost NodeAgent pair shared by the socket legs of the batteries that
-#: only kill *workers* (the agents themselves survive those tests).  Node-kill
-#: tests spawn their own disposable agents instead.
-_SOCKET_AGENTS = None
 
 
-def _socket_nodes():
-    global _SOCKET_AGENTS
-    if _SOCKET_AGENTS is None:
-        cm = spawn_local_agents(2)
-        addresses, _procs = cm.__enter__()
-        _SOCKET_AGENTS = (cm, addresses)
-    return list(_SOCKET_AGENTS[1])
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _socket_agent_teardown():
-    yield
-    global _SOCKET_AGENTS
-    if _SOCKET_AGENTS is not None:
-        _SOCKET_AGENTS[0].__exit__(None, None, None)
-        _SOCKET_AGENTS = None
-
-
-def _transport_kwargs(transport, **extra):
-    kwargs = {"use_processes": True, "transport": transport, **extra}
-    if transport == "socket":
-        kwargs["nodes"] = _socket_nodes()
-    return kwargs
-
-
-def make_pool(transport, nworkers=1):
-    return ShardWorkerPool(
-        nworkers,
-        matrix_kwargs={"cuts": CUTS},
-        **_transport_kwargs(transport),
-    )
+def make_pool(mode, nworkers=1):
+    return ShardWorkerPool(nworkers, matrix_kwargs={"cuts": CUTS}, **mode_kwargs(mode))
 
 
 def ingest_some(pool, worker=0, nbatches=3):
@@ -86,9 +47,9 @@ def ingest_some(pool, worker=0, nbatches=3):
 
 
 class TestKilledWorker:
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_kill_mid_stream_surfaces_at_next_reply(self, transport):
-        with make_pool(transport) as pool:
+    @pytest.mark.parametrize("mode", PROCESS_MODES)
+    def test_kill_mid_stream_surfaces_at_next_reply(self, mode):
+        with make_pool(mode) as pool:
             ingest_some(pool)
             proc = pool.processes[0]
             proc.kill()
@@ -97,8 +58,8 @@ class TestKilledWorker:
                 with pytest.raises(WorkerCrash):
                     pool.request(0, "report")
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_death_is_distinguishable_from_a_raise(self, transport):
+    @pytest.mark.parametrize("mode", PROCESS_MODES)
+    def test_death_is_distinguishable_from_a_raise(self, mode):
         """Death surfaces as WorkerDied; a surviving worker's raise does not.
 
         The failover logic keys on this distinction (it must never poll pid
@@ -106,7 +67,7 @@ class TestKilledWorker:
         so a poll taken at crash time can still read alive and would turn a
         recoverable node death into a propagated error).
         """
-        with make_pool(transport) as pool:
+        with make_pool(mode) as pool:
             with deadline(30):
                 with pytest.raises(WorkerCrash) as raised:
                     pool.request(0, "reduce_incremental", "bogus_kind")
@@ -115,19 +76,22 @@ class TestKilledWorker:
             assert pool.request(0, "stats")["updates"] == 0
             pool.processes[0].kill()
             pool.processes[0].join(timeout=10)
+            # A control sent to a dead worker is silent; the death surfaces
+            # where the caller waits for the answer.
+            pool.submit(0, "report")
             with deadline(30):
                 with pytest.raises(WorkerDied):
-                    pool.request(0, "report")
+                    pool.collect(0)
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_kill_while_reply_pending_does_not_hang(self, transport):
+    @pytest.mark.parametrize("mode", PROCESS_MODES)
+    def test_kill_while_reply_pending_does_not_hang(self, mode):
         """Die *after* the command is submitted, while the parent waits.
 
         ``selfgen`` streams long enough that the SIGKILL always lands before
-        the reply is produced; a worker killed before even dequeuing the
+        the reply is produced; a worker killed before even reading the
         command surfaces identically.
         """
-        with make_pool(transport) as pool:
+        with make_pool(mode) as pool:
             pool.submit(
                 0, "selfgen", {"total_updates": 500_000, "batch_size": 10_000, "seed": 1}
             )
@@ -136,9 +100,9 @@ class TestKilledWorker:
                 with pytest.raises(WorkerCrash):
                     pool.collect(0)
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_other_workers_keep_serving(self, transport):
-        with make_pool(transport, nworkers=2) as pool:
+    @pytest.mark.parametrize("mode", PROCESS_MODES)
+    def test_other_workers_keep_serving(self, mode):
+        with make_pool(mode, nworkers=2) as pool:
             ingest_some(pool, worker=0)
             ingest_some(pool, worker=1)
             pool.processes[0].kill()
@@ -147,34 +111,24 @@ class TestKilledWorker:
                     pool.request(0, "stats")
                 assert pool.request(1, "stats")["updates"] == 300
 
-    @requires_shm
-    def test_shm_push_into_dead_worker_raises(self):
-        """A full ring with a dead consumer must fail the push, not spin."""
-        pool = ShardWorkerPool(
-            1,
-            matrix_kwargs={"cuts": CUTS},
-            use_processes=True,
-            transport="shm",
-            ring_slots=64,
-        )
-        try:
+    @pytest.mark.parametrize("mode", PROCESS_MODES)
+    def test_push_into_dead_worker_raises(self, mode):
+        """Ingest into a dead worker fails the push; it never blocks."""
+        with make_pool(mode) as pool:
             proc = pool.processes[0]
             proc.kill()
             proc.join(timeout=10)
-            rows = np.arange(200, dtype=np.uint64)  # > ring capacity
+            rows = np.arange(200, dtype=np.uint64)
             with deadline(30):
-                with pytest.raises(WorkerCrash):
-                    # Keep pushing until the dead shard's ring fills.
-                    for _ in range(10):
+                with pytest.raises(WorkerDied):
+                    # A TCP peer's reset can take one send to arrive.
+                    for _ in range(100):
                         pool.submit(0, "ingest", (rows, rows, np.ones(rows.size)))
-        finally:
-            pool.close()
 
-    def test_sharded_matrix_surfaces_crash(self):
+    @pytest.mark.parametrize("mode", PROCESS_MODES)
+    def test_sharded_matrix_surfaces_crash(self, mode):
         """End to end: a killed shard fails the next global read loudly."""
-        with ShardedHierarchicalMatrix(
-            2, cuts=CUTS, use_processes=True, transport="shm"
-        ) as sharded:
+        with ShardedHierarchicalMatrix(2, cuts=CUTS, **mode_kwargs(mode)) as sharded:
             rng = np.random.default_rng(5)
             sharded.update(
                 rng.integers(0, 2 ** 16, 500, dtype=np.uint64),
@@ -188,9 +142,9 @@ class TestKilledWorker:
 
 
 class TestRaisingWorker:
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_error_delivered_and_worker_survives(self, transport):
-        with make_pool(transport) as pool:
+    @pytest.mark.parametrize("mode", PROCESS_MODES)
+    def test_error_delivered_and_worker_survives(self, mode):
+        with make_pool(mode) as pool:
             with deadline(30):
                 with pytest.raises(WorkerCrash) as excinfo:
                     pool.request(0, "reduce", ("bogus-axis", "not-an-op"))
@@ -198,19 +152,20 @@ class TestRaisingWorker:
                 # The worker survives the crash and keeps serving.
                 assert pool.request(0, "get", (1, 2)) is None
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_unknown_command_is_an_error_not_a_hang(self, transport):
+    @pytest.mark.parametrize("mode", PROCESS_MODES)
+    def test_unknown_command_is_an_error_not_a_hang(self, mode):
         """A typo'd command fails fast in the parent (it may never reply)."""
-        with make_pool(transport) as pool:
+        with make_pool(mode) as pool:
             with deadline(30):
                 with pytest.raises(ValueError):
                     pool.request(0, "materialise-with-an-s")
                 # The pool is not corrupted by the rejection.
                 assert pool.request(0, "stats")["updates"] == 0
 
-    def test_shm_worker_error_after_ingest_then_recovers(self):
+    @pytest.mark.parametrize("mode", PROCESS_MODES)
+    def test_worker_error_after_ingest_then_recovers(self, mode):
         """A worker-side error after consumed batches reports, then serves."""
-        with make_pool("shm") as pool:
+        with make_pool(mode) as pool:
             rows = np.arange(10, dtype=np.uint64)
             pool.submit(0, "ingest", (rows, rows, np.ones(10)))
             with deadline(30):
@@ -218,15 +173,22 @@ class TestRaisingWorker:
                     pool.request(0, "reduce_incremental", "not-a-kind")
                 assert pool.request(0, "stats")["updates"] == 10
 
-    def test_shm_out_of_range_coordinates_raise_immediately(self):
-        """The ring refuses coordinates that would alias under packing."""
+    def test_out_of_range_coordinates_raise_before_sending(self):
+        """Coordinates that would alias under packing never reach a worker."""
         from repro.graphblas.errors import InvalidIndex
 
         with ShardedHierarchicalMatrix(
-            2, 2 ** 16, 2 ** 16, cuts=CUTS, use_processes=True, transport="shm"
+            2, 2 ** 16, 2 ** 16, cuts=CUTS, use_processes=True
         ) as sharded:
             with pytest.raises(InvalidIndex):
                 sharded.update([2 ** 20], [1], [1.0])
+            # The wire refuses them too when a batch skips the router.
+            with pytest.raises(InvalidIndex):
+                sharded._pool.submit(
+                    0, "ingest", (np.array([1], np.uint64), np.array([2 ** 16], np.uint64), 1.0)
+                )
+            with deadline(30):
+                assert [s["updates"] for s in sharded._request_all("stats")] == [0, 0]
 
 
 class TestMigrationFaults:
@@ -244,12 +206,12 @@ class TestMigrationFaults:
     #: Skewed stream: every coordinate keys into shard 0's range slab, so the
     #: auto policy always picks source=0, dest=1 — deterministic kill targets.
     @staticmethod
-    def _loaded_matrix(transport, nshards=2):
+    def _loaded_matrix(mode, nshards=2):
         sharded = ShardedHierarchicalMatrix(
             nshards,
             cuts=CUTS,
             partition="range",
-            **_transport_kwargs(transport),
+            **mode_kwargs(mode),
         )
         rng = np.random.default_rng(31)
         for _ in range(3):
@@ -280,9 +242,9 @@ class TestMigrationFaults:
 
         monkeypatch.setattr(pool, "submit", killing_submit)
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_kill_source_mid_extract(self, transport, monkeypatch):
-        with self._loaded_matrix(transport) as sharded:
+    @pytest.mark.parametrize("mode", PROCESS_MODES)
+    def test_kill_source_mid_extract(self, mode, monkeypatch):
+        with self._loaded_matrix(mode) as sharded:
             epoch = sharded.map_epoch
             dest_nnz = sharded._pool.request(1, "stats")["nnz"]
             self._kill_on(sharded._pool, "extract_slab", monkeypatch)
@@ -293,9 +255,9 @@ class TestMigrationFaults:
             # The destination never received anything: nothing double-owned.
             assert sharded._pool.request(1, "stats")["nnz"] == dest_nnz
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_kill_dest_mid_install(self, transport, monkeypatch):
-        with self._loaded_matrix(transport) as sharded:
+    @pytest.mark.parametrize("mode", PROCESS_MODES)
+    def test_kill_dest_mid_install(self, mode, monkeypatch):
+        with self._loaded_matrix(mode) as sharded:
             epoch = sharded.map_epoch
             source_nnz = sharded._pool.request(0, "stats")["nnz"]
             self._kill_on(sharded._pool, "install_slab", monkeypatch)
@@ -307,11 +269,11 @@ class TestMigrationFaults:
             # complete slab under the unchanged map — no coordinate orphaned.
             assert sharded._pool.request(0, "stats")["nnz"] == source_nnz
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_kill_source_mid_discard_is_compensated(self, transport, monkeypatch):
+    @pytest.mark.parametrize("mode", PROCESS_MODES)
+    def test_kill_source_mid_discard_is_compensated(self, mode, monkeypatch):
         """Source dies after the install: the installed copy is rolled back
         so the old map (slab -> dead source) stays the single-owner truth."""
-        with self._loaded_matrix(transport) as sharded:
+        with self._loaded_matrix(mode) as sharded:
             epoch = sharded.map_epoch
             dest_nnz = sharded._pool.request(1, "stats")["nnz"]
             self._kill_on(sharded._pool, "discard_slab", monkeypatch, worker_filter=0)
@@ -404,15 +366,15 @@ class TestReplicaFailover:
             for _ in range(nbatches)
         ]
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_kill_primary_mid_stream_loses_nothing(self, transport):
+    @pytest.mark.parametrize("mode", PROCESS_MODES)
+    def test_kill_primary_mid_stream_loses_nothing(self, mode):
         batches = self._streams()
         flat = HierarchicalMatrix(2 ** 32, 2 ** 32, cuts=CUTS)
         for rows, cols, vals in batches:
             flat.update(rows, cols, vals)
         flat_matrix = flat.materialize()
         with ShardedHierarchicalMatrix(
-            2, cuts=CUTS, **_transport_kwargs(transport, replicas=1)
+            2, cuts=CUTS, **mode_kwargs(mode, replicas=1)
         ) as sharded:
             epoch0 = sharded.map_epoch
             for rows, cols, vals in batches[:3]:
@@ -435,11 +397,11 @@ class TestReplicaFailover:
                         flat_matrix.reduce_rowwise("plus")
                     )
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_failed_promotion_keeps_old_epoch(self, transport):
+    @pytest.mark.parametrize("mode", PROCESS_MODES)
+    def test_failed_promotion_keeps_old_epoch(self, mode):
         """Primary *and* replica dead: WorkerCrash, epoch untouched."""
         with ShardedHierarchicalMatrix(
-            2, cuts=CUTS, **_transport_kwargs(transport, replicas=1)
+            2, cuts=CUTS, **mode_kwargs(mode, replicas=1)
         ) as sharded:
             rng = np.random.default_rng(3)
             sharded.update(
@@ -458,12 +420,13 @@ class TestReplicaFailover:
             assert sharded.map_epoch == epoch0
             assert not pool.shard_alive(0) and not pool.has_live_replica(0)
 
-    def test_resync_restores_the_failure_budget(self):
+    @pytest.mark.parametrize("mode", PROCESS_MODES)
+    def test_resync_restores_the_failure_budget(self, mode):
         """After a failover, resync_replicas() re-arms a second failover."""
         batches = self._streams(seed=97, nbatches=4)
         flat = HierarchicalMatrix(2 ** 32, 2 ** 32, cuts=CUTS)
         with ShardedHierarchicalMatrix(
-            2, cuts=CUTS, use_processes=True, transport="queue", replicas=1
+            2, cuts=CUTS, **mode_kwargs(mode, replicas=1)
         ) as sharded:
             for rows, cols, vals in batches[:2]:
                 flat.update(rows, cols, vals)
@@ -485,14 +448,14 @@ class TestReplicaFailover:
                 _assert_bit_identical(sharded, flat.materialize())  # failover 2
             assert sharded.map_epoch == 2
 
-    def test_rebalance_with_replicas_stays_consistent(self):
+    @pytest.mark.parametrize("mode", PROCESS_MODES)
+    def test_rebalance_with_replicas_stays_consistent(self, mode):
         """Mirrored install/discard: a migration then a failover must agree
         with the flat reference — the replica tracked the slab moves."""
         batches = self._streams(seed=13, nbatches=5)
         flat = HierarchicalMatrix(2 ** 32, 2 ** 32, cuts=CUTS)
         with ShardedHierarchicalMatrix(
-            2, cuts=CUTS, partition="range",
-            use_processes=True, transport="queue", replicas=1,
+            2, cuts=CUTS, partition="range", **mode_kwargs(mode, replicas=1)
         ) as sharded:
             for rows, cols, vals in batches:
                 flat.update(rows, cols, vals)
@@ -505,8 +468,8 @@ class TestReplicaFailover:
             with deadline(60):
                 _assert_bit_identical(sharded, flat.materialize())
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_two_replicas_survive_sequential_double_kill(self, transport):
+    @pytest.mark.parametrize("mode", PROCESS_MODES)
+    def test_two_replicas_survive_sequential_double_kill(self, mode):
         """replicas=2: a second primary kill after the first promotion still
         fails over with zero lost updates (verified promotion picks a live,
         fully mirrored candidate both times)."""
@@ -516,7 +479,7 @@ class TestReplicaFailover:
             flat.update(rows, cols, vals)
         flat_matrix = flat.materialize()
         with ShardedHierarchicalMatrix(
-            2, cuts=CUTS, **_transport_kwargs(transport, replicas=2)
+            2, cuts=CUTS, **mode_kwargs(mode, replicas=2)
         ) as sharded:
             epoch0 = sharded.map_epoch
             pool = sharded._pool
@@ -540,7 +503,8 @@ class TestReplicaFailover:
                 assert sharded.map_epoch == epoch0 + 2
                 assert sharded.nvals == flat_matrix.nvals
 
-    def test_two_replicas_survive_simultaneous_double_kill(self):
+    @pytest.mark.parametrize("mode", PROCESS_MODES)
+    def test_two_replicas_survive_simultaneous_double_kill(self, mode):
         """replicas=2: primary AND first replica die in the same instant;
         verified promotion must skip the dead candidate and promote the
         surviving mirror — zero lost updates, one epoch bump."""
@@ -550,7 +514,7 @@ class TestReplicaFailover:
             flat.update(rows, cols, vals)
         flat_matrix = flat.materialize()
         with ShardedHierarchicalMatrix(
-            2, cuts=CUTS, use_processes=True, transport="queue", replicas=2
+            2, cuts=CUTS, **mode_kwargs(mode, replicas=2)
         ) as sharded:
             epoch0 = sharded.map_epoch
             pool = sharded._pool
@@ -581,8 +545,7 @@ class TestNodeFailover:
         flat_matrix = flat.materialize()
         with spawn_local_agents(2) as (addresses, procs):
             with ShardedHierarchicalMatrix(
-                2, cuts=CUTS, use_processes=True,
-                transport="socket", nodes=addresses, replicas=1,
+                2, cuts=CUTS, use_processes=True, nodes=addresses, replicas=1,
             ) as sharded:
                 epoch0 = sharded.map_epoch
                 for rows, cols, vals in batches[:3]:
@@ -604,8 +567,7 @@ class TestNodeFailover:
     def test_both_agents_dead_raises_epoch_intact(self):
         with spawn_local_agents(2) as (addresses, procs):
             with ShardedHierarchicalMatrix(
-                2, cuts=CUTS, use_processes=True,
-                transport="socket", nodes=addresses, replicas=1,
+                2, cuts=CUTS, use_processes=True, nodes=addresses, replicas=1,
             ) as sharded:
                 sharded.update([1, 2], [3, 4], 1.0)
                 epoch0 = sharded.map_epoch
@@ -630,12 +592,12 @@ class TestReplicaTrueRebalance:
     MIGRATION_STEPS = ["extract_slab", "install_slab", "discard_slab"]
 
     @staticmethod
-    def _loaded_with_flat(transport, replicas=1, seed=31, nbatches=3):
+    def _loaded_with_flat(mode, replicas=1, seed=31, nbatches=3):
         """Skewed range-partition stream (everything in shard 0's slab) plus
         the flat reference it must stay bit-identical to."""
         sharded = ShardedHierarchicalMatrix(
             2, cuts=CUTS, partition="range",
-            **_transport_kwargs(transport, replicas=replicas),
+            **mode_kwargs(mode, replicas=replicas),
         )
         flat = HierarchicalMatrix(2 ** 32, 2 ** 32, cuts=CUTS)
         rng = np.random.default_rng(seed)
@@ -647,16 +609,16 @@ class TestReplicaTrueRebalance:
             sharded.update(rows, cols, vals)
         return sharded, flat
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
+    @pytest.mark.parametrize("mode", PROCESS_MODES)
     @pytest.mark.parametrize("step", MIGRATION_STEPS)
     def test_kill_primary_mid_step_migration_completes(
-        self, transport, step, monkeypatch
+        self, mode, step, monkeypatch
     ):
         """Kill the acting primary at the dispatch of each migration step:
         the step's failover promotes a mirror that already executed its legs,
         the migration completes, and the budget check respawns the dead slot
         — no resync_replicas() from the caller, no lost or duplicated slab."""
-        sharded, flat = self._loaded_with_flat(transport)
+        sharded, flat = self._loaded_with_flat(mode)
         with sharded:
             epoch0 = sharded.map_epoch
             victim_shard = 1 if step == "install_slab" else 0
@@ -674,11 +636,12 @@ class TestReplicaTrueRebalance:
                 assert sharded.missing_replicas() == 0
                 _assert_bit_identical(sharded, flat.materialize())
 
-    def test_kill_primary_right_after_migration_loses_nothing(self):
+    @pytest.mark.parametrize("mode", PROCESS_MODES)
+    def test_kill_primary_right_after_migration_loses_nothing(self, mode):
         """Satellite regression: because the discard was mirrored, the
         replica promoted right after the migration holds exactly the
         post-migration slab set — nothing lost, nothing double-owned."""
-        sharded, flat = self._loaded_with_flat("queue")
+        sharded, flat = self._loaded_with_flat(mode)
         with sharded:
             report = sharded.rebalance()
             assert report is not None
@@ -696,11 +659,12 @@ class TestReplicaTrueRebalance:
             with deadline(60):
                 _assert_bit_identical(sharded, flat.materialize())
 
-    def test_dead_replica_is_resynced_during_rebalance(self):
+    @pytest.mark.parametrize("mode", PROCESS_MODES)
+    def test_dead_replica_is_resynced_during_rebalance(self, mode):
         """A mirror retired before the migration (its slot SIGKILLed) is
         respawned and resynced by the migration itself; the restored budget
         then survives a primary kill with zero loss."""
-        sharded, flat = self._loaded_with_flat("queue")
+        sharded, flat = self._loaded_with_flat(mode)
         with sharded:
             pool = sharded._pool
             replica = pool.replica_slots(0)[0]
@@ -724,7 +688,7 @@ class TestReplicaTrueRebalance:
         budget hands-off."""
         from repro.service import AutoRejoiner
 
-        sharded, flat = self._loaded_with_flat("queue")
+        sharded, flat = self._loaded_with_flat("local")
         with sharded:
             epoch0 = sharded.map_epoch
             pool = sharded._pool
@@ -771,8 +735,7 @@ class TestAgentRejoin:
         flat_matrix = flat.materialize()
         with spawn_local_agents(2) as (addresses, procs):
             with ShardedHierarchicalMatrix(
-                2, cuts=CUTS, use_processes=True,
-                transport="socket", nodes=addresses, replicas=1,
+                2, cuts=CUTS, use_processes=True, nodes=addresses, replicas=1,
             ) as sharded:
                 rejoiner = AutoRejoiner(
                     sharded, interval=1.0, max_backoff=4, clock=lambda: 0.0
@@ -833,18 +796,18 @@ class TestGatewayFaults:
     fault contract end to end.
 
     A SIGKILLed backend worker becomes a client-visible :class:`GatewayError`
-    at the next read (replicas=0) or an invisible failover with zero lost
+    at the next sync or read (replicas=0) or an invisible failover with zero lost
     acknowledged updates (replicas=1); a gateway closed mid-stream drains
     everything it accepted into the matrix and hangs up cleanly; a slow
     backend wire bounds the gateway's buffering instead of growing it.
     """
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_gateway_backend_kill_is_client_visible(self, transport):
+    @pytest.mark.parametrize("mode", PROCESS_MODES)
+    def test_gateway_backend_kill_is_client_visible(self, mode):
         from repro.service import GatewayClient, GatewayError, IngestGateway
 
         with ShardedHierarchicalMatrix(
-            2, cuts=CUTS, **_transport_kwargs(transport)
+            2, cuts=CUTS, **mode_kwargs(mode)
         ) as sharded:
             gw = IngestGateway(sharded, coalesce_updates=256, flush_interval=0.01)
             gw.start()
@@ -858,16 +821,19 @@ class TestGatewayFaults:
                     sharded._pool.processes[0].join(timeout=10)
                     with deadline(30):
                         # Un-replicated: the death surfaces as a loud reply
-                        # error on this connection, never a hang.
+                        # error on this connection, never a hang — at the
+                        # sync when the push into the dead shard failed, at
+                        # the read when the push was still buffered.
                         with pytest.raises(GatewayError, match="Worker"):
                             for _ in range(20):
                                 client.update(rows, rows, np.ones(500))
+                                client.sync()
                                 client.nnz()
             finally:
                 gw.close()
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_gateway_backend_kill_fails_over_zero_loss(self, transport):
+    @pytest.mark.parametrize("mode", PROCESS_MODES)
+    def test_gateway_backend_kill_fails_over_zero_loss(self, mode):
         """replicas=1: every acknowledged update survives a primary SIGKILL."""
         from repro.service import GatewayClient, IngestGateway
 
@@ -877,7 +843,7 @@ class TestGatewayFaults:
             flat.update(rows, cols, vals)
         flat_matrix = flat.materialize()
         with ShardedHierarchicalMatrix(
-            2, cuts=CUTS, **_transport_kwargs(transport, replicas=1)
+            2, cuts=CUTS, **mode_kwargs(mode, replicas=1)
         ) as sharded:
             epoch0 = sharded.map_epoch
             gw = IngestGateway(sharded, coalesce_updates=256, flush_interval=0.01)
@@ -918,7 +884,7 @@ class TestGatewayFaults:
             flat.update(rows, cols, vals)
         flat_matrix = flat.materialize()
         with ShardedHierarchicalMatrix(
-            2, cuts=CUTS, use_processes=True, transport="queue", replicas=1
+            2, cuts=CUTS, use_processes=True, replicas=1
         ) as sharded:
             rejoiner = AutoRejoiner(sharded, interval=0.05)
             gw = IngestGateway(
@@ -964,8 +930,6 @@ class TestGatewayFaults:
 
     def test_gateway_close_mid_stream_drains_cleanly(self):
         """Shutdown with a client mid-stream: everything accepted lands."""
-        import threading
-
         from repro.service import GatewayClient, GatewayError, IngestGateway
 
         with ShardedHierarchicalMatrix(2, cuts=CUTS) as sharded:
@@ -1007,33 +971,62 @@ class TestGatewayFaults:
             assert metrics["routed_updates"] == metrics["received_updates"] >= 1000
             assert sharded.incremental.total() == float(metrics["routed_updates"])
 
-    @requires_shm
     def test_gateway_slow_wire_bounds_buffering(self):
-        """A congested backend ring backpressures; gateway memory stays
-        one coalescer window, and nothing is lost or duplicated."""
+        """A congested backend wire backpressures: with the shard workers
+        stopped their sockets fill and the gateway parks routing instead of
+        buffering, so its memory stays one coalescer window; once the workers
+        resume, nothing is lost or duplicated."""
         from repro.service import GatewayClient, IngestGateway
 
+        rng = np.random.default_rng(19)
+        batches = []
+        for _ in range(60):
+            n = int(rng.integers(100, 400))
+            batches.append(
+                (
+                    rng.integers(0, 2 ** 16, n, dtype=np.uint64),
+                    rng.integers(0, 2 ** 16, n, dtype=np.uint64),
+                    rng.integers(1, 9, n).astype(np.float64),
+                )
+            )
+        sent = sum(rows.size for rows, _, _ in batches)
         flat = HierarchicalMatrix(2 ** 32, 2 ** 32, cuts=CUTS)
-        with ShardedHierarchicalMatrix(
-            2, cuts=CUTS, use_processes=True, transport="shm", ring_slots=256
-        ) as sharded:
-            gw = IngestGateway(sharded, coalesce_updates=256, flush_interval=0.01)
+        for rows, cols, vals in batches:
+            flat.update(rows, cols, vals)
+        with ShardedHierarchicalMatrix(2, cuts=CUTS, use_processes=True) as sharded:
+            # Pressure is unread wire bytes over the send buffer: a low band
+            # makes a few thousand stalled updates per shard congestion.
+            gw = IngestGateway(
+                sharded, coalesce_updates=256, flush_interval=0.01,
+                high_watermark=0.005, low_watermark=0.001,
+            )
             gw.start()
+            pids = [proc.pid for proc in sharded._pool.processes]
+            for pid in pids:
+                os.kill(pid, signal.SIGSTOP)
+            stopped = True
             try:
                 with GatewayClient(gw.address) as client:
-                    rng = np.random.default_rng(19)
-                    sent = 0
-                    for _ in range(60):
-                        n = int(rng.integers(100, 400))
-                        rows = rng.integers(0, 2 ** 16, n, dtype=np.uint64)
-                        cols = rng.integers(0, 2 ** 16, n, dtype=np.uint64)
-                        vals = rng.integers(1, 9, n).astype(np.float64)
-                        client.update(rows, cols, vals)
-                        flat.update(rows, cols, vals)
-                        sent += n
+                    # The client blocks in send once the parked gateway stops
+                    # reading it, so it streams from its own thread.
+                    producer = threading.Thread(
+                        target=lambda: [client.update(*batch) for batch in batches]
+                    )
+                    producer.start()
+                    with deadline(30):
+                        while gw.metrics()["backpressure_waits"] == 0:
+                            time.sleep(0.01)
+                    for pid in pids:
+                        os.kill(pid, signal.SIGCONT)
+                    stopped = False
+                    producer.join(timeout=30)
+                    assert not producer.is_alive()
                     with deadline(60):
                         assert client.sync()["acked"] == sent
             finally:
+                if stopped:
+                    for pid in pids:
+                        os.kill(pid, signal.SIGCONT)
                 gw.close()
             metrics = gw.metrics()
             # Bounded: the buffer never exceeded one coalescer window plus
@@ -1043,25 +1036,29 @@ class TestGatewayFaults:
                 _assert_bit_identical(sharded, flat.materialize())
 
 
-class TestRingLiveness:
-    @requires_shm
-    def test_ring_closed_error_names_the_worker(self):
-        with make_pool("shm") as pool:
+class TestForkedWorkerFds:
+    """Each forked worker holds only its own end of its ``socketpair``.
+
+    Closing the parent's end must therefore be the worker's EOF, with no
+    ``stop`` frame sent: a sibling — or a respawned slot — that inherited a
+    copy of that end would keep the connection open and the worker alive.
+    """
+
+    @pytest.mark.parametrize("respawn_first", [False, True])
+    @pytest.mark.parametrize("victim", [0, 1, 2])
+    def test_closing_the_parent_end_stops_the_worker(self, victim, respawn_first):
+        """Every slot position: slot 0's end is inherited by both later
+        forks, slot 2's by none, and a respawned slot 1 is forked last."""
+        with make_pool("local", nworkers=3) as pool:
             transport = pool._transport
-            transport._rings[0].mark_closed()
+            if respawn_first:
+                transport.respawn(1)  # forked while slots 0 and 2 are open
+            worker = pool.processes[victim]
+            transport._conns[victim].close()
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+            assert worker.exitcode == 0
+            # The siblings keep serving.
             with deadline(30):
-                with pytest.raises(WorkerCrash) as excinfo:
-                    rows = np.arange(10, dtype=np.uint64)
-                    pool.submit(0, "ingest", (rows, rows, np.ones(10)))
-            assert "worker 0" in str(excinfo.value)
-
-    def test_ring_closed_is_ring_specific(self):
-        from repro.distributed import ShmRing
-
-        ring = ShmRing(8)
-        try:
-            ring.mark_closed()
-            with pytest.raises(RingClosed):
-                ring.push(np.arange(4, dtype=np.uint64), np.arange(4, dtype=np.uint64))
-        finally:
-            ring.destroy()
+                for sibling in {0, 1, 2} - {victim}:
+                    assert pool.request(sibling, "stats")["updates"] == 0

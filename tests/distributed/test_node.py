@@ -3,7 +3,9 @@
 The conformance and fault batteries already exercise the socket transport
 end-to-end through :class:`~repro.distributed.ShardedHierarchicalMatrix`;
 these tests pin the layers *underneath* — the ``host:port`` address helpers,
-the length-prefixed frame codec, the agent's HELLO handshake as seen by a raw
+the length-prefixed frame codec (split across small kernel buffers,
+backpressured, randomized), the worker frame loop driven frame by frame in a
+thread, the agent's HELLO handshake as seen by a raw
 client socket, the pid-based :class:`~repro.distributed.RemoteWorkerHandle`
 surface the fault suite relies on, and the transport ``respawn`` contract
 that replica resync depends on (a replacement worker must get *fresh*
@@ -12,24 +14,32 @@ channels, never the dead worker's half-read ones).
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import signal
 import socket
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import HierarchicalMatrix
-from repro.distributed import ShardWorkerPool, WorkerCrash, shm_supported
+from repro.distributed import ShardWorkerPool, WorkerCrash
 from repro.distributed.node import (
     F_CONTROL,
     F_DATA,
+    F_DATA_KEYONLY,
+    F_DATA_PICKLED,
     F_HELLO,
     F_HELLO_ACK,
     F_REPLY,
     NodeAgent,
     RemoteWorkerHandle,
+    ValueCodec,
+    _serve_connection,
     format_address,
     parse_address,
     recv_frame,
@@ -38,16 +48,12 @@ from repro.distributed.node import (
     spawn_local_agents,
 )
 from repro.distributed.partition import partition_keyspace
-from repro.distributed.ringbuf import ValueCodec
 from repro.distributed.worker import ShardState
 from repro.graphblas import coords
 
-from .conftest import deadline
+from .conftest import PROCESS_MODES, deadline, mode_kwargs
 
 CUTS = [300, 3_000]
-
-#: Transports whose respawn contract is testable on this host.
-RESPAWN_TRANSPORTS = ["queue"] + (["shm"] if shm_supported(None) else [])
 
 
 class TestAddresses:
@@ -71,48 +77,248 @@ class TestAddresses:
         assert parse_address(format_address("a:1")) == ("a", 1)
 
 
+@contextlib.contextmanager
+def socket_pair(buffer_bytes=None):
+    """A connected ``socketpair``, closed on exit.  ``buffer_bytes`` shrinks
+    the kernel buffers so modest frames span many partial sends and receives."""
+    a, b = socket.socketpair()
+    try:
+        for end in (a, b) if buffer_bytes else ():
+            for opt in (socket.SO_SNDBUF, socket.SO_RCVBUF):
+                end.setsockopt(socket.SOL_SOCKET, opt, buffer_bytes)
+        yield a, b
+    finally:
+        a.close()
+        b.close()
+
+
 class TestFraming:
     def test_frame_round_trip(self):
-        a, b = socket.socketpair()
-        try:
+        with socket_pair() as (a, b):
             send_frame(a, F_DATA, b"\x01\x02\x03")
             send_pickled(a, F_CONTROL, ("stats", None))
             assert recv_frame(b) == (F_DATA, bytearray(b"\x01\x02\x03"))
             ftype, payload = recv_frame(b)
             assert ftype == F_CONTROL
             assert pickle.loads(bytes(payload)) == ("stats", None)
-        finally:
-            a.close()
-            b.close()
 
     def test_empty_payload_frame(self):
-        a, b = socket.socketpair()
-        try:
+        with socket_pair() as (a, b):
             send_frame(a, F_HELLO_ACK, b"")
             assert recv_frame(b) == (F_HELLO_ACK, bytearray(b""))
-        finally:
-            a.close()
-            b.close()
 
     def test_eof_at_boundary_returns_none(self):
-        a, b = socket.socketpair()
-        a.close()
-        try:
+        with socket_pair() as (a, b):
+            a.close()
             assert recv_frame(b) is None
-        finally:
-            b.close()
 
     def test_eof_mid_frame_returns_none(self):
-        a, b = socket.socketpair()
-        try:
-            # Header promises 100 payload bytes; only 10 arrive before EOF.
-            import struct
+        import struct
 
+        with socket_pair() as (a, b):
+            # Header promises 100 payload bytes; only 10 arrive before EOF.
             a.sendall(struct.pack("<BQ", F_DATA, 100) + b"x" * 10)
             a.close()
             assert recv_frame(b) is None
-        finally:
+
+    def test_payload_is_a_writable_buffer(self):
+        """Ingest arrays are built on the received buffer without a copy."""
+        keys = np.arange(8, dtype=np.uint64)
+        with socket_pair() as (a, b):
+            send_frame(a, F_DATA_KEYONLY, keys.tobytes())
+            ftype, payload = recv_frame(b)
+        view = np.frombuffer(payload, dtype=np.uint64)
+        assert ftype == F_DATA_KEYONLY and view.flags.writeable
+        assert np.array_equal(view, keys)
+
+    def test_frame_larger_than_the_socket_buffers_crosses_intact(self):
+        """A frame many times the kernel buffers arrives whole, in order."""
+        big = np.arange(1 << 17, dtype=np.uint64).tobytes()  # 1 MiB
+        received = []
+        with socket_pair(4096) as (a, b):
+            reader = threading.Thread(target=lambda: received.append(recv_frame(b)))
+            reader.start()
+            with deadline(30):
+                send_frame(a, F_DATA_KEYONLY, big)
+                send_frame(a, F_REPLY, b"after")
+            reader.join(timeout=30)
+            assert received == [(F_DATA_KEYONLY, bytearray(big))]
+            assert recv_frame(b) == (F_REPLY, bytearray(b"after"))
+
+    def test_full_buffers_block_the_sender_until_the_reader_drains(self):
+        """Backpressure: with nobody reading, a send larger than the buffers
+        cannot finish; it completes once the reader drains."""
+        payload = b"\x07" * (1 << 20)
+        done = threading.Event()
+        with socket_pair(4096) as (a, b):
+            sender = threading.Thread(
+                target=lambda: (send_frame(a, F_DATA_KEYONLY, payload), done.set())
+            )
+            sender.start()
+            assert not done.wait(0.1), "send must block while the buffers are full"
+            with deadline(30):
+                assert recv_frame(b) == (F_DATA_KEYONLY, bytearray(payload))
+            sender.join(timeout=30)
+            assert done.is_set()
+
+    def test_send_to_a_closed_peer_raises(self):
+        """A gone reader is an error at the sender, never a hang."""
+        with socket_pair() as (a, b):
             b.close()
+            with pytest.raises(OSError):
+                send_frame(a, F_DATA_KEYONLY, b"\x00" * 64)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        frames=st.lists(
+            st.tuples(
+                st.sampled_from([F_DATA, F_DATA_KEYONLY, F_CONTROL, F_REPLY]),
+                st.integers(min_value=0, max_value=40_000),
+            ),
+            min_size=1,
+            max_size=25,
+        )
+    )
+    def test_randomized_frame_stream_preserves_fifo_and_content(self, frames):
+        """Any mix of frame types and sizes — many straddling the small
+        kernel buffers — is read back frame for frame, byte for byte."""
+        sent = [
+            (ftype, np.random.default_rng(i).bytes(size))
+            for i, (ftype, size) in enumerate(frames)
+        ]
+        received = []
+        with socket_pair(4096) as (a, b):
+            reader = threading.Thread(
+                target=lambda: received.extend(recv_frame(b) for _ in sent)
+            )
+            reader.start()
+            for ftype, payload in sent:
+                send_frame(a, ftype, payload)
+            reader.join(timeout=30)
+            assert not reader.is_alive()
+        assert received == [(f, bytearray(p)) for f, p in sent]
+
+
+class TestWorkerLoop:
+    """:func:`_serve_connection` driven in a thread over a ``socketpair``.
+
+    This is the loop every process-backed worker runs; here the test plays
+    the router frame by frame, so decoding, ordering, error latching and
+    shutdown are pinned without any process in the way.
+    """
+
+    @staticmethod
+    @contextlib.contextmanager
+    def serving(matrix_kwargs=None):
+        router, worker = socket.socketpair()
+        kwargs = {"cuts": CUTS, **(matrix_kwargs or {})}
+        loop = threading.Thread(
+            target=_serve_connection, args=(worker, 0, kwargs), daemon=True
+        )
+        loop.start()
+        try:
+            yield router, loop
+        finally:
+            router.close()
+            loop.join(timeout=10)
+
+    @staticmethod
+    def request(router, cmd, payload=None):
+        send_pickled(router, F_CONTROL, (cmd, payload))
+        with deadline(30):
+            ftype, reply = recv_frame(router)
+        assert ftype == F_REPLY
+        return pickle.loads(bytes(reply))
+
+    def test_data_frame_applies_the_decoded_values(self):
+        spec = coords.shape_split(2 ** 32, 2 ** 32)
+        rows = np.arange(16, dtype=np.uint64)
+        vals = np.linspace(-2.0, 5.0, 16)
+        keys = coords.pack(rows, rows + 3, spec)
+        bits = ValueCodec(np.float64).encode(vals, 16)
+        with self.serving() as (router, _):
+            send_frame(router, F_DATA, keys.tobytes() + bits.tobytes())
+            assert self.request(router, "get", (5, 8)) == ("ok", vals[5])
+            assert self.request(router, "stats")[1]["total"] == pytest.approx(vals.sum())
+
+    def test_narrow_value_bits_decode_in_the_shard_type(self):
+        spec = coords.shape_split(2 ** 32, 2 ** 32)
+        rows = np.arange(4, dtype=np.uint64)
+        vals = np.array([-3, 127, -128, 9], dtype=np.int8)
+        keys = coords.pack(rows, rows, spec)
+        bits = ValueCodec(np.int8).encode(vals, 4)
+        with self.serving({"dtype": "int8"}) as (router, _):
+            send_frame(router, F_DATA, keys.tobytes() + bits.tobytes())
+            status, (got_rows, _, got_vals) = self.request(router, "materialize")
+            assert status == "ok"
+            assert got_vals.dtype == np.int8
+            assert np.array_equal(got_vals[np.argsort(got_rows)], vals)
+
+    def test_key_only_frame_applies_ones(self):
+        spec = coords.shape_split(2 ** 32, 2 ** 32)
+        rows = np.arange(10, dtype=np.uint64)
+        with self.serving() as (router, _):
+            send_frame(router, F_DATA_KEYONLY, coords.pack(rows, rows, spec).tobytes())
+            send_frame(router, F_DATA_KEYONLY, coords.pack(rows, rows, spec).tobytes())
+            assert self.request(router, "get", (7, 7)) == ("ok", 2.0)
+            assert self.request(router, "stats")[1]["updates"] == 20
+
+    def test_pickled_frame_carries_unpackable_shapes(self):
+        rows = np.array([2 ** 63 + 5, 2 ** 40], dtype=np.uint64)
+        cols = np.array([2 ** 62, 2 ** 64 - 1], dtype=np.uint64)
+        with self.serving({"nrows": 2 ** 64, "ncols": 2 ** 64}) as (router, _):
+            send_pickled(router, F_DATA_PICKLED, (rows, cols, np.array([1.5, 2.5])))
+            assert self.request(router, "get", (2 ** 63 + 5, 2 ** 62)) == ("ok", 1.5)
+            assert self.request(router, "get", (2 ** 40, 2 ** 64 - 1)) == ("ok", 2.5)
+
+    def test_replies_follow_frame_order(self):
+        """Every control is a barrier for exactly the ingest frames before
+        it: replies read after the whole burst still see running counts."""
+        spec = coords.shape_split(2 ** 32, 2 ** 32)
+        with self.serving() as (router, _):
+            for b in range(5):
+                rows = np.arange(b * 10, b * 10 + 10, dtype=np.uint64)
+                send_frame(router, F_DATA_KEYONLY, coords.pack(rows, rows, spec).tobytes())
+                send_pickled(router, F_CONTROL, ("stats", None))
+            counts = []
+            with deadline(30):
+                for _ in range(5):
+                    ftype, reply = recv_frame(router)
+                    assert ftype == F_REPLY
+                    counts.append(pickle.loads(bytes(reply))[1]["updates"])
+            assert counts == [10, 20, 30, 40, 50]
+
+    def test_ingest_error_is_latched_until_the_next_reply(self):
+        """A batch that fails to decode is reported by the next reply-bearing
+        command; the loop keeps serving and later batches apply."""
+        spec = coords.shape_split(2 ** 32, 2 ** 32)
+        rows = np.arange(3, dtype=np.uint64)
+        with self.serving() as (router, _):
+            send_frame(router, F_DATA_PICKLED, b"not a pickle")
+            status, trace = self.request(router, "stats")
+            assert status == "error" and "pickle" in trace.lower()
+            send_frame(router, F_DATA_KEYONLY, coords.pack(rows, rows, spec).tobytes())
+            assert self.request(router, "stats")[1]["updates"] == 3
+
+    def test_unknown_frame_types_are_ignored(self):
+        with self.serving() as (router, _):
+            send_frame(router, 200, b"from a newer router")
+            status, stats = self.request(router, "stats")
+            assert status == "ok" and stats["updates"] == 0
+
+    def test_stop_ends_the_loop_and_closes_the_connection(self):
+        with self.serving() as (router, loop):
+            send_pickled(router, F_CONTROL, ("stop", None))
+            with deadline(30):
+                assert recv_frame(router) is None
+            loop.join(timeout=10)
+            assert not loop.is_alive()
+
+    def test_eof_ends_the_loop(self):
+        with self.serving() as (router, loop):
+            router.shutdown(socket.SHUT_WR)
+            loop.join(timeout=10)
+            assert not loop.is_alive()
 
 
 class TestNodeAgent:
@@ -226,18 +432,16 @@ class TestRemoteWorkerHandle:
 class TestRespawnReplacesChannels:
     """Respawn after SIGKILL must hand the replacement *fresh* channels.
 
-    A worker killed mid-read can leave a partial message in its old task
-    pipe (which would hang the replacement's first read) and commands the
-    dead worker never consumed would produce replies nobody is waiting for.
+    A worker killed mid-read can leave a partial frame in its old connection
+    (which would hang the replacement's first read) and commands the dead
+    worker never consumed would produce replies nobody is waiting for.
     This pins the contract replica resync depends on: after ``respawn`` the
     slot serves requests from a clean, empty state.
     """
 
-    @pytest.mark.parametrize("transport", RESPAWN_TRANSPORTS)
-    def test_slot_usable_after_respawn(self, transport):
-        with ShardWorkerPool(
-            1, matrix_kwargs={"cuts": CUTS}, use_processes=True, transport=transport
-        ) as pool:
+    @pytest.mark.parametrize("mode", PROCESS_MODES)
+    def test_slot_usable_after_respawn(self, mode):
+        with ShardWorkerPool(1, matrix_kwargs={"cuts": CUTS}, **mode_kwargs(mode)) as pool:
             rows = np.arange(200, dtype=np.uint64)
             pool.submit(0, "ingest", (rows, rows + 1, np.ones(200)))
             # Kill while a long command is mid-flight so the death lands

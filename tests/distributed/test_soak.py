@@ -1,15 +1,16 @@
-"""Soak test: long randomized op interleaving over the zero-pickle wires.
+"""Soak test: long randomized op interleaving over the process wire.
 
 Marked ``slow``: a single long scenario rather than a property battery.  A
-process-backed sharded matrix on the shared-memory wire — and, since PR 7,
-on the socket wire through local :class:`~repro.distributed.NodeAgent`
-endpoints — absorbs a randomized interleaving of ``ingest`` / ``stats`` /
+process-backed sharded matrix — in both connection modes of the socket wire,
+forked over socket pairs and dialled through local
+:class:`~repro.distributed.NodeAgent` endpoints — absorbs a randomized
+interleaving of ``ingest`` / ``stats`` /
 ``materialize`` / ``reduce_incremental`` / ``finalize`` / point reads, and
 after *every* read the incrementally maintained tracker statistics must
 agree bit-for-bit with the materialize path and with a flat reference fed
 the same stream — i.e. the packed-key wire never drops, duplicates,
 reorders-across-a-barrier, or corrupts a batch no matter how reads and
-writes interleave with the transport's backpressure.
+writes interleave with the wire's backpressure.
 
 Deselect with ``-m "not slow"`` when iterating locally.
 """
@@ -22,11 +23,9 @@ import numpy as np
 import pytest
 
 from repro.core import HierarchicalMatrix
-from repro.distributed import (
-    ShardedHierarchicalMatrix,
-    shm_supported,
-    spawn_local_agents,
-)
+from repro.distributed import ShardedHierarchicalMatrix, spawn_local_agents
+
+from .conftest import PROCESS_MODES
 
 pytestmark = pytest.mark.slow
 
@@ -35,28 +34,12 @@ NSHARDS = 3
 OPS = 120
 MAX_BATCH = 400
 
-#: The wires under soak.  shm additionally needs the host to support
-#: shared-memory rings; socket runs everywhere a loopback TCP stack exists.
-WIRES = [
-    pytest.param(
-        "shm",
-        marks=pytest.mark.skipif(
-            not shm_supported(None),
-            reason="shm transport unavailable on this host",
-        ),
-    ),
-    pytest.param("socket"),
-]
-
 
 @contextlib.contextmanager
-def _soak_matrix(wire, partition):
-    kwargs = {"use_processes": True, "transport": wire}
-    if wire == "shm":
-        # Small rings so the soak exercises backpressure.
-        kwargs["ring_slots"] = 1 << 10
+def _soak_matrix(mode, partition):
     with contextlib.ExitStack() as stack:
-        if wire == "socket":
+        kwargs = {"use_processes": True}
+        if mode == "agent":
             addresses, _procs = stack.enter_context(spawn_local_agents(2))
             kwargs["nodes"] = addresses
         sharded = stack.enter_context(
@@ -64,17 +47,17 @@ def _soak_matrix(wire, partition):
                 NSHARDS, cuts=CUTS, partition=partition, **kwargs
             )
         )
-        assert sharded.transport == wire
+        assert sharded.transport == "socket"
         yield sharded
 
 
-@pytest.mark.parametrize("wire", WIRES)
+@pytest.mark.parametrize("mode", PROCESS_MODES)
 @pytest.mark.parametrize("partition", ["hash", "range"])
-def test_soak_interleaved_ops_stay_bit_identical(wire, partition):
+def test_soak_interleaved_ops_stay_bit_identical(mode, partition):
     rng = np.random.default_rng(2024)
     flat = HierarchicalMatrix(2 ** 32, 2 ** 32, cuts=CUTS)
     total = 0
-    with _soak_matrix(wire, partition) as sharded:
+    with _soak_matrix(mode, partition) as sharded:
         for step in range(OPS):
             op = rng.choice(
                 ["ingest", "ingest", "ingest", "stats", "materialize", "reduce", "get"]
@@ -150,7 +133,7 @@ def test_gateway_soak_concurrent_clients_bit_identical():
         sharded = stack.enter_context(
             ShardedHierarchicalMatrix(
                 NSHARDS, cuts=CUTS, partition="range",
-                use_processes=True, transport="socket", nodes=addresses,
+                use_processes=True, nodes=addresses,
             )
         )
         assert sharded.transport == "socket"

@@ -1,25 +1,22 @@
-"""Transport conformance suite: every wire must produce bit-identical results.
+"""Wire conformance suite: process-backed shards must be bit-identical.
 
-One battery runs over all four worker modes — in-process states, the queue
-transport (pickled FIFO queues), the shm transport (shared-memory ring
-buffers), and the socket transport (TCP connections to
-:class:`~repro.distributed.NodeAgent` endpoints, PR 7) — asserting that a
+One battery runs over the in-process mode and both connection modes of the
+process wire — ``"local"`` (forked over a ``socketpair``) and ``"agent"``
+(dialled :class:`~repro.distributed.NodeAgent`, the configuration the
+benchmark's sharded workload serves) — asserting that a
 :class:`~repro.distributed.ShardedHierarchicalMatrix` fed a stream
 ``materialize``s, ``get``s, and reduces bit-identically to a flat
 :class:`~repro.core.HierarchicalMatrix` fed the same stream.  Hypothesis
 drives shard counts, partitions, batch shapes, and both coordinate engines,
-so the guarantee that made the sharded engine shippable in PR 2 is now
-enforced *per transport* (PR 4) — a new wire cannot land without passing
-exactly this battery.
-
-CI runs the process-backed thirds separately via ``-k queue`` / ``-k shm`` /
-``-k socket`` (the transport matrix); the mode name is embedded in every
-test id.
+so the guarantee that made the sharded engine shippable in PR 2 is enforced
+on the frames every process-backed shard receives, for every value type the
+GraphBLAS layer defines.  The mode name is embedded in every test id.
 """
 
 from __future__ import annotations
 
 import contextlib
+import os
 
 import numpy as np
 import pytest
@@ -28,65 +25,21 @@ from hypothesis import strategies as st
 
 from repro.core import HierarchicalMatrix
 from repro.distributed import (
+    RemoteWorkerHandle,
     ShardedHierarchicalMatrix,
     ShardWorkerPool,
+    SocketTransport,
     ValueCodec,
-    make_transport,
-    shm_supported,
-    spawn_local_agents,
 )
 from repro.graphblas import coords
+from repro.graphblas.types import BUILTIN_TYPES, lookup_dtype
+
+from .conftest import PROCESS_MODES, agent_nodes, deadline, mode_kwargs
 
 CUTS = [500, 5_000]
 
-#: (mode id, ShardedHierarchicalMatrix kwargs).  The mode id is what the CI
-#: transport matrix selects with ``-k``.
-MODES = [
-    ("inproc", {"use_processes": False}),
-    ("queue", {"use_processes": True, "transport": "queue"}),
-    ("shm", {"use_processes": True, "transport": "shm"}),
-    ("socket", {"use_processes": True, "transport": "socket"}),
-]
-MODE_IDS = [m[0] for m in MODES]
-MODE_KWARGS = dict(MODES)
-
-#: Lazily spawned localhost NodeAgent pair serving every socket-mode test in
-#: this module (one pair for the module keeps the battery fast; each test's
-#: pool still forks fresh workers through them).  Torn down by the autouse
-#: fixture below.
-_SOCKET_AGENTS = None
-
-
-def _socket_nodes():
-    global _SOCKET_AGENTS
-    if _SOCKET_AGENTS is None:
-        cm = spawn_local_agents(2)
-        addresses, _procs = cm.__enter__()
-        _SOCKET_AGENTS = (cm, addresses)
-    return list(_SOCKET_AGENTS[1])
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _socket_agent_teardown():
-    yield
-    global _SOCKET_AGENTS
-    if _SOCKET_AGENTS is not None:
-        _SOCKET_AGENTS[0].__exit__(None, None, None)
-        _SOCKET_AGENTS = None
-
-
-def mode_kwargs(mode):
-    """Pool kwargs for one mode; socket mode gets the shared local agents.
-
-    Note the engine-toggle caveat: socket workers are forked by the agents,
-    which started before any test entered ``packing_disabled()`` — so the
-    lexsort examples exercise the toggle in the *reference* only.  Bit
-    identity must hold anyway (the engines' own conformance contract).
-    """
-    kwargs = dict(MODE_KWARGS[mode])
-    if kwargs.get("transport") == "socket":
-        kwargs["nodes"] = _socket_nodes()
-    return kwargs
+#: Modes of the framing and bit-identity batteries.
+MODE_IDS = ["inproc", *PROCESS_MODES]
 
 
 def mode_param():
@@ -300,7 +253,7 @@ class TestConformanceGrid:
 
     @mode_param()
     def test_ipv6_shape_served_via_fallback(self, mode):
-        """Full 64-bit shapes work in every mode (shm falls back to queue)."""
+        """Full 64-bit shapes work in every mode (pickled ingest frames)."""
         rng = np.random.default_rng(11)
         batches = [
             (
@@ -319,7 +272,7 @@ class TestRebalanceConformance:
     """Live slab migration must never be observable in results (PR 5).
 
     A sharded matrix that rebalances mid-stream — any schedule, either
-    partition, every transport — must stay bit-identical to the flat
+    partition, in-process, forked or agent-hosted — must stay bit-identical to the flat
     reference on materialize/get/reductions/incremental stats, because each
     coordinate still lands on exactly one shard in stream order (migration
     commands are barrier-ordered against in-flight batches, and the new map
@@ -521,8 +474,7 @@ def run_replicated_fault_battery(
         nshards,
         cuts=CUTS,
         partition=partition,
-        replicas=replicas,
-        **mode_kwargs(mode),
+        **mode_kwargs(mode, replicas=replicas),
     ) as sharded:
         pool = sharded._pool
         rejoiner = AutoRejoiner(sharded, interval=1.0, clock=lambda: 0.0)
@@ -585,10 +537,7 @@ class TestReplicatedRebalanceConformance:
     ``resync_replicas()`` anywhere.
     """
 
-    #: Process-backed wires only: replication needs workers that can die.
-    REPLICA_MODES = ["queue", "shm", "socket"]
-
-    @pytest.mark.parametrize("mode", REPLICA_MODES)
+    @pytest.mark.parametrize("mode", PROCESS_MODES)
     @settings(
         max_examples=4,
         deadline=None,
@@ -630,7 +579,7 @@ class TestReplicatedRebalanceConformance:
             kill_step=kill_step,
         )
 
-    @pytest.mark.parametrize("mode", REPLICA_MODES)
+    @pytest.mark.parametrize("mode", PROCESS_MODES)
     @pytest.mark.parametrize(
         "kill_step", ["extract_slab", "install_slab", "discard_slab"]
     )
@@ -676,15 +625,12 @@ class TestKeyOnlyFrames:
                     sharded.update(rows, cols, values)
             assert sharded.materialize().isequal(flat.materialize())
 
-    @pytest.mark.skipif(not shm_supported(None), reason="shm unavailable")
     def test_ones_batches_take_the_key_only_wire(self):
-        """The shm transport actually elides the value payload for ones."""
+        """The wire actually elides the value payload for ones."""
         rng = np.random.default_rng(23)
         rows = rng.integers(0, 2 ** 16, 100, dtype=np.uint64)
         cols = rng.integers(0, 2 ** 16, 100, dtype=np.uint64)
-        with ShardedHierarchicalMatrix(
-            1, cuts=CUTS, use_processes=True, transport="shm"
-        ) as sharded:
+        with ShardedHierarchicalMatrix(1, cuts=CUTS, use_processes=True) as sharded:
             transport = sharded._pool._transport
             sharded.update(rows, cols)  # default scalar 1
             assert transport.key_only_batches == 1
@@ -695,13 +641,12 @@ class TestKeyOnlyFrames:
             assert transport.key_only_batches == 2
             assert sharded.get(int(rows[0]), int(cols[0])) is not None
 
-    @pytest.mark.skipif(not shm_supported(None), reason="shm unavailable")
     def test_integer_dtype_ones_elide_too(self):
         """The ones test is dtype-aware: int64 shards elide exactly as fp64."""
         rows = np.arange(50, dtype=np.uint64)
         flat = HierarchicalMatrix(2 ** 32, 2 ** 32, "int64", cuts=CUTS)
         with ShardedHierarchicalMatrix(
-            2, dtype="int64", cuts=CUTS, use_processes=True, transport="shm"
+            2, dtype="int64", cuts=CUTS, use_processes=True
         ) as sharded:
             transport = sharded._pool._transport
             flat.update(rows, rows, 1)
@@ -713,74 +658,275 @@ class TestKeyOnlyFrames:
             assert sharded.materialize().isequal(flat.materialize())
 
 
-class TestTransportSelection:
-    def test_requested_transport_in_force(self):
-        # On weakly-ordered ISAs (shm_supported False) a shm request runs on
-        # the queue wire by design; the expectation follows the predicate.
-        expected_shm = "shm" if shm_supported(None) else "queue"
-        with ShardedHierarchicalMatrix(2, cuts=CUTS, use_processes=False) as s:
+def typed_values(rng, np_type, n):
+    """Random values spanning ``np_type``: the full range for integers (so
+    duplicate coordinates wrap around), exactly summable halves for floats
+    (so accumulation order cannot matter), both truth values for bool."""
+    if np_type == np.bool_:
+        return rng.integers(0, 2, n).astype(np.bool_)
+    if np.issubdtype(np_type, np.integer):
+        info = np.iinfo(np_type)
+        return rng.integers(info.min, info.max, n, dtype=np_type, endpoint=True)
+    return (rng.integers(-64, 64, n) * 0.5).astype(np_type)
+
+
+class TestValueTypes:
+    """Every GraphBLAS value type crosses the wire bit-identically.
+
+    8-byte types travel as their own bits and narrower ones zero-padded
+    (:class:`ValueCodec`), all-ones batches key-only; the worker decodes each
+    back into the shard's type, so a sharded matrix of any type must match
+    the flat reference entry for entry — integer wrap-around included.
+    """
+
+    @mode_param()
+    @pytest.mark.parametrize("dtype", [t.name for t in BUILTIN_TYPES])
+    def test_every_value_type_bit_identical(self, mode, dtype):
+        np_type = lookup_dtype(dtype).np_type
+        rng = np.random.default_rng(29)
+        flat = HierarchicalMatrix(2 ** 32, 2 ** 32, dtype, cuts=CUTS)
+        with ShardedHierarchicalMatrix(
+            2, dtype=dtype, cuts=CUTS, **mode_kwargs(mode)
+        ) as sharded:
+            for _ in range(3):
+                rows = rng.integers(0, 2 ** 10, 300, dtype=np.uint64)
+                cols = rng.integers(0, 2 ** 10, 300, dtype=np.uint64)
+                for values in (typed_values(rng, np_type, 300), 1, np_type.type(2)):
+                    flat.update(rows, cols, values)
+                    sharded.update(rows, cols, values)
+            expected = flat.materialize()
+            got = sharded.materialize()
+            assert got.dtype is expected.dtype is lookup_dtype(dtype)
+            assert got.isequal(expected)
+            if mode != "inproc":
+                # Each scalar-1 update reached both shards as key-only frames.
+                assert sharded._pool._transport.key_only_batches >= 6
+
+
+class TestWireLifecycle:
+    """The per-slot surface of :class:`SocketTransport` in both connection
+    modes: worker handles, respawn, close, the silent-control contract and
+    the backpressure watermark — driven on the transport itself, below the
+    pool."""
+
+    @staticmethod
+    def _transport(mode, nworkers=2):
+        nodes = agent_nodes() if mode == "agent" else None
+        return SocketTransport(nworkers, {"cuts": CUTS}, nodes=nodes)
+
+    @staticmethod
+    def _stats(transport, slot):
+        transport.send_control(slot, "stats")
+        with deadline(30):
+            status, stats = transport.recv_reply(slot)
+        assert status == "ok"
+        return stats
+
+    @pytest.mark.parametrize("mode", PROCESS_MODES)
+    def test_processes_are_live_worker_handles(self, mode):
+        import multiprocessing.process
+
+        transport = self._transport(mode)
+        try:
+            handles = transport.processes
+            assert len(handles) == 2
+            expected = (
+                multiprocessing.process.BaseProcess
+                if mode == "local"
+                else RemoteWorkerHandle
+            )
+            assert all(isinstance(h, expected) for h in handles)
+            assert all(h.is_alive() for h in handles)
+            pids = {h.pid for h in handles}
+            assert len(pids) == 2 and os.getpid() not in pids
+            assert all(transport.worker_alive(slot) for slot in range(2))
+        finally:
+            transport.close()
+
+    @pytest.mark.parametrize("mode", PROCESS_MODES)
+    def test_respawn_replaces_the_worker(self, mode):
+        """A respawned slot is a new, empty worker; the old one exits and the
+        sibling slot keeps its state."""
+        transport = self._transport(mode)
+        try:
+            rows = np.arange(40, dtype=np.uint64)
+            for slot in range(2):
+                transport.send_ingest(slot, rows, rows, np.full(40, 2.0))
+            old = transport.processes[0]
+            transport.respawn(0)
+            new = transport.processes[0]
+            assert new.pid != old.pid
+            old.join(timeout=10)
+            assert not old.is_alive()
+            assert self._stats(transport, 0)["updates"] == 0
+            assert self._stats(transport, 1)["updates"] == 40
+        finally:
+            transport.close()
+
+    @pytest.mark.parametrize("mode", PROCESS_MODES)
+    def test_close_is_idempotent_and_ends_every_worker(self, mode):
+        transport = self._transport(mode, nworkers=3)
+        handles = transport.processes
+        transport.close()
+        for handle in handles:
+            handle.join(timeout=10)
+            assert not handle.is_alive()
+        transport.close()
+
+    @pytest.mark.parametrize("mode", PROCESS_MODES)
+    def test_control_to_a_dead_worker_is_silent(self, mode):
+        """Sending a control to a dead worker never raises (a TCP peer's
+        reset can take a send or two to arrive, so several go out); the
+        death surfaces as a ``"died"`` reply naming the worker's pid."""
+        transport = self._transport(mode)
+        try:
+            victim = transport.processes[0]
+            victim.kill()
+            victim.join(timeout=10)
+            for _ in range(10):
+                transport.send_control(0, "stats")
+            with deadline(30):
+                status, message = transport.recv_reply(0)
+            assert status == "died"
+            assert str(victim.pid) in message
+            assert not transport.worker_alive(0)
+            assert self._stats(transport, 1)["updates"] == 0
+        finally:
+            transport.close()
+
+    @pytest.mark.parametrize("mode", PROCESS_MODES)
+    def test_drained_wire_reads_zero(self, mode):
+        """Both socket families measure their queue: a drained wire reads a
+        number (0.0), not "no signal"."""
+        transport = self._transport(mode)
+        try:
+            rows = np.arange(500, dtype=np.uint64)
+            transport.send_ingest(0, rows, rows, np.full(500, 3.0))
+            assert self._stats(transport, 0)["updates"] == 500
+            assert transport.ingest_watermark(0) == 0.0
+            assert transport.ingest_watermark(1) == 0.0
+        finally:
+            transport.close()
+
+    def test_stalled_worker_raises_the_watermark(self):
+        """Bytes a stopped worker has not read show up as wire pressure,
+        and drain back to zero once it resumes."""
+        import signal
+        import socket
+        import time
+
+        transport = self._transport("local", nworkers=1)
+        pid = transport.processes[0].pid
+        os.kill(pid, signal.SIGSTOP)
+        try:
+            with deadline(30):
+                while _proc_state(pid) != "T":
+                    time.sleep(0.001)
+            sndbuf = transport._conns[0].getsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF
+            )
+            # A quarter of the send buffer: enough to read as pressure,
+            # never enough to block the sender on the stopped worker.
+            n = 1_000
+            frames = max(sndbuf // 4 // (16 * n), 1)
+            rows = np.arange(n, dtype=np.uint64)
+            for b in range(frames):
+                transport.send_ingest(0, rows, rows + b, np.full(n, 2.0))
+            assert 0.1 <= transport.ingest_watermark(0) <= 1.0
+        finally:
+            os.kill(pid, signal.SIGCONT)
+        try:
+            assert self._stats(transport, 0)["updates"] == frames * n
+            assert transport.ingest_watermark(0) == 0.0
+        finally:
+            transport.close()
+
+
+def _proc_state(pid):
+    """The one-letter scheduler state of ``pid`` from ``/proc`` ("T" when
+    stopped)."""
+    with open(f"/proc/{pid}/stat", "rb") as fh:
+        return fh.read().rsplit(b")", 1)[-1].split()[0].decode()
+
+
+class TestWireSelection:
+    def test_wire_in_force(self):
+        with ShardedHierarchicalMatrix(2, cuts=CUTS) as s:
             assert s.transport == "inproc"
+        for mode in PROCESS_MODES:
+            with ShardedHierarchicalMatrix(2, cuts=CUTS, **mode_kwargs(mode)) as s:
+                assert s.transport == "socket"
+        # The one legal explicit value, as the bench passes it.
         with ShardedHierarchicalMatrix(
-            2, cuts=CUTS, use_processes=True, transport="queue"
-        ) as s:
-            assert s.transport == "queue"
-        with ShardedHierarchicalMatrix(
-            2, cuts=CUTS, use_processes=True, transport="shm"
-        ) as s:
-            assert s.transport == expected_shm
-
-    def test_shm_falls_back_to_queue_for_ipv6(self):
-        with ShardedHierarchicalMatrix(
-            2, 2 ** 64, 2 ** 64, cuts=CUTS, use_processes=True, transport="shm"
-        ) as s:
-            assert s.transport == "queue"
-
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ValueError):
-            ShardWorkerPool(1, use_processes=True, transport="carrier-pigeon")
-
-    def test_socket_requires_nodes(self):
-        with pytest.raises(ValueError):
-            make_transport("socket", 1, {"cuts": CUTS})
-
-    def test_socket_transport_in_force(self):
-        with ShardedHierarchicalMatrix(
-            2, cuts=CUTS, use_processes=True, transport="socket",
-            nodes=_socket_nodes(),
+            2, cuts=CUTS, transport="socket", **mode_kwargs("agent")
         ) as s:
             assert s.transport == "socket"
 
-    def test_shm_supported_predicate(self):
-        assert shm_supported({"nrows": 2 ** 32, "ncols": 2 ** 32})
-        assert shm_supported(None)
-        assert not shm_supported({"nrows": 2 ** 64, "ncols": 2 ** 64})
+    @pytest.mark.parametrize("name", ["queue", "carrier-pigeon"])
+    def test_removed_wires_rejected(self, name):
+        with pytest.raises(ValueError, match="removed"):
+            ShardedHierarchicalMatrix(2, cuts=CUTS, use_processes=True, transport=name)
 
-    def test_make_transport_fallback_object(self):
-        t = make_transport("shm", 1, {"nrows": 2 ** 64, "ncols": 2 ** 64})
-        try:
-            assert t.name == "queue"
-        finally:
-            t.close()
+    def test_local_workers_need_fork(self, monkeypatch):
+        """Without os.fork, local process-backed shards fail at construction;
+        the in-process default keeps working."""
+        monkeypatch.delattr(os, "fork")
+        with pytest.raises(RuntimeError, match="os.fork"):
+            ShardWorkerPool(1, matrix_kwargs={"cuts": CUTS}, use_processes=True)
+        with ShardedHierarchicalMatrix(2, cuts=CUTS) as s:
+            s.update([1], [2], 1.0)
+            assert s.get(1, 2) == 1.0
 
 
-def _pool_kwargs(transport):
-    """ShardWorkerPool kwargs per wire (socket needs the agent endpoints)."""
-    kwargs = {"use_processes": True, "transport": transport}
-    if transport == "socket":
-        kwargs["nodes"] = _socket_nodes()
-    return kwargs
+class TestRoutedPackCount:
+    """A routed batch is packed exactly once, by the router, in every mode.
+
+    The keys travel into the in-process shards and over both connection
+    modes as they are, so the parent's pack counter moves by one per routed
+    batch (for in-process shards that count includes the shards themselves)
+    — and not at all when the caller already holds the keys, as the gateway
+    does.
+    """
+
+    @pytest.mark.parametrize("mode", ["inproc", *PROCESS_MODES])
+    @pytest.mark.parametrize("nshards", [1, 3])
+    def test_one_pack_per_routed_batch(self, mode, nshards):
+        rng = np.random.default_rng(5)
+        batches = [
+            (
+                rng.integers(0, 2 ** 20, 300, dtype=np.uint64),
+                rng.integers(0, 2 ** 20, 300, dtype=np.uint64),
+                1 if i % 2 else rng.integers(1, 8, 300).astype(np.float64),
+            )
+            for i in range(6)
+        ]
+        flat = HierarchicalMatrix(2 ** 32, 2 ** 32, cuts=CUTS)
+        with ShardedHierarchicalMatrix(nshards, cuts=CUTS, **mode_kwargs(mode)) as sharded:
+            before = coords.pack_calls()
+            for rows, cols, vals in batches:
+                sharded.update(rows, cols, vals)
+            sharded.finalize()
+            assert coords.pack_calls() - before == len(batches)
+            keyed = [
+                (rows, cols, vals, coords.pack(rows, cols, sharded.router.spec))
+                for rows, cols, vals in batches
+            ]
+            before = coords.pack_calls()
+            for rows, cols, vals, keys in keyed:
+                sharded.update(rows, cols, vals, keys=keys)
+            sharded.finalize()
+            assert coords.pack_calls() == before
+            for rows, cols, vals in batches * 2:
+                flat.update(rows, cols, vals)
+            assert sharded.materialize().isequal(flat.materialize())
 
 
 class TestBarrierSemantics:
     """A reply-bearing command is a barrier for every earlier ingest."""
 
-    @pytest.mark.parametrize("transport", ["queue", "shm", "socket"])
-    def test_reads_observe_all_prior_batches(self, transport):
-        with ShardWorkerPool(
-            1,
-            matrix_kwargs={"cuts": CUTS},
-            **_pool_kwargs(transport),
-        ) as pool:
+    @pytest.mark.parametrize("mode", PROCESS_MODES)
+    def test_reads_observe_all_prior_batches(self, mode):
+        with ShardWorkerPool(1, matrix_kwargs={"cuts": CUTS}, **mode_kwargs(mode)) as pool:
             total = 0
             for b in range(20):
                 rows = np.arange(b * 50, b * 50 + 50, dtype=np.uint64)
@@ -790,21 +936,17 @@ class TestBarrierSemantics:
             assert stats["updates"] == total
             assert pool.request(0, "finalize")["total_updates"] == total
 
-    @pytest.mark.parametrize("transport", ["queue", "shm", "socket"])
-    def test_clear_then_reingest(self, transport):
-        with ShardWorkerPool(
-            1,
-            matrix_kwargs={"cuts": CUTS},
-            **_pool_kwargs(transport),
-        ) as pool:
+    @pytest.mark.parametrize("mode", PROCESS_MODES)
+    def test_clear_then_reingest(self, mode):
+        with ShardWorkerPool(1, matrix_kwargs={"cuts": CUTS}, **mode_kwargs(mode)) as pool:
             rows = np.arange(10, dtype=np.uint64)
             pool.submit(0, "ingest", (rows, rows, np.ones(10)))
             assert pool.request(0, "clear") is True
             pool.submit(0, "ingest", (rows, rows, np.full(10, 2.0)))
             assert pool.request(0, "get", (3, 3)) == 2.0
 
-    @pytest.mark.parametrize("transport", ["queue", "shm", "socket"])
-    def test_control_interleaved_with_ingest_preserves_fifo(self, transport):
+    @pytest.mark.parametrize("mode", PROCESS_MODES)
+    def test_control_interleaved_with_ingest_preserves_fifo(self, mode):
         """Commands submitted *between* batches must not see later batches.
 
         Regression test: submit ingest A, then ``clear``, then ingest B —
@@ -812,11 +954,7 @@ class TestBarrierSemantics:
         drains eagerly would apply both A and B before the clear and lose B;
         strict per-worker FIFO keeps exactly B.
         """
-        with ShardWorkerPool(
-            1,
-            matrix_kwargs={"cuts": CUTS},
-            **_pool_kwargs(transport),
-        ) as pool:
+        with ShardWorkerPool(1, matrix_kwargs={"cuts": CUTS}, **mode_kwargs(mode)) as pool:
             rows = np.arange(10, dtype=np.uint64)
             pool.submit(0, "ingest", (rows, rows, np.ones(10)))
             pool.submit(0, "clear")
@@ -827,14 +965,10 @@ class TestBarrierSemantics:
             assert pool.collect(0) == 2.0  # get: exactly batch B survived
             assert pool.collect(0)["updates"] == 10  # stats: B only
 
-    @pytest.mark.parametrize("transport", ["queue", "shm", "socket"])
-    def test_many_interleaved_controls_stay_ordered(self, transport):
+    @pytest.mark.parametrize("mode", PROCESS_MODES)
+    def test_many_interleaved_controls_stay_ordered(self, mode):
         """A stats burst between every batch observes exact running counts."""
-        with ShardWorkerPool(
-            1,
-            matrix_kwargs={"cuts": CUTS},
-            **_pool_kwargs(transport),
-        ) as pool:
+        with ShardWorkerPool(1, matrix_kwargs={"cuts": CUTS}, **mode_kwargs(mode)) as pool:
             for b in range(8):
                 rows = np.arange(b * 20, b * 20 + 20, dtype=np.uint64)
                 pool.submit(0, "ingest", (rows, rows, np.ones(20)))
@@ -872,7 +1006,8 @@ class TestValueCodec:
 
     def test_float32_signalling_nan_not_quieted(self):
         """Narrow floats cross as raw bytes: widening through float64 would
-        set the quiet bit on a signalling NaN and break queue/shm parity."""
+        set the quiet bit on a signalling NaN and break bit-identity with
+        in-process ingest."""
         codec = ValueCodec(np.float32)
         patterns = np.array(
             [0x7F800001, 0xFF800001, 0x7FC00000, 0x80000000], dtype=np.uint32

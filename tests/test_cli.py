@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import main_fig2, main_ingest, main_scaling, main_shard
+from repro.cli import main_fig2, main_gateway, main_ingest, main_scaling, main_shard
+from repro.distributed import format_address, spawn_local_agents
 
 
 class TestIngestCLI:
@@ -198,6 +199,48 @@ class TestShardCLI:
         assert payload["source"] == "replay"
         assert payload["total_updates"] == 100
         assert payload["global_nvals"] == 35  # 7 x 5 distinct coordinate pairs
+
+    def _process_backed_run(self, capsys, extra):
+        rc = main_shard(
+            ["--shards", "2", "--updates", "4000", "--batch-size", "1000",
+             "--cuts", "1000,10000", "--json", *extra]
+        )
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["transport"] == "socket"
+        assert payload["total_updates"] == 4000
+        assert sum(s["updates"] for s in payload["per_shard"]) == 4000
+
+    def test_processes_fork_local_workers(self, capsys):
+        self._process_backed_run(capsys, ["--processes"])
+
+    def test_nodes_imply_processes(self, capsys):
+        with spawn_local_agents(2) as (addresses, _procs):
+            nodes = ",".join(format_address(a) for a in addresses)
+            self._process_backed_run(capsys, ["--nodes", nodes])
+
+    def test_transport_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main_shard(["--processes", "--transport", "queue"])
+        assert exited.value.code == 2
+        assert "--transport" in capsys.readouterr().err
+
+
+class TestGatewayCLI:
+    def test_serve_forks_local_workers(self, capsys):
+        rc = main_gateway(
+            ["serve", "--processes", "--cuts", "1000,10000", "--duration", "0.1"]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert out.startswith("gateway listening on 127.0.0.1:")
+        assert "updates routed:        0" in out
+
+    def test_serve_transport_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main_gateway(["serve", "--processes", "--transport", "socket"])
+        assert exited.value.code == 2
+        assert "--transport" in capsys.readouterr().err
 
 
 class TestFig2CLI:
