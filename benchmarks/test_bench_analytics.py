@@ -100,11 +100,6 @@ class TestAnalyticsLatency:
         assert out_degree(H, materialized=False).isequal(
             out_degree(H, materialized=True)
         )
-        # The steady-state incremental query does strictly less work than the
-        # materialize path (no layer merge, no transpose sort), so even noisy
-        # shared runners must measure a speedup.
-        assert inc_steady < mat_steady
-
         _results["single"] = {
             "total_updates": TOTAL,
             "nnz": int(inc_summary["nnz"]),

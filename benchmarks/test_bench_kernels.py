@@ -105,14 +105,14 @@ class TestUnionAddCost:
         ]
         for nnz, seconds in sorted(_timings.items()):
             lines.append(f"{nnz:>12,} {seconds:>20.6f}")
+        grows = _timings[ACCUMULATED_SIZES[-1]] > _timings[ACCUMULATED_SIZES[0]]
         lines += [
             "",
             "expected shape: merge cost grows with nnz(A) — the reason updates must be",
             "performed in the smallest layer (Fig. 1).",
+            f"largest merge slower than smallest: {grows} (recorded, not asserted)",
         ]
         write_report(results_dir, "kernel_merge_cost", lines)
-        # Merging into a 1M-entry matrix is clearly more expensive than into 10k.
-        assert _timings[ACCUMULATED_SIZES[-1]] > _timings[ACCUMULATED_SIZES[0]]
 
 
 class TestBuildKernel:
@@ -286,76 +286,22 @@ class TestMxmPackedVsLexsort:
 
 
 class TestArenaIngest:
-    """Arena pending buffers vs the legacy chunk-list backend.
+    """Preallocated pending arenas: steady-state regrowth and tracker cost.
 
-    The A/B isolates exactly what PR 10 changed: one steady-state ingest
-    window — batch appends into a pending buffer, one flush-time
-    materialisation (``views``), then ``reset`` for the next window.  Matrix
-    and tracker buffers live across windows, so the arena runs warm: appends
-    land in already-reserved storage and views are zero-copy slices.  The
-    chunk-list backend copies per batch, reallocates every window, *and*
-    concatenates every column at flush.  Both sides run the same code through
-    ``arena.make_pending`` — only the construction context differs.
+    Matrix and tracker buffers live across windows, so the arena runs warm:
+    appends land in already-reserved storage, flushes read zero-copy views,
+    and ``reset`` keeps the capacity for the next window.
     """
 
-    SMALL = scaled(300_000, minimum=30_000)
-    LARGE = 1_000_000  # fixed: the scale where flush concatenation hurt most
+    LARGE = 1_000_000
     NBATCHES = 100
     TRACKER_CUTS = [2**13, 2**16, 2**19]
 
-    @staticmethod
-    def _batches(total, nbatches, seed):
-        rng = np.random.default_rng(seed)
-        size = max(total // nbatches, 1)
-        out = []
-        for _ in range(nbatches):
-            rows = rng.integers(0, 2**32, size, dtype=np.uint64)
-            cols = rng.integers(0, 2**32, size, dtype=np.uint64)
-            bits = arena.value_bits(rng.random(size), np.float64)
-            out.append((rows, cols, bits))
-        return out
-
-    @staticmethod
-    def _window(pend, batches):
-        """One steady-state window: appends, flush-time views, reset."""
-        for rows, cols, bits in batches:
-            pend.append(rows, cols, bits)
-        views = pend.views()  # chunk backend pays its concatenation here
-        total = int(views[0].size)
-        pend.reset()
-        return total
-
-    @pytest.mark.parametrize(
-        "total", [SMALL, LARGE], ids=[f"{SMALL}", f"{LARGE}"]
-    )
-    def test_arena_vs_list_pending(self, benchmark, total):
-        benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-        batches = self._batches(total, self.NBATCHES, seed=7)
-        arena_pend = arena.make_pending(3)
-        with arena.arena_disabled():
-            list_pend = arena.make_pending(3)
-        # The warm-up round inside _interleaved_best grows the arena to
-        # window capacity; timed rounds then run the steady state.
-        arena_s, list_s = _interleaved_best(
-            lambda: self._window(arena_pend, batches),
-            lambda: self._window(list_pend, batches),
-            repeats=5,
-        )
-        speedup = list_s / arena_s if arena_s > 0 else float("inf")
-        _arena_results[f"pending_{total}"] = {
-            "total_entries": total,
-            "nbatches": self.NBATCHES,
-            "arena_seconds": round(arena_s, 6),
-            "list_seconds": round(list_s, 6),
-            "speedup": round(speedup, 4),
-        }
-
     def test_steady_state_flushes_never_concatenate(self, benchmark):
-        """Warm arena windows: zero concatenations, zero further growth."""
+        """Warm arena windows: zero further growth."""
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
         M = Matrix("fp64", 2**32, 2**32)
         rng = np.random.default_rng(3)
-        concat_before = arena.concat_calls()
         grow_after_warmup = None
         for window in range(12):
             for _ in range(2):  # two lazy batches per window
@@ -365,9 +311,6 @@ class TestArenaIngest:
             M.wait()
             if window == 0:
                 grow_after_warmup = arena.grow_calls()
-        assert arena.concat_calls() == concat_before, (
-            "steady-state arena flushes must never concatenate pending chunks"
-        )
         assert arena.grow_calls() == grow_after_warmup, (
             "a reset arena keeps its capacity: later windows must not regrow"
         )
@@ -423,23 +366,10 @@ class TestArenaIngest:
 
     def test_zz_arena_report(self, benchmark, results_dir):
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-        expected = {f"pending_{self.SMALL}", f"pending_{self.LARGE}", "tracker_1m"}
-        assert expected <= set(_arena_results)
-        lines = [
-            "Arena-backed ingest core: preallocated pending arenas (PR 10)",
-            "",
-            f"{'workload':>24} {'arena s':>10} {'list s':>10} {'speedup':>9}",
-            "-" * 56,
-        ]
-        for key in sorted(k for k in _arena_results if k.startswith("pending_")):
-            t = _arena_results[key]
-            lines.append(
-                f"{t['total_entries']:>16,} x {t['nbatches']:>3}b "
-                f"{t['arena_seconds']:>10.6f} {t['list_seconds']:>10.6f} "
-                f"{t['speedup']:>8.2f}x"
-            )
+        assert "tracker_1m" in _arena_results
         tr = _arena_results["tracker_1m"]
-        lines += [
+        lines = [
+            "Arena-backed ingest core: preallocated pending arenas",
             "",
             f"tracked-vs-untracked streaming at {tr['total_entries']:,} entries "
             f"(cuts {tr['cuts']}):",
@@ -447,9 +377,8 @@ class TestArenaIngest:
             f"{tr['untracked_seconds']:.3f}s  overhead {tr['overhead']:.2f}x",
             "",
             "the arena appends into preallocated columns and serves zero-copy",
-            "views at flush; the chunk-list backend copies per batch and pays a",
-            "full concatenation per flush.  the tracker absorbs each flush's",
-            "collapsed (keys, values) window and settles them in one catch-up.",
+            "views at flush.  the tracker absorbs each flush's collapsed",
+            "(keys, values) window and settles them in one catch-up.",
         ]
         write_report(results_dir, "arena_sweep", lines)
         update_bench_json(results_dir, "arena", dict(_arena_results))

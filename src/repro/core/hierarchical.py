@@ -18,11 +18,11 @@ to stay in fast memory.
 
 Deferred layer-1 ingest
 -----------------------
-By default (``defer_ingest=True``) streaming batches are packed once into
-``uint64`` coordinate keys and *appended* to layer 1's pending buffer in O(n)
-instead of being eagerly sorted and merged; from there to the top layer (and
-into the reduction tracker) the keys are the only coordinate representation
-that moves — flushes and cascade merges never pack or unpack.
+Streaming batches are packed once into ``uint64`` coordinate keys and
+*appended* to layer 1's pending buffer in O(n) instead of being eagerly
+sorted and merged; from there to the top layer (and into the reduction
+tracker) the keys are the only coordinate representation that moves —
+flushes and cascade merges never pack or unpack.
 The cascade check counts pending tuples via the O(1)
 ``Matrix.nvals_upper_bound``; only when stored + pending crosses the first
 cut :math:`c_1` does layer 1 pay one ``wait()`` (sort + collapse + merge,
@@ -33,6 +33,9 @@ streaming resumes; cascades themselves still fire on the exact post-collapse
 ``nnz(A_1) > c_1`` condition, so the cascade pattern (and the final matrix)
 is identical to eager ingest.  Queries (``materialize``, ``get``,
 ``layer_nvals`` ...) force the flush, so readers never observe pending state.
+Deferral regroups batches (collapse first, then one merge), which equals
+batch-by-batch merging only for associative accumulators; ``Matrix.build``
+ingests non-associative ones (``minus``, ``div`` ...) eagerly.
 
 Incremental reductions
 ----------------------
@@ -87,14 +90,6 @@ class HierarchicalMatrix:
     track_stats:
         Maintain an :class:`~repro.core.stats.UpdateStats` instance (small
         constant overhead; enabled by default).
-    defer_ingest:
-        When True (default) streaming updates append to layer 1's pending
-        buffer in O(n) and the sort/merge is deferred until the pending count
-        crosses the first cut (see the module docstring).  Deferral requires
-        an associative ``accum`` (it regroups batches); non-associative
-        accumulators automatically use eager ingest.  Set False to force the
-        pre-packed eager behaviour, mainly useful for benchmarking the
-        deferred path against it.
     track_reductions:
         When True (default) maintain incremental row/col reduction vectors
         (degrees, fans, total traffic, exact nnz) updated per ingest batch
@@ -123,7 +118,6 @@ class HierarchicalMatrix:
         policy: Optional[CutPolicy] = None,
         accum: Optional[BinaryOp] = None,
         track_stats: bool = True,
-        defer_ingest: bool = True,
         track_reductions: bool = True,
         name: str = "",
     ):
@@ -140,11 +134,6 @@ class HierarchicalMatrix:
         self._nrows = int(nrows)
         self._ncols = int(ncols)
         self._accum = accum if accum is not None else binary.plus
-        # Deferred ingest regroups the pending batches (collapse first, then
-        # one merge), which only equals batch-by-batch eager merging for
-        # associative accumulators; non-associative ones (minus, div ...)
-        # silently fall back to eager ingest.
-        self._defer_ingest = bool(defer_ingest) and self._accum.associative
         self._layers: List[Matrix] = [
             Matrix(self._dtype, self._nrows, self._ncols, name=f"{name}A{i + 1}")
             for i in range(self._nlevels)
@@ -164,8 +153,9 @@ class HierarchicalMatrix:
         # and the tracker backlog in lockstep, so the layer-1 flush's sorted,
         # collapsed output can serve the tracker's drain for free (the hook
         # declines and falls back to its own sort on any misalignment).
-        # Shapes with no 64-bit key have nothing to hand over.
-        if self._defer_ingest and self._incremental.fan_supported:
+        # Shapes with no 64-bit key have nothing to hand over; fan support
+        # implies ``plus``, so layer 1 always defers when the hook is set.
+        if self._incremental.fan_supported:
             self._layers[0].flush_hook = self._incremental.absorb_flush
         self.name = name
 
@@ -321,9 +311,7 @@ class HierarchicalMatrix:
         # No defensive copies: both the layer-1 pending buffer and the
         # tracker backlog are preallocated arenas that copy at append time,
         # so caller-owned arrays are safe to reuse immediately.
-        self._layers[0].build(
-            r, c, values, dup_op=self._accum, lazy=self._defer_ingest, keys=keys
-        )
+        self._layers[0].build(r, c, values, dup_op=self._accum, lazy=True, keys=keys)
         if self._stats is not None:
             self._stats.record_update(int(r.size if keys is None else keys.size))
             self._stats.record_layer_size(0, self._layers[0].nvals_upper_bound)
@@ -341,20 +329,8 @@ class HierarchicalMatrix:
                 f"update_matrix requires shape {self.shape}, got {other.shape}"
             )
         start = time.perf_counter()
-        if self._defer_ingest:
-            r, c, v = other.extract_tuples()
-            return self._ingest(start, r, c, self._layers[0].pack_batch(r, c), v)
-        n = other.nvals
-        self._layers[0].update(other, accum=self._accum)
-        if self._incremental.supported:
-            self._incremental.observe_matrix(*other.extract_tuples())
-        if self._stats is not None:
-            self._stats.record_update(n)
-            self._stats.record_layer_size(0, self._layers[0].nvals_upper_bound)
-        self._cascade()
-        if self._stats is not None:
-            self._stats.elapsed_seconds += time.perf_counter() - start
-        return self
+        r, c, v = other.extract_tuples()
+        return self._ingest(start, r, c, self._layers[0].pack_batch(r, c), v)
 
     def insert(self, row: int, col: int, value=1) -> "HierarchicalMatrix":
         """Add a single element (convenience wrapper around :meth:`update`)."""
@@ -439,8 +415,8 @@ class HierarchicalMatrix:
         reduction tracker is unaffected (it drains on its own schedule).
         Measurement harnesses call this at the end of the timed loop so the
         reported ingest rate includes the sort/merge work that deferred ingest
-        postponed; it is a no-op under eager ingest.  Returns ``self`` for
-        chaining.
+        postponed; it is a no-op under a non-associative ``accum``, which
+        ingests eagerly.  Returns ``self`` for chaining.
         """
         if self._layers[0].has_pending:
             self._layers[0].wait()

@@ -247,11 +247,11 @@ class IncrementalReductions:
         # last aligned flush buffer as (packed key, value-bits) columns —
         # appends are memcpys; an unpackable shape buffers (row, col,
         # value-bits) instead and drains with per-axis sorts.
-        self._backlog = arena.make_pending(2 if self._fan_supported else 3)
+        self._backlog = arena.PendingArena(2 if self._fan_supported else 3)
         # Collapsed (key, value-bits) windows inherited from layer-1 flushes
         # (see :meth:`absorb_flush`) plus drained backlog, awaiting one
         # fused catch-up that serves all four vectors and the key cascade.
-        self._segments = arena.make_pending(2)
+        self._segments = arena.PendingArena(2)
         self._drain_interval = max(int(drain_interval), 1)
         #: Flush windows whose sort/collapse the tracker inherited for free
         #: (:meth:`absorb_flush`), catch-ups over the deferred segments, and
@@ -284,8 +284,11 @@ class IncrementalReductions:
     # ingest-side hook
     # ------------------------------------------------------------------ #
 
-    def observe(self, rows, cols, values=1, *, copy: bool = True, keys=None) -> None:
+    def observe(self, rows, cols, values=1, *, keys=None) -> None:
         """Record one ingest batch (O(batch): appends only, no sort/merge).
+
+        The backlog arena copies the batch at append time, so callers may
+        reuse their buffers immediately.
 
         Parameters
         ----------
@@ -295,10 +298,6 @@ class IncrementalReductions:
         values:
             Per-coordinate values or a scalar broadcast over the batch (a
             fill of the backlog's value column, never an ``np.full``).
-        copy:
-            Accepted for API compatibility.  The backlog arena copies every
-            batch at append time (canonicalising values to raw bits in the
-            same pass), so callers may reuse their buffers either way.
         keys:
             The batch already packed under ``coords.shape_split(nrows,
             ncols)`` — what the owning hierarchy appended to layer 1.
@@ -322,10 +321,6 @@ class IncrementalReductions:
         self._backlog.append(*batch, arena.value_bits(values, self._dtype.np_type))
         if self._backlog.used >= self._drain_interval:
             self._drain()
-
-    def observe_matrix(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
-        """Record an already-extracted triple set (ownership transfers)."""
-        self.observe(rows, cols, vals, copy=False)
 
     def _group_reduce(self, sorted_idx: np.ndarray, sorted_vals: Optional[np.ndarray]):
         """Collapse runs of equal indices in sorted order.
@@ -569,7 +564,7 @@ class IncrementalReductions:
         self.reset()
         if not self._supported:
             return
-        self.observe(rows, cols, vals, copy=False)
+        self.observe(rows, cols, vals)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = (

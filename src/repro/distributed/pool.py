@@ -108,7 +108,7 @@ class ShardWorkerPool:
     matrix_kwargs:
         Constructor arguments for every worker's private
         :class:`~repro.core.HierarchicalMatrix` (``nrows``, ``ncols``,
-        ``dtype``, ``cuts``, ``defer_ingest`` ...).  ``accum`` may be given as
+        ``dtype``, ``cuts``, ``track_stats`` ...).  ``accum`` may be given as
         an operator *name* so it crosses the process boundary.
     use_processes:
         When True each worker is a separate long-lived process on the

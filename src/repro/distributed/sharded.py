@@ -413,7 +413,7 @@ class ShardedHierarchicalMatrix:
         bumped map epoch.  A shard whose primary *and* replicas are all
         dead raises :class:`~repro.distributed.worker.WorkerCrash` and
         leaves the epoch untouched.
-    defer_ingest / track_stats / track_reductions:
+    track_stats / track_reductions:
         Forwarded to every shard's :class:`~repro.core.HierarchicalMatrix`;
         ``track_reductions`` (default True) maintains each shard's incremental
         reduction vectors, served globally through :attr:`incremental`.
@@ -444,7 +444,6 @@ class ShardedHierarchicalMatrix:
         transport: str = "socket",
         nodes: Optional[Sequence] = None,
         replicas: int = 0,
-        defer_ingest: bool = True,
         track_stats: bool = True,
         track_reductions: bool = True,
         name: str = "",
@@ -467,7 +466,6 @@ class ShardedHierarchicalMatrix:
             "nrows": int(nrows),
             "ncols": int(ncols),
             "dtype": self._dtype.name,
-            "defer_ingest": bool(defer_ingest),
             "track_stats": bool(track_stats),
             "track_reductions": bool(track_reductions),
         }

@@ -135,7 +135,7 @@ class Matrix:
         # Pending (key, value-bits) pairs live in a preallocated arena:
         # appends are memcpys (a scalar value is a fill), the flush sorts the
         # used prefix directly — no per-flush concatenation.
-        self._pend = arena.make_pending(2)
+        self._pend = arena.PendingArena(2)
         self._pend_op: Optional[BinaryOp] = None
 
     # ------------------------------------------------------------------ #
@@ -188,7 +188,7 @@ class Matrix:
         """
         self._coo()
         pending_keys, bits = self._pend.views()
-        pend = arena.make_pending(3)
+        pend = arena.PendingArena(3)
         pend.append(*coords.unpack(pending_keys, self._spec), bits)
         self._keys, self._pend, self._spec = None, pend, None
 
@@ -519,7 +519,6 @@ class Matrix:
         dup_op: Optional[BinaryOp] = None,
         clear: bool = False,
         lazy: bool = False,
-        copy: bool = True,
         keys: Optional[np.ndarray] = None,
     ) -> "Matrix":
         """Insert a batch of coordinate triples.
@@ -544,10 +543,6 @@ class Matrix:
         ``keys`` hands in the batch already validated and packed by
         :meth:`pack_batch` (or checked by :meth:`check_keys`); ``rows`` and
         ``cols`` are then ignored and may be ``None``.
-
-        ``copy`` is accepted for API compatibility: the pending arena copies
-        every batch at append time, so both values are equally safe and
-        callers may mutate or reuse their arrays immediately.
         """
         if clear:
             self.clear()

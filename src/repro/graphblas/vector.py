@@ -80,7 +80,7 @@ class Vector:
         self._vals = np.empty(0, dtype=self._dtype.np_type)
         # Pending (index, value-bits) pairs live in a preallocated arena:
         # appends are memcpys, the flush sorts the used prefix directly.
-        self._pend = arena.make_pending(2)
+        self._pend = arena.PendingArena(2)
         self._pend_op: Optional[BinaryOp] = None
         self.name = name
 
@@ -238,7 +238,7 @@ class Vector:
             )
 
     def build(self, indices, values=1, *, dup_op: Optional[BinaryOp] = None,
-              clear: bool = False, lazy: bool = False, copy: bool = True) -> "Vector":
+              clear: bool = False, lazy: bool = False) -> "Vector":
         """Insert a batch of (index, value) pairs, merging with ``dup_op`` (default plus).
 
         Parameters
@@ -257,10 +257,6 @@ class Vector:
             ``Matrix.build(lazy=True)``.  Requires an associative ``dup_op``
             (deferral regroups batches); non-associative operators ignore
             ``lazy`` and build eagerly.
-        copy:
-            Accepted for API compatibility.  The pending arena copies every
-            batch at append time, so both values are equally safe — callers
-            may mutate or reuse their arrays immediately.
         """
         if clear:
             self.clear()

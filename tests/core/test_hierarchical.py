@@ -1,10 +1,14 @@
 """Tests for the hierarchical hypersparse matrix (the paper's core algorithm)."""
 
+import contextlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import FixedCuts, GeometricCuts, HierarchicalMatrix
-from repro.graphblas import Matrix, arena, binary
+from repro.graphblas import Matrix, arena, binary, coords
 from repro.graphblas.errors import DimensionMismatch, InvalidValue
 
 
@@ -111,6 +115,28 @@ class TestUpdateSemantics:
         M = Matrix.from_coo([1, 2], [3, 4], [1.0, 1.0], nrows=100, ncols=100)
         H.update_matrix(M)
         assert H.get(1, 3) == 1.0
+
+    @pytest.mark.parametrize("accum", [binary.plus, binary.max, binary.minus])
+    def test_update_matrix_equals_update(self, accum):
+        """``update_matrix(M)`` is ``update`` of M's tuples, under any accumulator.
+
+        The ``plus`` tracker after ``update_matrix`` is checked against the
+        materialize-based reductions in ``test_reductions.py``.
+        """
+        rng = np.random.default_rng(11)
+        (first,) = random_updates(rng, nbatches=1, batch=60, space=12)
+        M = Matrix.from_coo(*first, nrows=2**32, ncols=2**32)
+        later = random_updates(rng, nbatches=3, batch=20, space=12)
+        via_matrix = HierarchicalMatrix(2**32, 2**32, cuts=[8, 32], accum=accum)
+        via_update = HierarchicalMatrix(2**32, 2**32, cuts=[8, 32], accum=accum)
+        via_matrix.update_matrix(M)
+        via_update.update(*M.extract_tuples())
+        for batch in later:
+            via_matrix.update(*batch)
+            via_update.update(*batch)
+        assert via_matrix.stats.cascades == via_update.stats.cascades
+        assert via_matrix.layer_nvals == via_update.layer_nvals
+        assert via_matrix.materialize().isequal(via_update.materialize(), check_dtype=True)
 
     def test_update_matrix_shape_check(self):
         H = HierarchicalMatrix(nrows=100, ncols=100, cuts=[10])
@@ -240,6 +266,74 @@ class TestCorrectness:
         H.update([1], [1], [2.0])
         H.update([1], [1], [9.0])
         assert H.get(1, 1) == 2.0
+
+
+def cascade_model(cuts, batches):
+    """The paper's cut rule over per-layer coordinate sets (eager ingest).
+
+    Each batch is added into layer 1; then, from the bottom up, a layer
+    whose distinct-coordinate count exceeds its cut is added into the next
+    layer and cleared, stopping at the first layer within its cut.
+    """
+    layers = [set() for _ in range(len(cuts) + 1)]
+    cascades = [0] * len(layers)
+    for batch in batches:
+        layers[0].update(batch)
+        for i, cut in enumerate(cuts):
+            if len(layers[i]) <= cut:
+                break
+            layers[i + 1] |= layers[i]
+            layers[i] = set()
+            cascades[i] += 1
+    return cascades, tuple(len(layer) for layer in layers)
+
+
+class TestCascadeSchedule:
+    """Deferred ingest cascades exactly where eager ingest would.
+
+    Layer 1 checks its cut against the O(1) stored + pending bound and only
+    flushes when the bound crosses it, but the cascade itself must fire at
+    the first batch after which the *collapsed* ``nnz(A_i) > c_i`` — the
+    schedule of the set model above, whatever the batch sizes, duplicates,
+    and reads in between.
+    """
+
+    READS = {
+        "get": lambda H: H.get(1, 1),
+        "layer_nvals": lambda H: H.layer_nvals,
+        "nnz": lambda H: H.incremental.nnz() if H.incremental.fan_supported else H.nvals,
+        "wait": lambda H: H.wait(),
+    }
+
+    # 2^32 shapes stay keyed; 2^63-offset coordinates on a 2^64 shape
+    # demote layer 1 to the dual-key store on the first batch.
+    @pytest.mark.parametrize("dim,offset", [(2**32, 0), (2**64, 2**63)], ids=["keyed", "dual"])
+    @given(
+        cuts=st.lists(st.integers(1, 40), min_size=1, max_size=3).map(sorted),
+        space=st.sampled_from([2, 4, 8, 64]),
+        steps=st.lists(
+            st.tuples(
+                st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63)), max_size=30),
+                st.sampled_from([None, *READS]),
+            ),
+            max_size=25,
+        ),
+        packed=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_schedule_matches_set_model(self, dim, offset, cuts, space, steps, packed):
+        batches = [[(r % space, c % space) for r, c in pairs] for pairs, _ in steps]
+        H = HierarchicalMatrix(dim, dim, cuts=cuts)
+        with coords.packing_disabled() if not packed else contextlib.nullcontext():
+            for batch, (_, read) in zip(batches, steps):
+                rows = np.array([r + offset for r, _ in batch], dtype=np.uint64)
+                cols = np.array([c + offset for _, c in batch], dtype=np.uint64)
+                H.update(rows, cols, 1.0)
+                if read is not None:
+                    self.READS[read](H)
+            cascades, layer_nvals = cascade_model(cuts, batches)
+            assert H.stats.cascades == cascades
+            assert H.layer_nvals == layer_nvals
 
 
 class TestStatsTracking:

@@ -152,17 +152,9 @@ class TestIncrementalFlat:
     def test_update_matrix_paths(self):
         other = Matrix.from_coo([1, 2, 2], [10, 20, 20], [1.0, 2.0, 3.0],
                                 nrows=2 ** 32, ncols=2 ** 32)
-        for defer in (True, False):
-            H = HierarchicalMatrix(2 ** 32, 2 ** 32, cuts=CUTS, defer_ingest=defer)
-            H.update_matrix(other)
-            H.update([1], [10], [4.0])
-            assert_incremental_matches(H.incremental, H.materialize())
-
-    def test_eager_ingest_matches_too(self):
-        batches = random_batches(seed=11, nbatches=3)
-        H = HierarchicalMatrix(2 ** 32, 2 ** 32, cuts=CUTS, defer_ingest=False)
-        for b in batches:
-            H.update(*b)
+        H = HierarchicalMatrix(2 ** 32, 2 ** 32, cuts=CUTS)
+        H.update_matrix(other)
+        H.update([1], [10], [4.0])
         assert_incremental_matches(H.incremental, H.materialize())
 
     def test_clear_resets(self):
@@ -372,6 +364,30 @@ class TestIncrementalSharded:
             for b in batches:
                 sharded.update(*b)
             assert_incremental_matches(sharded.incremental, reference)
+
+    @given(
+        seed=st.integers(0, 99),
+        nbatches=st.integers(1, 4),
+        nshards=st.sampled_from([1, 2, 3]),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_small_cut_streams(self, seed, nbatches, nshards):
+        """Dense streams cascade deep in every shard (cuts 16/128), tracker exact.
+
+        The flat case of the same shape is ``test_property_bit_identity``.
+        """
+        rng = np.random.default_rng(seed)
+        flat = Matrix("fp64", 2 ** 32, 2 ** 32)
+        with ShardedHierarchicalMatrix(nshards, cuts=[16, 128]) as sharded:
+            for _ in range(nbatches):
+                batch = (
+                    rng.integers(0, 50, 40, dtype=np.uint64),
+                    rng.integers(0, 50, 40, dtype=np.uint64),
+                    rng.integers(1, 6, 40).astype(np.float64),
+                )
+                flat.build(*batch)
+                sharded.update(*batch)
+            assert_incremental_matches(sharded.incremental, flat)
 
     @pytest.mark.parametrize("nshards", [2, 4])
     def test_bit_identical_lexsort_engine(self, nshards):

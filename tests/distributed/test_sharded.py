@@ -23,7 +23,7 @@ from repro.distributed import (
     ingest_worker,
     stream_powerlaw,
 )
-from repro.graphblas import Matrix, coords
+from repro.graphblas import Matrix, binary, coords
 from repro.workloads import synthetic_packets
 
 CUTS = [500, 5_000]
@@ -90,8 +90,11 @@ class TestTimedFinalFlushFix:
         assert not matrix.layers[0].has_pending
 
     def test_hierarchical_wait_is_noop_when_eager(self):
-        matrix = HierarchicalMatrix(2 ** 32, 2 ** 32, cuts=CUTS, defer_ingest=False)
+        matrix = HierarchicalMatrix(
+            2 ** 32, 2 ** 32, cuts=CUTS, accum=binary.minus
+        )
         matrix.update([1, 2], [3, 4], [1.0, 1.0])
+        assert not matrix.layers[0].has_pending
         assert matrix.wait() is matrix
         assert matrix.get(1, 3) == 1.0
 

@@ -1,20 +1,22 @@
 """Tests for the preallocated pending arena and its adopters.
 
-Three layers of coverage: the arena/chunk containers themselves (growth,
-accounting, zero-copy views, instrumentation counters), the raw value-bits
-codec (exact bit round-trips, including NaN payloads), and a hypothesis
-battery asserting that arena-backed ``Matrix``/``Vector``/tracker state is
-bit-identical to the legacy list-append backend across engines, dtypes, and
-operator switches mid-stream — the two backends must be observationally
-indistinguishable everywhere except the instrumentation counters.
+Three layers of coverage: the arena container itself (growth, accounting,
+zero-copy views, instrumentation counters), the raw value-bits codec (exact
+bit round-trips, including NaN payloads), and a hypothesis battery asserting
+that arena-backed lazy ``Matrix``/``Vector`` builds are bit-identical to the
+eager build across engines, dtypes, and operator switches mid-stream.  The
+last section checks that every pending-store site holds an arena and that
+callers may overwrite a batch's buffers as soon as it is appended.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import HierarchicalMatrix
+from repro.core import HierarchicalMatrix, IncrementalReductions
 from repro.graphblas import Matrix, Vector, binary, coords
 from repro.graphblas import arena
 
@@ -122,56 +124,6 @@ class TestPendingArena:
     def test_invalid_ncols(self):
         with pytest.raises(ValueError):
             arena.PendingArena(0)
-        with pytest.raises(ValueError):
-            arena.PendingChunks(0)
-
-
-class TestPendingChunks:
-    def test_concat_counter_only_on_multi_chunk_views(self):
-        c = arena.PendingChunks(2)
-        one = np.ones(5, dtype=np.uint64)
-        c.append(one, one)
-        before = arena.concat_calls()
-        c.views()  # single chunk: handed back as-is
-        assert arena.concat_calls() == before
-        c.append(one, one)
-        c.views()  # two chunks: one counted concatenation
-        assert arena.concat_calls() == before + 1
-
-    def test_interface_parity_with_arena(self):
-        c = arena.PendingChunks(2)
-        one = np.ones(5, dtype=np.uint64)
-        c.append(one, one)
-        assert c.used == 5 and c.capacity == 5  # no preallocation to report
-        assert c.used_bytes == c.capacity_bytes == 5 * 8 * 2
-        assert c.grow_count == 0
-        c.reserve(10_000)  # no-op, interface parity
-        assert c.capacity == 5
-        c.reset()
-        assert c.used == 0 and c.views()[0].size == 0
-
-    def test_append_copies_input(self):
-        c = arena.PendingChunks(1)
-        batch = np.arange(4, dtype=np.uint64)
-        c.append(batch)
-        batch[0] = 99
-        assert c.views()[0][0] == 0
-
-
-class TestBackendToggle:
-    def test_make_pending_follows_toggle(self):
-        assert isinstance(arena.make_pending(2), arena.PendingArena)
-        with arena.arena_disabled():
-            assert isinstance(arena.make_pending(2), arena.PendingChunks)
-        assert isinstance(arena.make_pending(2), arena.PendingArena)
-
-    def test_backend_fixed_at_construction(self):
-        with arena.arena_disabled():
-            v = Vector("fp64", 100)
-        assert isinstance(v._pend, arena.PendingChunks)
-        v.build([1, 2], [1.0, 2.0], lazy=True)  # outside the context
-        assert isinstance(v._pend, arena.PendingChunks)
-        assert v[1] == 1.0
 
 
 # --------------------------------------------------------------------------- #
@@ -231,16 +183,22 @@ class TestValueBits:
 
 
 # --------------------------------------------------------------------------- #
-# bit-identity: arena backend vs legacy list backend
+# bit-identity: arena-backed lazy builds vs the eager build
 # --------------------------------------------------------------------------- #
 
 DTYPES = ["fp64", "fp32", "int64"]
+OPS = [binary.plus, binary.times, binary.second]
 
 
-def _apply_stream(container, stream, ops):
-    """Replay (op_idx, idx, val) triples as single-entry lazy builds."""
-    for op_idx, idx, val in stream:
-        container.build([idx], [val], dup_op=ops[op_idx], lazy=True)
+def _value(op_idx, val):
+    """The stream value for one op: ``times`` factors are signs only.
+
+    Lazy builds collapse a pending window before merging it, which regroups
+    the operator's applications; with ``times`` factors in {-1, 0, 1} every
+    intermediate stays a small exact integer in every dtype, so any grouping
+    agrees bit for bit.
+    """
+    return int(np.sign(val)) if OPS[op_idx] is binary.times else val
 
 
 class TestBitIdentity:
@@ -254,16 +212,15 @@ class TestBitIdentity:
     )
     @settings(max_examples=40, deadline=None)
     def test_vector_streams_match(self, stream, dtype, packed):
-        """Arena and list backends agree for any op-switching lazy stream."""
-        ops = [binary.plus, binary.times, binary.second]
-        a = Vector(dtype, 2**32)
-        with arena.arena_disabled():
-            b = Vector(dtype, 2**32)
-        ctx = coords.packing_disabled() if not packed else _null_ctx()
-        with ctx:
-            _apply_stream(a, stream, ops)
-            _apply_stream(b, stream, ops)
-            assert a.isequal(b, check_dtype=True)
+        """Lazy (arena) and eager builds agree for any op-switching stream."""
+        lazy = Vector(dtype, 2**32)
+        eager = Vector(dtype, 2**32)
+        with coords.packing_disabled() if not packed else contextlib.nullcontext():
+            for op_idx, idx, val in stream:
+                v = _value(op_idx, val)
+                lazy.build([idx], [v], dup_op=OPS[op_idx], lazy=True)
+                eager.build([idx], [v], dup_op=OPS[op_idx])
+            assert lazy.isequal(eager, check_dtype=True)
 
     @given(
         stream=st.lists(
@@ -278,89 +235,26 @@ class TestBitIdentity:
     )
     @settings(max_examples=40, deadline=None)
     def test_matrix_streams_match(self, stream, dtype, packed):
-        ops = [binary.plus, binary.times, binary.second]
-        a = Matrix(dtype, 2**32, 2**32)
-        with arena.arena_disabled():
-            b = Matrix(dtype, 2**32, 2**32)
-        ctx = coords.packing_disabled() if not packed else _null_ctx()
-        with ctx:
+        lazy = Matrix(dtype, 2**32, 2**32)
+        eager = Matrix(dtype, 2**32, 2**32)
+        with coords.packing_disabled() if not packed else contextlib.nullcontext():
             for op_idx, r, c, val in stream:
-                a.build([r], [c], [val], dup_op=ops[op_idx], lazy=True)
-                b.build([r], [c], [val], dup_op=ops[op_idx], lazy=True)
-            assert a.isequal(b, check_dtype=True)
+                v = _value(op_idx, val)
+                lazy.build([r], [c], [v], dup_op=OPS[op_idx], lazy=True)
+                eager.build([r], [c], [v], dup_op=OPS[op_idx])
+            assert lazy.isequal(eager, check_dtype=True)
 
     def test_nan_payloads_survive_matrix_flush(self):
         payload = nan_with_payload(0x123)
-        a = Matrix("fp64", 100, 100)
-        with arena.arena_disabled():
-            b = Matrix("fp64", 100, 100)
-        for m in (a, b):
-            m.build([1, 2], [3, 4], [payload, 1.0], dup_op=binary.second, lazy=True)
-            m.wait()
-        _, _, va = a.extract_tuples()
-        _, _, vb = b.extract_tuples()
+        lazy = Matrix("fp64", 100, 100)
+        eager = Matrix("fp64", 100, 100)
+        lazy.build([1, 2], [3, 4], [payload, 1.0], dup_op=binary.second, lazy=True)
+        lazy.wait()
+        eager.build([1, 2], [3, 4], [payload, 1.0], dup_op=binary.second)
+        _, _, va = lazy.extract_tuples()
+        _, _, vb = eager.extract_tuples()
         assert np.array_equal(va.view(np.uint64), vb.view(np.uint64))
         assert va.view(np.uint64)[0] & np.uint64(0xFFF) == 0x123
-
-    @given(
-        seed=st.integers(0, 99),
-        nbatches=st.integers(1, 4),
-        shards=st.sampled_from([None, 1, 2, 3]),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_tracker_matches_across_backends(self, seed, nbatches, shards):
-        """Arena-backed tracker state equals the list-append tracker's."""
-        from repro.distributed import ShardedHierarchicalMatrix
-
-        rng = np.random.default_rng(seed)
-        batches = [
-            (
-                rng.integers(0, 50, 40, dtype=np.uint64),
-                rng.integers(0, 50, 40, dtype=np.uint64),
-                rng.integers(1, 6, 40).astype(np.float64),
-            )
-            for _ in range(nbatches)
-        ]
-
-        def run():
-            if shards is None:
-                H = HierarchicalMatrix(2**32, 2**32, cuts=[16, 128])
-                for b in batches:
-                    H.update(*b)
-                inc = H.incremental
-                return (
-                    inc.row_traffic().to_coo(),
-                    inc.col_traffic().to_coo(),
-                    inc.row_fan().to_coo(),
-                    inc.col_fan().to_coo(),
-                    float(inc.total()),
-                    inc.nnz(),
-                )
-            with ShardedHierarchicalMatrix(shards, cuts=[16, 128]) as S:
-                for b in batches:
-                    S.update(*b)
-                inc = S.incremental
-                return (
-                    inc.row_traffic().to_coo(),
-                    inc.col_traffic().to_coo(),
-                    float(inc.total()),
-                    inc.nnz(),
-                )
-
-        got = run()
-        with arena.arena_disabled():
-            want = run()
-        for g, w in zip(got, want):
-            if isinstance(g, tuple):
-                assert np.array_equal(g[0], w[0]) and np.array_equal(g[1], w[1])
-            else:
-                assert g == w
-
-
-def _null_ctx():
-    import contextlib
-
-    return contextlib.nullcontext()
 
 
 # --------------------------------------------------------------------------- #
@@ -374,9 +268,9 @@ class TestFlushAllocationRegression:
 
         The pre-arena implementation concatenated the pending value chunks
         and then paid a *second* full-size ``astype`` copy whenever batches
-        arrived in mixed dtypes (old ``vector.py:194``).  The arena stores
-        canonical value bits at append time, so the flush performs zero
-        concatenations and zero re-casts, regardless of input dtypes.
+        arrived in mixed dtypes.  The arena stores canonical value bits at
+        append time, so the flush reads zero-copy views and re-casts
+        nothing, regardless of input dtypes.
         """
         v = Vector("fp64", 1000)
         v.build(np.arange(10, dtype=np.uint64), np.arange(10, dtype=np.int32),
@@ -385,9 +279,7 @@ class TestFlushAllocationRegression:
                 np.arange(10, dtype=np.float32) / 4.0, lazy=True)
         v.build(np.arange(20, 30, dtype=np.uint64),
                 np.arange(10, dtype=np.float64) / 8.0, lazy=True)
-        before = arena.concat_calls()
         assert v.nvals == 30  # forces the flush
-        assert arena.concat_calls() == before  # zero concatenations
         assert v[5] == 5.0 and v[12] == 0.5 and v[24] == 0.5
 
     def test_flush_reads_value_bits_without_copy(self):
@@ -400,16 +292,94 @@ class TestFlushAllocationRegression:
         assert np.shares_memory(decoded, v._pend._columns[1])
 
     def test_steady_state_flush_counters(self):
-        """Repeated build/wait cycles: zero concats, no growth after warmup."""
+        """Repeated build/wait cycles: no growth after warmup."""
         m = Matrix("fp64", 2**32, 2**32)
         idx = np.arange(100, dtype=np.uint64)
         vals = np.ones(100)
         m.build(idx, idx, vals, lazy=True)
         m.wait()
         grows = m._pend.grow_count
-        concats = arena.concat_calls()
         for _ in range(10):
             m.build(idx, idx, vals, lazy=True)
             m.wait()
         assert m._pend.grow_count == grows
-        assert arena.concat_calls() == concats
+
+
+# --------------------------------------------------------------------------- #
+# the one pending store: every site holds an arena that owns its input
+# --------------------------------------------------------------------------- #
+
+
+class TestPendingStoreSites:
+    def test_matrix_pending_is_an_arena_in_both_key_modes(self):
+        M = Matrix("fp64", 2**64, 2**64)
+        assert isinstance(M._pend, arena.PendingArena) and M._pend.ncols == 2
+        M.setElement(2**40, 1, 1.0)  # does not fit one key: (row, col, bits)
+        assert M.key_spec is None
+        assert isinstance(M._pend, arena.PendingArena) and M._pend.ncols == 3
+        M.clear()  # back to key space
+        assert isinstance(M._pend, arena.PendingArena) and M._pend.ncols == 2
+
+    def test_vector_and_tracker_pending_are_arenas(self):
+        v = Vector("fp64", 100)
+        assert isinstance(v._pend, arena.PendingArena) and v._pend.ncols == 2
+        keyed = IncrementalReductions(2**32, 2**32)
+        assert keyed.fan_supported
+        assert keyed._backlog.ncols == 2 and keyed._segments.ncols == 2
+        unpackable = IncrementalReductions(2**64, 2**64)
+        assert not unpackable.fan_supported
+        assert unpackable._backlog.ncols == 3 and unpackable._segments.ncols == 2
+        for store in (keyed._backlog, keyed._segments, unpackable._backlog):
+            assert isinstance(store, arena.PendingArena)
+
+
+class TestCallerBuffersReusable:
+    """A lazy build copies its batch at append time: no ``copy=`` is needed.
+
+    Each case appends from caller-owned arrays, overwrites them before the
+    flush, and checks the flushed content against the original batch.
+    """
+
+    def test_vector_lazy_build(self):
+        idx = np.array([1, 2, 2], dtype=np.uint64)
+        vals = np.array([1.0, 2.0, 3.0])
+        v = Vector("fp64", 100)
+        v.build(idx, vals, lazy=True)
+        idx[:] = 7
+        vals[:] = -1.0
+        assert v.nvals == 2 and v[1] == 1.0 and v[2] == 5.0
+
+    @pytest.mark.parametrize("shape", [2**32, 2**64], ids=["keyed", "demoted"])
+    def test_matrix_lazy_build(self, shape):
+        M = Matrix("fp64", shape, shape)
+        if shape == 2**64:
+            M.setElement(2**40, 0, 9.0)
+            assert M.key_spec is None
+        rows = np.array([1, 2, 2], dtype=np.uint64)
+        cols = np.array([3, 4, 4], dtype=np.uint64)
+        vals = np.array([1.0, 2.0, 3.0])
+        M.build(rows, cols, vals, lazy=True)
+        rows[:] = 0
+        cols[:] = 0
+        vals[:] = -1.0
+        assert M[1, 3] == 1.0 and M[2, 4] == 5.0
+        assert M.nvals == (3 if shape == 2**64 else 2)
+
+    def test_hierarchy_update(self):
+        rng = np.random.default_rng(5)
+        H = HierarchicalMatrix(2**32, 2**32, cuts=[16, 64])
+        flat = Matrix("fp64", 2**32, 2**32)
+        rows = np.empty(20, dtype=np.uint64)
+        cols = np.empty(20, dtype=np.uint64)
+        vals = np.empty(20)
+        for _ in range(6):  # one buffer set, refilled per batch
+            rows[:] = rng.integers(0, 30, 20)
+            cols[:] = rng.integers(0, 30, 20)
+            vals[:] = rng.integers(1, 6, 20)
+            H.update(rows, cols, vals)
+            flat.build(rows.copy(), cols.copy(), vals.copy())
+        rows[:] = 0
+        vals[:] = -1.0
+        assert H.materialize().isequal(flat, check_dtype=True)
+        assert H.incremental.nnz() == flat.nvals
+        assert float(H.incremental.total()) == float(flat.extract_tuples()[2].sum())

@@ -213,18 +213,18 @@ class TestMatrixAndHierarchyParity:
         assert lazy.isequal(eager)
 
     def test_deferred_hierarchy_matches_eager(self):
+        """The deferred cascade equals a flat matrix accumulated batch by batch."""
         rng = np.random.default_rng(5)
         deferred = HierarchicalMatrix(2**32, 2**32, "fp64", cuts=[50, 400])
-        eager = HierarchicalMatrix(
-            2**32, 2**32, "fp64", cuts=[50, 400], defer_ingest=False
-        )
+        eager = Matrix("fp64", 2**32, 2**32)
         for _ in range(30):
             n = int(rng.integers(1, 80))
             rows = rng.integers(0, 500, n, dtype=np.uint64)
             cols = rng.integers(0, 500, n, dtype=np.uint64)
             deferred.update(rows, cols, 1.0)
-            eager.update(rows, cols, 1.0)
-        assert deferred.materialize().isequal(eager.materialize())
+            eager.build(rows, cols, 1.0)
+        assert sum(deferred.stats.cascades) > 0
+        assert deferred.materialize().isequal(eager, check_dtype=True)
 
     def test_lazy_build_non_associative_op_runs_eager(self):
         """Matrix.build ignores lazy= for non-associative dup_ops (regrouping)."""
@@ -236,16 +236,13 @@ class TestMatrixAndHierarchyParity:
         assert m[1, 1] == 2.0  # (10 - 5) - 3, never 10 - (5 - 3)
 
     def test_non_associative_accum_keeps_eager_semantics(self):
-        """Deferral regroups batches, so minus/div must fall back to eager."""
-        deferred = HierarchicalMatrix(100, 100, "fp64", cuts=[50], accum=binary.minus)
-        eager = HierarchicalMatrix(
-            100, 100, "fp64", cuts=[50], accum=binary.minus, defer_ingest=False
-        )
+        """Deferral regroups batches, so minus/div must ingest eagerly."""
+        H = HierarchicalMatrix(100, 100, "fp64", cuts=[50], accum=binary.minus)
         for vals in ([10.0], [5.0], [3.0]):
-            deferred.update([1], [1], vals)
-            eager.update([1], [1], vals)
+            H.update([1], [1], vals)
+            assert not H.layers[0].has_pending
         # Sequential left-fold: (10 - 5) - 3, not 10 - (5 - 3).
-        assert deferred[1, 1] == eager[1, 1] == 2.0
+        assert H[1, 1] == 2.0
 
     def test_empty_lazy_builds_do_not_accumulate_buffers(self):
         m = Matrix("fp64", 100, 100)
