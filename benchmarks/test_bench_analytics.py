@@ -136,11 +136,11 @@ class TestAnalyticsLatency:
     def test_tracker_drain_piggyback(self, benchmark):
         """Regression guard for the tracker-drain overhead fix.
 
-        Deferred ingest appends to the layer-1 pending buffer and the
-        tracker backlog in lockstep, so every layer-1 flush hands its
-        already-sorted, duplicate-collapsed output to the tracker as an O(1)
-        stashed run.  Pure streaming must therefore never pay a tracker-side
-        sort over raw triples (``full_drains == 0`` — catch-ups merge
+        The tracker keeps no copy of the layer-1 pending window: it reads
+        that window in place, so every flush of a window no read has touched
+        hands its already-sorted, duplicate-collapsed output to the tracker
+        as an O(1) stashed run.  Pure streaming must therefore never queue a
+        raw window slice (``full_drains == 0`` — catch-ups merge
         pre-collapsed runs).  The tracked/untracked time ratio is recorded,
         not asserted: the exact counters are the regression guard.
         """
@@ -168,11 +168,11 @@ class TestAnalyticsLatency:
         # Streaming alone: every window rode a flush; no raw-triple sort.
         assert inc.piggybacked_drains > 0
         assert inc.full_drains == 0
-        # A mid-window query may drain the partial raw backlog the slow way
-        # once (plus one more for the realigning flush below), then the next
-        # flush window starts aligned and piggybacking resumes.
+        # A mid-window query takes the raw window read so far (once, plus
+        # once more if the flush below found an untaken tail), then the next
+        # window starts untouched and piggybacking resumes.
         degree_summary(tracked)
-        tracked.flush()  # realigns buffer and backlog at a flush boundary
+        tracked.flush()  # ends the partly taken window
         full_after_query = inc.full_drains
         assert full_after_query <= 2
         before = inc.piggybacked_drains

@@ -22,7 +22,8 @@ Streaming batches are packed once into ``uint64`` coordinate keys and
 *appended* to layer 1's pending buffer in O(n) instead of being eagerly
 sorted and merged; from there to the top layer (and into the reduction
 tracker) the keys are the only coordinate representation that moves —
-flushes and cascade merges never pack or unpack.
+flushes and cascade merges never pack or unpack.  That buffer is the one
+copy of the current window: the reduction tracker reads it in place.
 The cascade check counts pending tuples via the O(1)
 ``Matrix.nvals_upper_bound``; only when stored + pending crosses the first
 cut :math:`c_1` does layer 1 pay one ``wait()`` (sort + collapse + merge,
@@ -39,11 +40,13 @@ ingests non-associative ones (``minus``, ``div`` ...) eagerly.
 
 Incremental reductions
 ----------------------
-With ``track_reductions=True`` (the default) every update batch is also
-observed by an :class:`~repro.core.reductions.IncrementalReductions` tracker —
-O(batch) appends maintaining running out-/in-degree, fan-out/fan-in, total
-traffic, and exact ``nnz``, available through :attr:`incremental` *without*
-materialising and without forcing the deferred layer-1 flush.  The analytics
+With ``track_reductions=True`` (the default) an
+:class:`~repro.core.reductions.IncrementalReductions` tracker maintains
+running out-/in-degree, fan-out/fan-in, total traffic, and exact ``nnz``,
+available through :attr:`incremental` *without* materialising and without
+forcing the deferred layer-1 flush.  Ingest never calls it: the tracker
+follows layer 1, reading the pending window on a stats read and absorbing
+each layer-1 flush's collapsed output through the flush hook.  The analytics
 layer (:mod:`repro.analytics`) uses it automatically.
 """
 
@@ -149,14 +152,10 @@ class HierarchicalMatrix:
         # Per-layer count of total updates at the time of that layer's last
         # cascade; used to feed adaptive policies.
         self._last_cascade_at = [0] * self._nlevels
-        # Deferred ingest appends each batch to the layer-1 pending buffer
-        # and the tracker backlog in lockstep, so the layer-1 flush's sorted,
-        # collapsed output can serve the tracker's drain for free (the hook
-        # declines and falls back to its own sort on any misalignment).
-        # Shapes with no 64-bit key have nothing to hand over; fan support
-        # implies ``plus``, so layer 1 always defers when the hook is set.
-        if self._incremental.fan_supported:
-            self._layers[0].flush_hook = self._incremental.absorb_flush
+        # The tracker keeps no copy of the updates: it reads layer 1's
+        # pending window and rides its flushes (support implies ``plus``, so
+        # layer 1 always defers when the tracker follows it).
+        self._incremental.follow(self._layers[0])
         self.name = name
 
     # ------------------------------------------------------------------ #
@@ -283,8 +282,8 @@ class HierarchicalMatrix:
             value column instead of being expanded first.
 
         Returns ``self`` for chaining.  The batch is validated and packed
-        once, here; layer 1 and the :attr:`incremental` reduction tracker
-        (O(batch) appends, when enabled) both receive the keys.
+        once, here, and appended to layer 1, where the :attr:`incremental`
+        reduction tracker reads it.
         """
         start = time.perf_counter()
         r = K.as_index_array(rows, "rows")
@@ -308,15 +307,14 @@ class HierarchicalMatrix:
 
     def _ingest(self, start, r, c, keys, values) -> "HierarchicalMatrix":
         """Append one validated batch (``keys`` is ``None`` on the dual-key store)."""
-        # No defensive copies: both the layer-1 pending buffer and the
-        # tracker backlog are preallocated arenas that copy at append time,
-        # so caller-owned arrays are safe to reuse immediately.
+        # No defensive copies: the layer-1 pending buffer is a preallocated
+        # arena that copies at append time, so caller-owned arrays are safe
+        # to reuse immediately.  The tracker needs no call: it reads this
+        # same buffer.
         self._layers[0].build(r, c, values, dup_op=self._accum, lazy=True, keys=keys)
         if self._stats is not None:
             self._stats.record_update(int(r.size if keys is None else keys.size))
             self._stats.record_layer_size(0, self._layers[0].nvals_upper_bound)
-        if self._incremental.supported:
-            self._incremental.observe(r, c, values, keys=keys)
         self._cascade()
         if self._stats is not None:
             self._stats.elapsed_seconds += time.perf_counter() - start

@@ -11,23 +11,25 @@ deferred-ingest design for monitoring workloads that query stats continuously.
 
 :class:`IncrementalReductions` maintains those reductions *online*:
 
-* Every ingest batch is observed in O(batch): the packed keys the hierarchy
-  built for its own layer-1 append, plus the value bits, are copied into the
-  tracker's backlog — no sort, no merge, no materialize on the streaming hot
-  path.
-* Reads (and a periodic ``drain_interval`` safety valve) amortise the
-  deferred work exactly like the hierarchy's own layer-1 flush: the
-  deferred keys sorted alone give the distinct coordinates (fan, exact
-  ``nnz``); their row halves and column halves — split out of the keys only
-  here — are each sorted packed with their positions to group the values
+* Ingest costs the tracker nothing: it keeps no copy of the updates.  Layer
+  1's pending arena is the one store of the current window, and the tracker
+  reads it in place — a stats read queues the part of the window no earlier
+  read took (an offset, not a copy of the window), and layer 1's flush hook
+  hands over the flush's sorted, collapsed window, or only the untaken tail
+  when a read got there first.  Queued work waits in a segment store.
+* Reads (and a :data:`DRAIN_INTERVAL` safety valve on the segment store)
+  amortise the deferred work exactly like the hierarchy's own layer-1
+  flush: the deferred keys sorted alone give the distinct coordinates (fan,
+  exact ``nnz``); their row halves and column halves — split out of the
+  keys only here — are each sorted packed with their positions to group the values
   for the row and column sums; and the grouped results merge into the
   maintained vectors via
   :meth:`Vector.merge_sorted <repro.graphblas.vector.Vector.merge_sorted>` —
   the keyed merge, so a small delta costs a small merge.  All three are
   plain (SIMD) key sorts: regrouping the additions is covered by the
   exactness contract below, which the flush handoff already relies on.
-  Crucially, reads never touch the matrix itself, so a stats query leaves
-  the layer-1 pending buffer (and therefore the cascade pattern) completely
+  Crucially, reads only *look* at the matrix, so a stats query leaves the
+  layer-1 pending buffer (and therefore the cascade pattern) completely
   undisturbed.
 * Fan-out/fan-in require knowing which coordinates are *globally new*, which a
   linear accumulation cannot tell.  :class:`KeySetCascade` solves it with the
@@ -63,11 +65,12 @@ distinct-coordinate set is monotone and the cascade never needs deletions.
 
 from __future__ import annotations
 
+import weakref
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..graphblas import arena, coords
+from ..graphblas import Matrix, arena, coords
 from ..graphblas import _kernels as K
 from ..graphblas._kernels import key_group_starts, merge_keys
 from ..graphblas.binaryop import BinaryOp, binary
@@ -79,6 +82,14 @@ __all__ = ["KeySetCascade", "IncrementalReductions"]
 
 #: Default cuts of the distinct-key cascade (geometric growth, unbounded top).
 DEFAULT_KEY_CUTS = (2 ** 15, 2 ** 18, 2 ** 21)
+
+#: Deferred entries the tracker's segment store may hold before it is
+#: settled even if nothing was read.  A safety valve, not a pacing knob: it
+#: bounds the store (reserved once at this size) and the latency of the
+#: first stats query after a long unread stream.  Streams that defer less
+#: pay **zero** in-stream catch-ups — all deferred work lands on the first
+#: read.
+DRAIN_INTERVAL = 2 ** 20
 
 
 class KeySetCascade:
@@ -181,11 +192,13 @@ class IncrementalReductions:
     """Running row/col reduction vectors maintained per ingest batch.
 
     One tracker is owned by each :class:`~repro.core.HierarchicalMatrix` (and
-    therefore by each shard worker's private matrix).  :meth:`observe` is
-    called on the ingest hot path and costs O(batch) appends (two memcpys
-    when the hierarchy hands over its packed keys); the query
-    methods below amortise the deferred sort/merge work and never touch the
-    owning matrix, so stats reads do not force the hierarchy's layer-1 flush.
+    therefore by each shard worker's private matrix), which makes it
+    :meth:`follow` its layer 1: the tracker reads that layer's pending
+    window in place and absorbs its flushes, so the ingest hot path never
+    calls it.  The query methods below amortise the deferred sort/merge work
+    and only read the owning matrix, so stats reads do not force the
+    hierarchy's layer-1 flush.  A standalone tracker is fed with
+    :meth:`observe` instead.
 
     Parameters
     ----------
@@ -200,18 +213,6 @@ class IncrementalReductions:
         reductions; anything else marks the tracker unsupported.
     enabled:
         Master switch (``HierarchicalMatrix(track_reductions=False)``).
-    key_cuts:
-        Level cuts of the distinct-coordinate :class:`KeySetCascade`.
-    drain_interval:
-        Catch up the deferred reduction state after this many buffered
-        updates even if nothing was read (default :math:`2^{20}`).  This is
-        a safety valve, not a pacing knob: it bounds the raw backlog and the
-        deferred segment store (plus the
-        worst-case latency of the *first* stats query after a long
-        uninterrupted stream), exactly as the hierarchy's first cut bounds
-        its layer-1 pending buffer.  Streams shorter than the interval pay
-        **zero** in-stream catch-ups — all deferred work amortises onto the
-        first read.
 
     Query surface (shared with the sharded cross-shard view):
 
@@ -228,8 +229,6 @@ class IncrementalReductions:
         accum: Optional[BinaryOp] = None,
         *,
         enabled: bool = True,
-        key_cuts: Optional[Sequence[int]] = None,
-        drain_interval: int = 2 ** 20,
     ):
         self._nrows = int(nrows)
         self._ncols = int(ncols)
@@ -242,20 +241,21 @@ class IncrementalReductions:
         self._col_traffic = Vector(self._dtype, self._ncols, name="col_traffic")
         self._row_fan = Vector(self._dtype, self._nrows, name="row_fan")
         self._col_fan = Vector(self._dtype, self._ncols, name="col_fan")
-        self._keys = KeySetCascade(key_cuts)
-        # Deferred work, arena-backed and keyed: raw observations since the
-        # last aligned flush buffer as (packed key, value-bits) columns —
-        # appends are memcpys; an unpackable shape buffers (row, col,
-        # value-bits) instead and drains with per-axis sorts.
-        self._backlog = arena.PendingArena(2 if self._fan_supported else 3)
-        # Collapsed (key, value-bits) windows inherited from layer-1 flushes
-        # (see :meth:`absorb_flush`) plus drained backlog, awaiting one
-        # fused catch-up that serves all four vectors and the key cascade.
-        self._segments = arena.PendingArena(2)
-        self._drain_interval = max(int(drain_interval), 1)
+        self._keys = KeySetCascade()
+        # Deferred work awaiting one fused catch-up that serves all four
+        # vectors and the key cascade: collapsed layer-1 flush windows and
+        # raw window slices queued by reads, as (packed key, value-bits)
+        # columns — or (row, col, value-bits) on a shape with no key.
+        self._segments = arena.PendingArena(2 if self._fan_supported else 3)
+        # The followed layer 1 (a weak reference: the layer holds this
+        # tracker through its flush hook) and how much of its pending
+        # window reads have already queued.
+        self._layer: Optional[weakref.ref] = None
+        self._taken = 0
         #: Flush windows whose sort/collapse the tracker inherited for free
         #: (:meth:`absorb_flush`), catch-ups over the deferred segments, and
-        #: drains that found raw, uncollapsed observations in the backlog.
+        #: raw, uncollapsed window slices queued (by a read, or by the flush
+        #: of a window a read had partly taken).
         #: Diagnostics for the ingest-overhead regression benchmark.
         self.piggybacked_drains = 0
         self.run_merges = 0
@@ -281,14 +281,27 @@ class IncrementalReductions:
         return self._dtype
 
     # ------------------------------------------------------------------ #
-    # ingest-side hook
+    # ingest side: the followed layer 1, or direct feeding
     # ------------------------------------------------------------------ #
 
-    def observe(self, rows, cols, values=1, *, keys=None) -> None:
-        """Record one ingest batch (O(batch): appends only, no sort/merge).
+    def follow(self, layer: Matrix) -> None:
+        """Track ``layer``'s updates: read its pending window, absorb its flushes.
 
-        The backlog arena copies the batch at append time, so callers may
-        reuse their buffers immediately.
+        The tracker keeps no copy of the window.  A read queues the part of
+        it no earlier read took, and ``layer``'s flush hook settles the
+        rest.  The layer is held weakly: it holds the tracker through the
+        hook, and a strong reference back would make every matrix a cycle
+        that only the cyclic garbage collector frees.
+        """
+        if self._supported:
+            self._layer = weakref.ref(layer)
+            layer.flush_hook = self.absorb_flush
+
+    def observe(self, rows, cols, values=1) -> None:
+        """Feed one batch to a tracker that follows no layer (rebuilds, tests).
+
+        O(batch): the batch is copied into the segment store (so callers
+        may reuse their buffers immediately) and settled on the next read.
 
         Parameters
         ----------
@@ -297,30 +310,79 @@ class IncrementalReductions:
             domain :meth:`HierarchicalMatrix.update` accepts).
         values:
             Per-coordinate values or a scalar broadcast over the batch (a
-            fill of the backlog's value column, never an ``np.full``).
-        keys:
-            The batch already packed under ``coords.shape_split(nrows,
-            ncols)`` — what the owning hierarchy appended to layer 1.
-            ``rows``/``cols`` are then ignored (and may be ``None``) on
-            packable shapes, so the batch is packed exactly once.
+            fill of the store's value column, never an ``np.full``).
         """
         if not self._supported:
             return
-        if not self._fan_supported:
-            batch = (K.as_index_array(rows, "rows"), K.as_index_array(cols, "cols"))
-        elif keys is None:
-            batch = (
-                coords.pack(
-                    K.as_index_array(rows, "rows"), K.as_index_array(cols, "cols"), self._spec
-                ),
-            )
-        else:
-            batch = (keys,)
-        if batch[0].size == 0:
+        rows, cols = K.as_index_array(rows, "rows"), K.as_index_array(cols, "cols")
+        if rows.size:
+            self._queue((rows, cols), None, arena.value_bits(values, self._dtype.np_type))
+
+    def _queue(self, coordinates, spec, bits: np.ndarray) -> None:
+        """Append one run of updates to the segment store.
+
+        ``coordinates`` is ``(keys,)`` packed under ``spec`` or ``(rows,
+        cols)``; they are stored in the tracker's own form (keys under its
+        split, or rows and cols on a shape with none).  The store is settled
+        first if the run would take it past :data:`DRAIN_INTERVAL`, so it
+        never outgrows its reservation.
+        """
+        if len(coordinates) == 1 and spec != self._spec:
+            coordinates = coords.unpack(coordinates[0], spec)
+        if self._fan_supported and len(coordinates) == 2:
+            coordinates = (coords.pack(*coordinates, self._spec),)
+        if self._segments.used + coordinates[0].size > DRAIN_INTERVAL:
+            self._catch_up()
+        self._segments.append(*coordinates, bits)
+
+    def _take(self) -> None:
+        """Queue the part of layer 1's pending window no earlier read took."""
+        layer = None if self._layer is None else self._layer()
+        if layer is None:
             return
-        self._backlog.append(*batch, arena.value_bits(values, self._dtype.np_type))
-        if self._backlog.used >= self._drain_interval:
-            self._drain()
+        *coordinates, bits = layer.pending_window()
+        if bits.size > self._taken:
+            self.full_drains += 1
+            start, self._taken = self._taken, bits.size
+            self._queue([c[start:] for c in coordinates], layer.key_spec, bits[start:])
+
+    def absorb_flush(self, rows, cols, vals, keys=None, spec=None) -> None:
+        """Settle the followed layer's flush window (its :attr:`Matrix.flush_hook`).
+
+        The hook fires while the raw window is still in the layer's arena.
+        If no read took any of it, the flush has just paid for the sort and
+        duplicate collapse of exactly the updates the tracker has not seen,
+        so its output is queued as is — two memcpys on the ingest hot path,
+        the window's packed keys and value bits (historically the tracker's
+        own re-sorts of the same triples cost ~40% ingest rate on long
+        unqueried streams).  A keyed flush passes ``keys``/``spec``
+        (``rows``/``cols`` ``None``); a dual-key flush passes sorted
+        ``rows``/``cols``, packed here under the tracker's split.  If a read
+        took the head of the window, the collapsed output would count it
+        twice, so only the untaken raw tail is queued.  Either way the
+        sort/merge work waits for :meth:`_catch_up`.
+
+        Exactness: the flush output is collapsed per coordinate before the
+        per-row/per-column regrouping of the eventual catch-up, while a raw
+        slice groups the pairs directly.  Both orderings sum the same
+        multiset per index, so results are identical for any exactly
+        representable values — the same qualifier the maintained vectors
+        already carry (see module docstring).
+        """
+        if self._taken:
+            self._take()
+            self._taken = 0
+            return
+        if self.piggybacked_drains == 0:
+            # First piggybacked flush: this matrix is streaming for real, and
+            # the segment store is bounded by the drain interval, so reserve
+            # it once up front — geometric-growth prefix copies never hit the
+            # ingest hot path, and the untouched tail of the reservation
+            # stays uncommitted (address space, not RSS).
+            self._segments.reserve(DRAIN_INTERVAL)
+        coordinates = (rows, cols) if keys is None else (keys,)
+        self._queue(coordinates, spec, arena.value_bits(vals, self._dtype.np_type))
+        self.piggybacked_drains += 1
 
     def _group_reduce(self, sorted_idx: np.ndarray, sorted_vals: Optional[np.ndarray]):
         """Collapse runs of equal indices in sorted order.
@@ -336,27 +398,14 @@ class IncrementalReductions:
         return sorted_idx[starts], sums
 
     def _drain(self) -> None:
-        """Amortised catch-up of every deferred reduction (periodic or on read).
+        """Catch up every deferred reduction (on read).
 
-        Raw backlog entries (updates observed since the last aligned flush)
-        are the same kind of data as the collapsed flush windows — ``(key,
-        value)`` pairs to be summed — so they simply join the segment store
-        and one :meth:`_catch_up` settles both.  Unpackable (IPv6) shapes
-        have no key: two plain per-axis sorts serve the traffic vectors, with
-        fan tracking disabled.  Both stores are arenas, so the sorts read
-        their used prefix directly — no concatenation of per-batch chunks.
+        The raw, untaken part of layer 1's window is the same kind of data
+        as the collapsed flush windows — ``(coordinate, value)`` pairs to be
+        summed — so it simply joins the segment store and one
+        :meth:`_catch_up` settles both.
         """
-        if self._backlog.used:
-            self.full_drains += 1
-            if self._fan_supported:
-                self._segments.append(*self._backlog.views())
-            else:
-                r, c, bits = self._backlog.views()
-                v = arena.bits_to_values(bits, self._dtype.np_type)
-                for vector, idx in ((self._row_traffic, r), (self._col_traffic, c)):
-                    order = np.argsort(idx)
-                    vector.merge_sorted(*self._group_reduce(idx[order], v[order]))
-            self._backlog.reset()
+        self._take()
         self._catch_up()
 
     @staticmethod
@@ -387,26 +436,29 @@ class IncrementalReductions:
         (:meth:`_sort_with_order`) to group the values for the two traffic
         vectors.  Each grouped delta then merges into its vector with the
         keyed merge, so the cost is independent of how many windows
-        accumulated and follows the delta, not the vector.
+        accumulated and follows the delta, not the vector.  Unpackable
+        (IPv6) shapes store rows and cols: two plain per-axis argsorts serve
+        the traffic vectors, with fan tracking disabled.
         """
         if not self._segments.used:
             return
         self.run_merges += 1
-        keys, bits = self._segments.views()
+        *coordinates, bits = self._segments.views()
         vals = arena.bits_to_values(bits, self._dtype.np_type)
-        spec = self._spec
-        for vector, idx, nbits in (
-            (self._row_traffic, keys >> np.uint64(spec.col_bits), spec.row_bits),
-            (self._col_traffic, keys & spec.col_mask, spec.col_bits),
-        ):
+        if self._fan_supported:
+            (keys,), spec = coordinates, self._spec
+            axes = (
+                (keys >> np.uint64(spec.col_bits), spec.row_bits),
+                (keys & spec.col_mask, spec.col_bits),
+            )
+        else:
+            axes = ((coordinates[0], 64), (coordinates[1], 64))
+        for vector, (idx, nbits) in zip((self._row_traffic, self._col_traffic), axes):
             idx, order = self._sort_with_order(idx, nbits)
             vector.merge_sorted(*self._group_reduce(idx, vals[order]))
-        skeys = np.sort(keys)
-        self._insert_new_keys(skeys[key_group_starts(skeys)])
-        self._segments.reset()
-
-    def _clear_deferred(self) -> None:
-        self._backlog.reset()
+        if self._fan_supported:
+            skeys = np.sort(keys)
+            self._insert_new_keys(skeys[key_group_starts(skeys)])
         self._segments.reset()
 
     def _insert_new_keys(self, unique_keys: np.ndarray) -> None:
@@ -419,78 +471,8 @@ class IncrementalReductions:
         self._row_fan.merge_sorted(*self._group_reduce(new_rows, None))
         self._col_fan.merge_sorted(*self._group_reduce(np.sort(new_cols), None))
 
-    def absorb_flush(self, raw_count, op, rows, cols, vals, keys=None, spec=None) -> bool:
-        """Absorb a layer-1 flush's already-collapsed window as a deferred segment.
-
-        ``HierarchicalMatrix`` registers this as the layer-1
-        :attr:`Matrix.flush_hook`: the flush has just paid for the sort and
-        duplicate collapse of exactly the update window the tracker has been
-        buffering, so the tracker swaps its raw copy of the window for the
-        flush's collapsed output (historically the tracker's own periodic
-        re-sorts of the same triples cost ~40% ingest rate on long unqueried
-        streams).  The handoff itself stays on the ingest hot path, so it is
-        two memcpys: the window's packed keys and value bits are appended
-        as-is to the segment store.  All the remaining sort/merge work lands
-        in :meth:`_catch_up` — on the next read, or here once the deferred
-        depth reaches the drain interval — where it amortises across every
-        window absorbed since.
-
-        A keyed flush passes ``keys``/``spec`` (``rows``/``cols`` ``None``);
-        a dual-key flush passes sorted ``rows``/``cols``, re-packed here
-        under the tracker's own split (packing is monotone, so the window
-        stays sorted).
-
-        Alignment is verified by count: the hierarchy appends every update to
-        the layer-1 pending buffer and the tracker backlog in lockstep, so
-        the flush's pre-collapse size equals the backlog depth unless the
-        tracker drained mid-window (an interval drain inside ``observe`` or a
-        stats read).  On any mismatch — or a non-``plus`` window, or a shape
-        with no key — the tracker falls back to a normal :meth:`_drain`:
-        correct either way, just without the free sort.
-
-        Exactness: the flush output is collapsed per coordinate before the
-        per-row/per-column regrouping of the eventual catch-up, while a raw
-        drain groups the pairs directly.  Both orderings sum the same
-        multiset per index, so results are identical for any exactly
-        representable values — the same qualifier the maintained vectors
-        already carry (see module docstring).
-        """
-        if not self._supported:
-            return False
-        if (
-            not self._fan_supported
-            or raw_count <= 0
-            or raw_count != self._backlog.used
-            or op.name != "plus"
-        ):
-            # A mid-window drain desynced the window (or it cannot be
-            # absorbed at all); drain now so the next flush window starts
-            # aligned with an empty backlog.
-            self._drain()
-            return False
-        self._backlog.reset()
-        if self.piggybacked_drains == 0:
-            # First piggybacked flush: this matrix is streaming for real, and
-            # the segment store is bounded by the drain interval, so reserve
-            # it once up front — geometric-growth prefix copies never hit the
-            # ingest hot path, and the untouched tail of the reservation
-            # stays uncommitted (address space, not RSS).
-            self._segments.reserve(self._drain_interval)
-        if keys is None or spec != self._spec:
-            if rows is None:
-                rows, cols = coords.unpack(keys, spec)
-            keys = coords.pack(rows, cols, self._spec)
-        if self._segments.used + keys.size > self._drain_interval:
-            # Same memory/first-query bound the raw backlog has, but over
-            # collapsed windows — settled before this window would outgrow
-            # the reservation, so the store never reallocates.
-            self._catch_up()
-        self._segments.append(keys, arena.value_bits(vals, self._dtype.np_type))
-        self.piggybacked_drains += 1
-        return True
-
     # ------------------------------------------------------------------ #
-    # queries (never touch the owning matrix)
+    # queries (read, never flush, the owning matrix)
     # ------------------------------------------------------------------ #
 
     def _require(self, fan: bool = False) -> None:
@@ -551,7 +533,8 @@ class IncrementalReductions:
         self._row_fan.clear()
         self._col_fan.clear()
         self._keys.clear()
-        self._clear_deferred()
+        self._segments.reset()
+        self._taken = 0
 
     def rebuild_from_triples(
         self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
@@ -562,8 +545,6 @@ class IncrementalReductions:
         replaying the update stream.  O(n log n) once at load time.
         """
         self.reset()
-        if not self._supported:
-            return
         self.observe(rows, cols, vals)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -574,6 +555,6 @@ class IncrementalReductions:
         )
         return (
             f"<IncrementalReductions {state}, "
-            f"backlog={self._backlog.used}+{self._segments.used}, "
+            f"deferred={self._segments.used}, taken={self._taken}, "
             f"distinct={self._keys.count}>"
         )

@@ -103,6 +103,7 @@ class Matrix:
         "_pend_op",
         "flush_hook",
         "name",
+        "__weakref__",
     )
 
     # ------------------------------------------------------------------ #
@@ -114,10 +115,11 @@ class Matrix:
         self._nrows = _check_dim(nrows, "nrows")
         self._ncols = _check_dim(ncols, "ncols")
         # Optional observer of pending-buffer flushes.  Called from _wait()
-        # as hook(raw_count, op, rows, cols, vals, keys, spec) with the
-        # sorted, duplicate-collapsed flush window: a keyed flush passes
-        # (None, None, vals, keys, spec), a dual-key flush (rows, cols,
-        # vals, None, None); raw_count is the pre-collapse pending size.
+        # as hook(rows, cols, vals, keys, spec) with the sorted,
+        # duplicate-collapsed flush window: a keyed flush passes (None,
+        # None, vals, keys, spec), a dual-key flush (rows, cols, vals, None,
+        # None).  It fires before the pending arena is reset, so the raw
+        # window is still readable through pending_window().
         # HierarchicalMatrix points this at its incremental reduction
         # tracker so stats drains ride the flush's sort.
         self.flush_hook = None
@@ -332,6 +334,20 @@ class Matrix:
         """True when scalar insertions are buffered but not yet merged."""
         return self._pend.used > 0
 
+    def pending_window(self) -> Tuple[np.ndarray, ...]:
+        """Read-only views of the pending window, in arrival order.
+
+        ``(keys, value bits)`` in key space (keys under :attr:`key_spec`),
+        ``(rows, cols, value bits)`` once demoted; values are raw bits of
+        the matrix dtype.  The views last until the next append, flush or
+        reset; a *position* in the window lasts until the next flush or
+        reset (appends extend the window, demotion keeps its order).
+        """
+        views = self._pend.views()
+        for view in views:
+            view.flags.writeable = False
+        return views
+
     @property
     def memory_breakdown(self) -> dict:
         """Resident bytes by role: stored arrays vs pending used/capacity.
@@ -422,7 +438,6 @@ class Matrix:
         """
         if self._pend.used == 0:
             return
-        raw_count = self._pend.used
         op = self._pend_op if self._pend_op is not None else binary.second
         *pending, bits = self._pend.views()
         raw = arena.bits_to_values(bits, self._dtype.np_type)
@@ -441,16 +456,14 @@ class Matrix:
                     K.build_triples(*pending, raw, op), (*pending, raw)
                 )
             )
+        if self.flush_hook is not None:
+            self.flush_hook(pr, pc, pv, pk, None if pk is None else self._spec)
         self._pend.reset()
         self._pend_op = None
         if pk is not None:
             self._merge_keyed(pk, pv, op)
         else:
             self._merge_coo(pr, pc, pv, op)
-        if self.flush_hook is not None:
-            self.flush_hook(
-                raw_count, op, pr, pc, pv, pk, None if pk is None else self._spec
-            )
 
     def wait(self) -> "Matrix":
         """Public ``GrB_wait`` equivalent; returns ``self`` for chaining."""

@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core import HierarchicalMatrix
-from repro.graphblas import Matrix, binary, coords
+from repro.graphblas import Matrix, binary, coords, monoid
 
 # A batch is a list of (row, col, value) triples over a small space.
 batch_strategy = st.lists(
@@ -126,16 +126,17 @@ def test_get_matches_materialized_elements(batches):
 # sides of the uniform-window guard: countable integers, an integer whose
 # n * s leaves 2**53 after a few additions, inexact decimals, negatives.
 spine_coordinate = st.sampled_from([0, 1, 2, 2**32 - 1])
-spine_pairs = st.lists(st.tuples(spine_coordinate, spine_coordinate), min_size=1, max_size=30)
 EXACT_VALUES = [1.0, 3.0, -2.0, float(2**20)]  # every partial sum stays an exact integer
 ANY_VALUES = EXACT_VALUES + [0.1, 0.3, float(2**50), float(2**52 + 1)]
-KINDS = ["scalar", "uniform", "mixed", "packed_scalar", "packed_array"]
+# "read" queries the tracker between batches (its pairs and values are unused).
+KINDS = ["scalar", "uniform", "mixed", "packed_scalar", "packed_array", "read"]
 
 
-def spine_batches(values):
+def spine_batches(values, kinds=KINDS, coordinate=spine_coordinate):
     value = st.sampled_from(values)
+    pairs = st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=30)
     return st.lists(
-        st.tuples(st.sampled_from(KINDS), spine_pairs, st.lists(value, min_size=3, max_size=3)),
+        st.tuples(st.sampled_from(kinds), pairs, st.lists(value, min_size=3, max_size=3)),
         min_size=1,
         max_size=12,
     )
@@ -151,11 +152,36 @@ def batch_arrays(batch):
     return rows, cols, np.full(rows.size, values[0])
 
 
-def feed(H, batches):
-    """Drive one stream through update() and update_packed() as each batch says."""
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def read_tracker(H, flat=None):
+    """Query the tracker mid-stream: layer 1 must not flush, and with a flat
+    reference fed the same batches (exact values) the answers are its own."""
+    inc, pending = H.incremental, H.layers[0].has_pending
+    total = inc.total()
+    nnz = inc.nnz() if inc.fan_supported else None
+    assert H.layers[0].has_pending == pending  # reads never flush layer 1
+    if flat is not None:
+        assert bits(total) == bits(flat.reduce_scalar(monoid.plus))
+        assert nnz in (None, flat.nvals)
+
+
+def feed(H, batches, flat=None):
+    """Drive one stream through update(), update_packed() and tracker reads.
+
+    ``flat``, when given, is built batch by batch alongside and checked at
+    every read.
+    """
     for batch in batches:
         kind = batch[0]
+        if kind == "read":
+            read_tracker(H, flat)
+            continue
         rows, cols, vals = batch_arrays(batch)
+        if flat is not None:
+            flat.build(rows, cols, vals)
         if kind.endswith("scalar"):
             vals = batch[2][0]  # a scalar stays a scalar all the way to the arena
         if kind.startswith("packed"):
@@ -187,11 +213,10 @@ def test_spine_is_bit_identical_to_the_dual_key_engine(batches, cuts):
 @given(spine_batches(EXACT_VALUES), cuts_strategy)
 def test_spine_equals_flat_matrix_and_tracks_its_reductions(batches, cuts):
     """Exactly representable values: the hierarchy, a flat Matrix and the
-    tracker's four vectors (after the keyed catch-up) all agree exactly."""
-    H = feed(HierarchicalMatrix(2**32, 2**32, cuts=cuts), batches)
+    tracker's four vectors (after the keyed catch-up) all agree exactly —
+    also at every read between batches."""
     flat = Matrix("fp64", 2**32, 2**32)
-    for batch in batches:
-        flat.build(*batch_arrays(batch))
+    H = feed(HierarchicalMatrix(2**32, 2**32, cuts=cuts), batches, flat)
     pending = H.layers[0].has_pending
     inc = H.incremental
     assert inc.row_traffic().isequal(flat.reduce_rowwise())
@@ -201,4 +226,31 @@ def test_spine_equals_flat_matrix_and_tracks_its_reductions(batches, cuts):
     assert inc.col_fan().isequal(ones.reduce_columnwise())
     assert inc.nnz() == flat.nvals
     assert H.layers[0].has_pending == pending  # reads never flush layer 1
+    assert H.materialize().isequal(flat, check_dtype=True)
+
+
+wide_coordinate = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    spine_batches(EXACT_VALUES, ["scalar", "mixed", "read"], wide_coordinate),
+    cuts_strategy,
+)
+def test_traffic_only_tracker_keeps_its_place_through_demotion(batches, cuts):
+    """A 2^64 shape has no key, so its tracker is traffic-only.  A read takes
+    part of layer 1's keyed window, the next batch demotes layer 1 to three
+    columns, and the rest of the stream keeps reading the same window."""
+    H = HierarchicalMatrix(cuts=[c + 2 for c in cuts])  # the prefix never flushes
+    flat = Matrix("fp64", 2**64, 2**64)
+    feed(H, [("scalar", [(0, 1)], [1.0] * 3), ("read", [], [])], flat)
+    feed(H, [("mixed", [(2**63, 5)], [3.0] * 3)], flat)
+    assert H.layers[0].key_spec is None and H.layers[0].has_pending
+    assert H.incremental._taken == 1
+    feed(H, batches, flat)
+    inc = H.incremental
+    assert inc.supported and not inc.fan_supported
+    assert inc.row_traffic().isequal(flat.reduce_rowwise())
+    assert inc.col_traffic().isequal(flat.reduce_columnwise())
+    assert bits(inc.total()) == bits(flat.reduce_scalar(monoid.plus))
     assert H.materialize().isequal(flat, check_dtype=True)

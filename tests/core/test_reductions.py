@@ -11,6 +11,9 @@ sums, the same idiom the sharded-equivalence suite uses.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +26,7 @@ from repro.core import (
     load_checkpoint,
     save_checkpoint,
 )
+from repro.core import reductions
 from repro.distributed import ShardedHierarchicalMatrix
 from repro.graphblas import Matrix, Vector, binary, coords, monoid
 from repro.graphblas import _kernels as K
@@ -238,65 +242,140 @@ class TestIncrementalFlat:
 
 
 # --------------------------------------------------------------------------- #
-# the deferred-segment machinery (arena backlog, flush absorption, catch-up)
+# the deferred-segment machinery (window reads, flush absorption, catch-up)
 # --------------------------------------------------------------------------- #
 
 
-def simulate_flush(inc, r, c, v):
-    """Feed one window through observe + a faithful layer-1 flush handoff."""
-    inc.observe(r, c, v)
-    sr, sc, sv, keys, spec = K.build_triples(r, c, v, binary.plus, with_keys=True)
-    return inc.absorb_flush(r.size, binary.plus, sr, sc, sv, keys, spec)
+def following(cut=10**9, nrows=2**32):
+    """A hierarchy whose layer 1 flushes only on ``wait()`` (one huge cut)."""
+    return HierarchicalMatrix(nrows, nrows, cuts=[cut])
+
+
+def stream(H, flat, batch):
+    H.update(*batch)
+    flat.build(*batch)
 
 
 class TestDeferredCatchUp:
-    def test_tiny_drain_interval_valve_stays_exact(self):
-        """The in-stream safety valve (raw path) never changes results."""
-        inc = IncrementalReductions(2**32, 2**32, drain_interval=64)
-        flat = Matrix("fp64", 2**32, 2**32)
-        for r, c, v in random_batches(seed=19, nbatches=5, batch=100):
-            inc.observe(r, c, v)
-            flat.build(r, c, v)
-        assert inc.full_drains > 0  # the valve actually fired mid-stream
+    """The tracker reads layer 1's pending window in place.
+
+    A read takes the window by offset; the flush hands over its collapsed
+    output when no read took anything, else only the untaken raw tail.
+    """
+
+    def test_tiny_drain_interval_valve_stays_exact(self, monkeypatch):
+        """Windows longer than the interval: settled before each one lands."""
+        monkeypatch.setattr(reductions, "DRAIN_INTERVAL", 64)
+        H, flat = following(), Matrix("fp64", 2**32, 2**32)
+        for batch in random_batches(seed=19, nbatches=5, batch=100):
+            stream(H, flat, batch)
+            H.wait()
+        inc = H.incremental
+        assert inc.piggybacked_drains == 5 and inc.full_drains == 0
+        assert inc.run_merges == 4  # the valve fired mid-stream, once per later window
+        stream(H, flat, random_batches(seed=20, nbatches=1, batch=300)[0])
+        assert float(inc.total()) == float(flat.reduce_scalar(monoid.plus))
+        assert inc.run_merges == 6  # the raw 300-entry read also tripped it
         assert_incremental_matches(inc, flat)
 
-    def test_absorbed_flushes_catch_up_exactly(self):
-        """Piggybacked windows settle through segments, never a raw sort."""
-        inc = IncrementalReductions(2**32, 2**32, drain_interval=150)
-        flat = Matrix("fp64", 2**32, 2**32)
-        for r, c, v in random_batches(seed=23, nbatches=6, batch=60):
-            assert simulate_flush(inc, r, c, v)
-            flat.build(r, c, v)
+    def test_absorbed_flushes_catch_up_exactly(self, monkeypatch):
+        """Unread windows settle through the segment store, never a raw slice."""
+        monkeypatch.setattr(reductions, "DRAIN_INTERVAL", 150)
+        H, flat = following(), Matrix("fp64", 2**32, 2**32)
+        for batch in random_batches(seed=23, nbatches=6, batch=60):
+            stream(H, flat, batch)
+            H.wait()
+        inc = H.incremental
         assert inc.piggybacked_drains == 6
-        assert inc.run_merges >= 1  # interval crossed: in-stream catch-up
-        assert inc.full_drains == 0  # raw path never paid a sort
+        assert inc.run_merges == 2  # interval crossed: in-stream catch-ups
+        assert inc.full_drains == 0  # no raw slice was ever queued
         assert_incremental_matches(inc, flat)
 
-    def test_misaligned_flush_declines_and_drains(self):
-        inc = IncrementalReductions(2**32, 2**32)
-        r = np.array([1, 2], dtype=np.uint64)
-        c = np.array([3, 4], dtype=np.uint64)
-        v = np.array([1.0, 2.0])
-        inc.observe(r, c, v)
-        sr, sc, sv, keys, spec = K.build_triples(r, c, v, binary.plus, with_keys=True)
-        # Flush claims a window size the backlog does not match: the tracker
-        # must fall back to draining its own raw copy (counted once).
-        assert not inc.absorb_flush(5, binary.plus, sr, sc, sv, keys, spec)
-        assert inc.full_drains == 1 and inc.piggybacked_drains == 0
-        flat = Matrix("fp64", 2**32, 2**32).build(r, c, v)
+    def test_read_mid_window_then_flush(self):
+        H, flat = following(), Matrix("fp64", 2**32, 2**32)
+        first, second = random_batches(seed=37, nbatches=2, batch=40)
+        stream(H, flat, first)
+        H.wait()
+        inc = H.incremental
+        assert (inc.piggybacked_drains, inc.full_drains) == (1, 0)
+        stream(H, flat, second)
+        inc.total()  # takes the whole window raw, flushes nothing
+        assert H.layers[0].has_pending
+        assert (inc.piggybacked_drains, inc.full_drains) == (1, 1)
+        H.wait()  # a partly taken window is not handed over collapsed
+        assert (inc.piggybacked_drains, inc.full_drains) == (1, 1)
         assert_incremental_matches(inc, flat)
 
-    def test_non_plus_flush_declines(self):
-        inc = IncrementalReductions(2**32, 2**32)
-        r = np.array([7], dtype=np.uint64)
-        c = np.array([8], dtype=np.uint64)
-        v = np.array([2.0])
-        inc.observe(r, c, v)
-        assert not inc.absorb_flush(1, binary.max, r, c, v)
-        assert inc.nnz() == 1 and float(inc.total()) == 2.0
+    def test_read_at_flush_boundary_takes_nothing(self):
+        H, flat = following(), Matrix("fp64", 2**32, 2**32)
+        first, second = random_batches(seed=41, nbatches=2, batch=40)
+        stream(H, flat, first)
+        H.wait()
+        inc = H.incremental
+        inc.nnz()  # the window is empty: nothing to take
+        assert inc.full_drains == 0 and inc._taken == 0
+        stream(H, flat, second)
+        H.wait()
+        assert (inc.piggybacked_drains, inc.full_drains) == (2, 0)
+        assert_incremental_matches(inc, flat)
+
+    def test_second_read_takes_only_the_new_tail(self):
+        H, flat = following(), Matrix("fp64", 2**32, 2**32)
+        a, b, c = random_batches(seed=43, nbatches=3, batch=40)
+        inc = H.incremental
+        stream(H, flat, a)
+        inc.nnz()
+        stream(H, flat, b)
+        assert float(inc.total()) == float(flat.reduce_scalar(monoid.plus))
+        assert inc._taken == 80 and inc.full_drains == 2
+        inc.nnz()  # nothing new since the last read
+        assert inc.full_drains == 2
+        stream(H, flat, c)
+        H.wait()  # queues the untaken 40 raw, then starts over
+        assert inc._taken == 0
+        assert (inc.piggybacked_drains, inc.full_drains) == (0, 3)
+        assert_incremental_matches(inc, flat)
+
+    def test_reset_clears_deferred_segments(self):
+        """``clear()`` and ``reset()`` zero the taken offset and the store."""
+        H = following()
+        first, second = random_batches(seed=29, nbatches=2, batch=50)
+        inc = H.incremental
+        H.update(*first)
+        inc.total()
+        assert inc._taken == 50
+        H.clear()
+        assert inc._taken == 0 and inc._segments.used == 0
+        assert inc.nnz() == 0 and float(inc.total()) == 0.0
+        # ... and keeps tracking correctly afterwards: the next window is
+        # whole again, so its flush is handed over collapsed.
+        flat = Matrix("fp64", 2**32, 2**32)
+        stream(H, flat, second)
+        H.wait()
+        assert inc.piggybacked_drains == 1
+        assert_incremental_matches(inc, flat)
+        H.update(*first)
+        inc.total()
+        inc.reset()
+        assert inc._taken == 0 and inc._segments.used == 0
+
+    def test_queries_between_flushes_stay_exact(self):
+        """Reads and flushes interleaved at every phase of the window."""
+        H, flat = HierarchicalMatrix(2**32, 2**32, cuts=[100, 400]), Matrix("fp64", 2**32, 2**32)
+        inc = H.incremental
+        # Windows are 3 batches long: reads land mid-window, on a flush
+        # boundary, and not at all.
+        for i, batch in enumerate(random_batches(seed=47, nbatches=12, batch=40)):
+            stream(H, flat, batch)
+            if i % 4 == 1:
+                pending = H.layers[0].has_pending
+                assert float(inc.total()) == float(flat.reduce_scalar(monoid.plus))
+                assert H.layers[0].has_pending == pending
+        assert inc.piggybacked_drains and inc.full_drains
+        assert_incremental_matches(inc, flat)
 
     def test_observe_is_safe_against_buffer_reuse(self):
-        """The backlog arena copies at append: callers may mutate immediately."""
+        """A standalone tracker copies at append: callers may mutate immediately."""
         inc = IncrementalReductions(2**32, 2**32)
         r = np.array([1, 2], dtype=np.uint64)
         c = np.array([3, 4], dtype=np.uint64)
@@ -307,41 +386,47 @@ class TestDeferredCatchUp:
         assert float(inc.total()) == 3.0
         assert inc.row_traffic().to_coo()[0].tolist() == [1, 2]
 
-    def test_reset_clears_deferred_segments(self):
-        inc = IncrementalReductions(2**32, 2**32)
-        for r, c, v in random_batches(seed=29, nbatches=2, batch=50):
-            simulate_flush(inc, r, c, v)
-        inc.reset()
-        assert inc.nnz() == 0 and float(inc.total()) == 0.0
-        # ... and keeps tracking correctly afterwards.
-        flat = Matrix("fp64", 2**32, 2**32)
-        for r, c, v in random_batches(seed=31, nbatches=2, batch=50):
-            simulate_flush(inc, r, c, v)
-            flat.build(r, c, v)
-        assert_incremental_matches(inc, flat)
+    def test_non_plus_hierarchy_is_not_followed(self):
+        """Only ``plus`` windows ever reach a tracker: others get no hook."""
+        for H in (
+            HierarchicalMatrix(2**32, 2**32, cuts=CUTS, accum=binary.max),
+            HierarchicalMatrix(2**32, 2**32, cuts=CUTS, track_reductions=False),
+        ):
+            H.update([7, 7], [8, 8], [2.0, 3.0])
+            H.wait()
+            assert H.layers[0].flush_hook is None
+            assert H.incremental.piggybacked_drains == 0
 
-    def test_queries_between_flushes_stay_exact(self):
-        """A mid-window read drains raw, desyncs one window, then realigns."""
-        inc = IncrementalReductions(2**32, 2**32)
-        flat = Matrix("fp64", 2**32, 2**32)
-        batches = random_batches(seed=37, nbatches=4, batch=40)
-        for i, (r, c, v) in enumerate(batches):
-            if i == 2:
-                inc.observe(r, c, v)
-                flat.build(r, c, v)
-                inc.total()  # mid-window query: backlog drains the raw way
-                sr, sc, sv, keys, spec = K.build_triples(
-                    r, c, v, binary.plus, with_keys=True
-                )
-                # The following flush is now misaligned and must decline ...
-                assert not inc.absorb_flush(
-                    r.size, binary.plus, sr, sc, sv, keys, spec
-                )
-            else:
-                # ... while aligned windows keep piggybacking.
-                assert simulate_flush(inc, r, c, v)
-                flat.build(r, c, v)
-        assert_incremental_matches(inc, flat)
+    def test_traffic_only_shape_reads_the_same_window(self):
+        """A 2^64 shape has no key: reads take the window as rows and cols."""
+        H, flat = following(nrows=2**64), Matrix("fp64", 2**64, 2**64)
+        inc = H.incremental
+        stream(H, flat, ([1, 2], [3, 4], [1.0, 2.0]))
+        assert inc.row_traffic().isequal(flat.reduce_rowwise(monoid.plus))
+        stream(H, flat, ([2**63, 2], [5, 4], [4.0, 8.0]))  # demotes layer 1
+        assert H.layers[0].key_spec is None and H.layers[0].has_pending
+        assert inc.col_traffic().isequal(flat.reduce_columnwise(monoid.plus))
+        H.wait()
+        stream(H, flat, ([9], [9], [16.0]))
+        H.wait()
+        assert (inc.piggybacked_drains, inc.full_drains) == (1, 2)
+        assert inc.row_traffic().isequal(flat.reduce_rowwise(monoid.plus))
+        assert float(inc.total()) == 31.0
+
+    def test_hierarchy_is_freed_without_the_cycle_collector(self):
+        """Layer 1 holds the tracker (its flush hook); the tracker holds the
+        layer weakly, so a streamed and read hierarchy dies on ``del``."""
+        gc.disable()
+        try:
+            H = following()
+            for batch in random_batches(seed=53, nbatches=2, batch=30):
+                H.update(*batch)
+                H.incremental.nnz()
+            alive = weakref.ref(H)
+            del H
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 # --------------------------------------------------------------------------- #

@@ -323,14 +323,14 @@ class TestPendingStoreSites:
     def test_vector_and_tracker_pending_are_arenas(self):
         v = Vector("fp64", 100)
         assert isinstance(v._pend, arena.PendingArena) and v._pend.ncols == 2
+        # The tracker owns only its segment store: the raw window is layer 1's.
         keyed = IncrementalReductions(2**32, 2**32)
-        assert keyed.fan_supported
-        assert keyed._backlog.ncols == 2 and keyed._segments.ncols == 2
+        assert keyed.fan_supported and keyed._segments.ncols == 2
         unpackable = IncrementalReductions(2**64, 2**64)
-        assert not unpackable.fan_supported
-        assert unpackable._backlog.ncols == 3 and unpackable._segments.ncols == 2
-        for store in (keyed._backlog, keyed._segments, unpackable._backlog):
-            assert isinstance(store, arena.PendingArena)
+        assert not unpackable.fan_supported and unpackable._segments.ncols == 3
+        for tracker in (keyed, unpackable):
+            assert isinstance(tracker._segments, arena.PendingArena)
+            assert not hasattr(tracker, "_backlog")
 
 
 class TestCallerBuffersReusable:
