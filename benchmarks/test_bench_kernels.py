@@ -31,7 +31,6 @@ ACCUMULATED_SIZES = [10_000, 100_000, 1_000_000]
 _timings = {}
 _packed_vs_fallback = {}
 _arena_results = {}
-_mxm_results = {}
 
 
 def _interleaved_best(fn_a, fn_b, repeats=3):
@@ -241,48 +240,6 @@ class TestPackedVsLexsort:
                 },
             },
         )
-
-
-class TestMxmPackedVsLexsort:
-    """Product-key grouping in ``mxm``: single packed argsort vs lexsort."""
-
-    NNZ = scaled(100_000, minimum=20_000)
-    NODES = max(NNZ // 2, 1_000)  # keeps the product count ~2x nnz at any scale
-
-    @staticmethod
-    def _operand(seed, nnz, nodes):
-        rng = np.random.default_rng(seed)
-        rows = rng.integers(0, nodes, nnz, dtype=np.uint64)
-        cols = rng.integers(0, nodes, nnz, dtype=np.uint64)
-        return Matrix("fp64", 2**32, 2**32).build(rows, cols, rng.random(nnz))
-
-    def test_mxm_packed_vs_fallback(self, benchmark):
-        benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-        A = self._operand(17, self.NNZ, self.NODES)
-        B = self._operand(19, self.NNZ, self.NODES)
-        packed_s = _best_of(lambda: A.mxm(B))
-        with coords.packing_disabled():
-            fallback_s = _best_of(lambda: A.mxm(B))
-        out = A.mxm(B)
-        with coords.packing_disabled():
-            reference = A.mxm(B)
-        assert out.isequal(reference, check_dtype=True)
-        speedup = fallback_s / packed_s if packed_s > 0 else float("inf")
-        _mxm_results.update(
-            {
-                "nnz_per_operand": self.NNZ,
-                "distinct_nodes": self.NODES,
-                "product_nvals": int(out.nvals),
-                "packed_seconds": round(packed_s, 6),
-                "lexsort_seconds": round(fallback_s, 6),
-                "speedup": round(speedup, 4),
-            }
-        )
-
-    def test_zz_mxm_report(self, benchmark, results_dir):
-        benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-        assert _mxm_results, "mxm timing must run before the report"
-        update_bench_json(results_dir, "mxm", dict(_mxm_results))
 
 
 class TestArenaIngest:

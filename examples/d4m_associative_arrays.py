@@ -9,7 +9,6 @@ D4M cascade the paper uses as its main prior-work baseline:
 
 * building an Assoc from string triples,
 * addition (union of keys), subscripting by prefix/range, transpose,
-* correlation queries (``sqIn`` / ``sqOut``),
 * the hierarchical D4M ingestor versus flat D4M ingest.
 
 Run:  python examples/d4m_associative_arrays.py
@@ -57,13 +56,6 @@ def main() -> None:
     print("\nrequests per URL:")
     for _, url, count in total.sum_rows():
         print(f"  {url:<14} {count:.0f}")
-
-    # Correlation: which URLs share clients (sqIn), which clients share URLs (sqOut).
-    url_corr = total.sqin()
-    print(
-        "\nURLs co-requested by the same client "
-        f"(e.g. /index.html & /login): {url_corr.getval('/index.html', '/login'):.0f}"
-    )
 
     # ------------------------------------------------------------------ #
     # hierarchical D4M versus flat D4M ingest (the Fig. 2 baseline)

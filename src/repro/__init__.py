@@ -4,7 +4,7 @@ A from-scratch Python reproduction of Kepner et al., "75,000,000,000 Streaming
 Inserts/Second Using Hierarchical Hypersparse GraphBLAS Matrices" (2020):
 
 * :mod:`repro.graphblas` — a hypersparse GraphBLAS substrate (matrices,
-  vectors, semirings, the full update algebra) built on NumPy;
+  vectors, operators and monoids, the accumulating update) built on NumPy;
 * :mod:`repro.core` — the paper's contribution: N-level hierarchical
   hypersparse matrices with tunable cuts, plus hierarchical D4M arrays;
 * :mod:`repro.d4m` — D4M associative arrays (the prior-work baseline);

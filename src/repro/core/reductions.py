@@ -11,12 +11,17 @@ deferred-ingest design for monitoring workloads that query stats continuously.
 
 :class:`IncrementalReductions` maintains those reductions *online*:
 
-* Ingest costs the tracker nothing: it keeps no copy of the updates.  Layer
-  1's pending arena is the one store of the current window, and the tracker
-  reads it in place — a stats read queues the part of the window no earlier
-  read took (an offset, not a copy of the window), and layer 1's flush hook
-  hands over the flush's sorted, collapsed window, or only the untaken tail
-  when a read got there first.  Queued work waits in a segment store.
+* Ingest makes no per-batch tracker call, and the tracker keeps no copy of
+  the updates.  Layer 1's pending arena is the one store of the current
+  window, and the tracker reads it in place — a stats read queues the part
+  of the window no earlier read took (an offset, not a copy of the window),
+  and layer 1's flush hook hands over the flush's sorted, collapsed window,
+  or only the untaken tail when a read got there first.  Queued work waits
+  in a segment store.  Ingest is not free, though: whenever the store would
+  outgrow :data:`DRAIN_INTERVAL`, a catch-up sorts and merges it even if
+  nothing reads, and those catch-ups are the tracker's ingest cost (5.59M
+  vs 9.47M updates/s tracked vs untracked on the bench's unread ``bulk``
+  stream, on a 2-vCPU x86 box).
 * Reads (and a :data:`DRAIN_INTERVAL` safety valve on the segment store)
   amortise the deferred work exactly like the hierarchy's own layer-1
   flush: the deferred keys sorted alone give the distinct coordinates (fan,

@@ -275,16 +275,6 @@ class Assoc:
         """Element-wise product over the intersection of keys."""
         return self.ewise(other, binary.times, union=False)
 
-    def sqin(self) -> "Assoc":
-        """Correlation of columns: ``A.T @ A`` (D4M ``sqIn``)."""
-        m = self._matrix.transpose().mxm(self._matrix)
-        return Assoc._from_parts(self._col_table, self._col_table, m)
-
-    def sqout(self) -> "Assoc":
-        """Correlation of rows: ``A @ A.T`` (D4M ``sqOut``)."""
-        m = self._matrix.mxm(self._matrix.transpose())
-        return Assoc._from_parts(self._row_table, self._row_table, m)
-
     def transpose(self) -> "Assoc":
         """Swap rows and columns."""
         return Assoc._from_parts(self._col_table, self._row_table, self._matrix.transpose())

@@ -7,25 +7,28 @@ functionality that the paper's hierarchical hypersparse matrices rely on:
   storage cost depends only on the number of stored values (``nvals``), never
   on the logical dimensions — so a :math:`2^{64} \\times 2^{64}` IPv6 traffic
   matrix is a perfectly ordinary object;
-* the GraphBLAS algebra: binary/unary operators, monoids, semirings,
-  element-wise add/multiply, matrix multiply, reductions, apply, select,
-  extract, assign, transpose and Kronecker products;
+* the accumulating update ``A += B`` (``plus`` by default) that carries one
+  hierarchy layer into the next, with element-wise add/multiply, apply,
+  extract and transpose for the D4M associative arrays;
+* binary/unary operators and monoids, and the row, column and scalar
+  reductions the analyses read;
 * SuiteSparse-style *pending tuples* so that streams of scalar insertions are
   buffered and merged lazily.
 
 Example
 -------
->>> from repro.graphblas import Matrix, semiring
+>>> from repro.graphblas import Matrix
 >>> A = Matrix.from_coo([0, 1], [1, 2], [1.0, 2.0], nrows=3, ncols=3)
->>> B = Matrix.from_coo([1, 2], [2, 0], [3.0, 4.0], nrows=3, ncols=3)
->>> C = A.mxm(B, semiring.plus_times)
->>> sorted(C)
-[(0, 2, 3.0), (1, 0, 8.0)]
+>>> B = Matrix.from_coo([0, 2], [1, 0], [3.0, 4.0], nrows=3, ncols=3)
+>>> A += B
+>>> sorted(A)
+[(0, 1, 4.0), (1, 2, 2.0), (2, 0, 4.0)]
+>>> A.reduce_rowwise()[0]
+4.0
 """
 
-from . import algorithms, coords
+from . import coords
 from .binaryop import BinaryOp, binary
-from .descriptor import Descriptor, descriptor
 from .errors import (
     DimensionMismatch,
     DomainMismatch,
@@ -37,12 +40,9 @@ from .errors import (
     NotImplementedException,
     OutputNotEmpty,
 )
-from .io import mmread, mmwrite, random_hypersparse, read_triples, write_triples
-from .mask import ComplementMask, Mask, StructuralMask, ValueMask
+from .io import random_hypersparse
 from .matrix import Matrix
 from .monoid import Monoid, monoid
-from .select import SelectOp, select_op
-from .semiring import Semiring, semiring
 from .types import (
     BOOL,
     FP32,
@@ -63,26 +63,15 @@ from .unaryop import UnaryOp, unary
 from .vector import Vector
 
 __all__ = [
-    "algorithms",
     "coords",
     "Matrix",
     "Vector",
     "BinaryOp",
     "UnaryOp",
     "Monoid",
-    "Semiring",
-    "SelectOp",
-    "Descriptor",
-    "Mask",
-    "StructuralMask",
-    "ValueMask",
-    "ComplementMask",
     "binary",
     "unary",
     "monoid",
-    "semiring",
-    "select_op",
-    "descriptor",
     "DataType",
     "lookup_dtype",
     "unify",
@@ -106,9 +95,5 @@ __all__ = [
     "InvalidValue",
     "NotImplementedException",
     "OutputNotEmpty",
-    "mmread",
-    "mmwrite",
-    "read_triples",
-    "write_triples",
     "random_hypersparse",
 ]

@@ -56,8 +56,6 @@ __all__ = [
     "merge_keys",
     "union_merge",
     "intersect_merge",
-    "difference_mask",
-    "membership_mask",
     "sorted_membership",
     "search_sorted_coo",
     "group_starts",
@@ -176,7 +174,7 @@ def _key_group_starts(keys: np.ndarray) -> np.ndarray:
 
 
 #: Public alias: single-key group starts for callers that sort in packed key
-#: space themselves (the packed ``mxm`` product path, the tracker catch-up).
+#: space themselves (the tracker catch-up).
 key_group_starts = _key_group_starts
 
 
@@ -352,6 +350,21 @@ def _locate_keys(ka: np.ndarray, kb: np.ndarray) -> Tuple[np.ndarray, np.ndarray
 _ONE_SIDED_RATIO = 8
 
 
+def _operand_type(op: BinaryOp, va: np.ndarray, vb: np.ndarray, out_dtype) -> Optional[np.dtype]:
+    """The type ``op`` must see its operands in, when that is not ``out_dtype``.
+
+    A ``bool_result`` operator (``eq``, ``lt``, ...) compares in the operands'
+    common type: casting them to its ``bool`` output first would turn every
+    nonzero value into ``True`` before the comparison.  The merges then run
+    in that type and cast the merged values to ``out_dtype`` at the end.
+    """
+    if op.bool_result:
+        work = np.promote_types(va.dtype, vb.dtype)
+        if work != out_dtype:
+            return work
+    return None
+
+
 def merge_keys(
     ka: np.ndarray,
     va: Optional[np.ndarray],
@@ -375,8 +388,13 @@ def merge_keys(
     """
     if op is None:
         op = binary.plus
-    if va is not None and out_dtype is None:
-        out_dtype = np.promote_types(va.dtype, vb.dtype)
+    if va is not None:
+        if out_dtype is None:
+            out_dtype = np.promote_types(va.dtype, vb.dtype)
+        work = _operand_type(op, va, vb, out_dtype)
+        if work is not None:
+            keys, vals = merge_keys(ka, va, kb, vb, op, work)
+            return keys, vals.astype(out_dtype)
     if ka.size == 0 or kb.size == 0:
         keys, vals = (kb, vb) if ka.size == 0 else (ka, va)
         return keys.copy(), None if vals is None else vals.astype(out_dtype, copy=True)
@@ -472,6 +490,10 @@ def union_merge(
     rb, cb, vb = b
     if out_dtype is None:
         out_dtype = np.promote_types(va.dtype, vb.dtype)
+    work = _operand_type(op, va, vb, out_dtype)
+    if work is not None:
+        *coo, vals = union_merge(a, b, op, work)
+        return (*coo, vals.astype(out_dtype))
     if ra.size == 0:
         return rb.copy(), cb.copy(), vb.astype(out_dtype, copy=True)
     if rb.size == 0:
@@ -534,6 +556,10 @@ def intersect_merge(
     rb, cb, vb = b
     if out_dtype is None:
         out_dtype = np.promote_types(va.dtype, vb.dtype)
+    work = _operand_type(op, va, vb, out_dtype)
+    if work is not None:
+        *coo, vals = intersect_merge(a, b, op, work)
+        return (*coo, vals.astype(out_dtype))
     empty = (
         np.empty(0, dtype=INDEX_DTYPE),
         np.empty(0, dtype=INDEX_DTYPE),
@@ -585,59 +611,6 @@ def intersect_merge(
 # --------------------------------------------------------------------------- #
 # membership and point queries
 # --------------------------------------------------------------------------- #
-
-
-def membership_mask(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    other_rows: np.ndarray,
-    other_cols: np.ndarray,
-) -> np.ndarray:
-    """Boolean mask marking which (rows, cols) pairs appear in the other set.
-
-    Both coordinate sets must be sorted lexicographically and duplicate-free.
-    """
-    if rows.size == 0:
-        return np.zeros(0, dtype=bool)
-    if other_rows.size == 0:
-        return np.zeros(rows.size, dtype=bool)
-
-    spec = coords.plan_pack((rows, cols), (other_rows, other_cols))
-    if spec is not None:
-        keys = coords.pack(rows, cols, spec)
-        other_keys = coords.pack(other_rows, other_cols, spec)
-        return _locate_keys(keys, other_keys)[1]
-
-    # Lexsort fallback (full 64-bit coordinate sets).
-    all_rows = np.concatenate([rows, other_rows])
-    all_cols = np.concatenate([cols, other_cols])
-    src = np.empty(all_rows.size, dtype=np.uint8)
-    src[: rows.size] = 0
-    src[rows.size:] = 1
-    original_pos = np.concatenate(
-        [np.arange(rows.size, dtype=np.intp), np.zeros(other_rows.size, dtype=np.intp)]
-    )
-    order = np.lexsort((src, all_cols, all_rows))
-    sr, sc, ss = all_rows[order], all_cols[order], src[order]
-    spos = original_pos[order]
-    dup_with_next = np.zeros(sr.size, dtype=bool)
-    dup_with_next[:-1] = (sr[1:] == sr[:-1]) & (sc[1:] == sc[:-1]) & (ss[:-1] == 0) & (
-        ss[1:] == 1
-    )
-    mask = np.zeros(rows.size, dtype=bool)
-    hit = np.flatnonzero(dup_with_next)
-    mask[spos[hit]] = True
-    return mask
-
-
-def difference_mask(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    other_rows: np.ndarray,
-    other_cols: np.ndarray,
-) -> np.ndarray:
-    """Boolean mask marking (rows, cols) pairs *not* present in the other set."""
-    return ~membership_mask(rows, cols, other_rows, other_cols)
 
 
 def sorted_membership(values: np.ndarray, selection: np.ndarray) -> np.ndarray:

@@ -1,28 +1,20 @@
 """I/O helpers for hypersparse matrices.
 
-Matrix Market text import/export (the exchange format SuiteSparse itself
-ships), TSV triple files (the format the D4M pipelines use for traffic data),
-and random-matrix generation utilities used by tests and benchmarks.
+TSV triple files (the format the D4M pipelines use for traffic data) and
+random-matrix generation used by the kernel benchmarks.
 """
 
 from __future__ import annotations
 
-import io as _stdio
 from pathlib import Path
 from typing import Optional, TextIO, Tuple, Union
 
 import numpy as np
 
-from .binaryop import BinaryOp
-from .errors import InvalidValue
 from .matrix import Matrix
-from .types import FP64, INT64, lookup_dtype
+from .types import lookup_dtype
 
 __all__ = [
-    "mmwrite",
-    "mmread",
-    "write_triples",
-    "read_triples",
     "read_triples_arrays",
     "random_hypersparse",
 ]
@@ -30,118 +22,10 @@ __all__ = [
 PathLike = Union[str, Path]
 
 
-def _open(path_or_file, mode: str):
-    if hasattr(path_or_file, "write") or hasattr(path_or_file, "read"):
-        return path_or_file, False
-    return open(path_or_file, mode), True
-
-
-def mmwrite(target: Union[PathLike, TextIO], matrix: Matrix, *, comment: str = "") -> None:
-    """Write a matrix in MatrixMarket coordinate format.
-
-    Indices are written 1-based per the format specification.  Hypersparse
-    dimensions up to 2**64 are written exactly (the header uses plain decimal
-    integers).
-    """
-    rows, cols, vals = matrix.extract_tuples()
-    fh, should_close = _open(target, "w")
-    try:
-        field = "integer" if matrix.dtype.is_integer or matrix.dtype.is_bool else "real"
-        fh.write(f"%%MatrixMarket matrix coordinate {field} general\n")
-        if comment:
-            for line in comment.splitlines():
-                fh.write(f"% {line}\n")
-        fh.write(f"{matrix.nrows} {matrix.ncols} {rows.size}\n")
-        for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
-            if field == "integer":
-                fh.write(f"{r + 1} {c + 1} {int(v)}\n")
-            else:
-                fh.write(f"{r + 1} {c + 1} {float(v)!r}\n")
-    finally:
-        if should_close:
-            fh.close()
-
-
-def mmread(source: Union[PathLike, TextIO], *, dtype=None) -> Matrix:
-    """Read a MatrixMarket coordinate file into a hypersparse Matrix."""
-    fh, should_close = _open(source, "r")
-    try:
-        header = fh.readline()
-        if not header.startswith("%%MatrixMarket"):
-            raise InvalidValue("not a MatrixMarket file (missing %%MatrixMarket header)")
-        tokens = header.strip().split()
-        field = tokens[3] if len(tokens) > 3 else "real"
-        line = fh.readline()
-        while line.startswith("%"):
-            line = fh.readline()
-        nrows_s, ncols_s, nnz_s = line.split()
-        nrows, ncols, nnz = int(nrows_s), int(ncols_s), int(nnz_s)
-        rows = np.empty(nnz, dtype=np.uint64)
-        cols = np.empty(nnz, dtype=np.uint64)
-        vals = np.empty(nnz, dtype=np.int64 if field == "integer" else np.float64)
-        for i in range(nnz):
-            parts = fh.readline().split()
-            rows[i] = int(parts[0]) - 1
-            cols[i] = int(parts[1]) - 1
-            if field == "pattern":
-                vals[i] = 1
-            elif field == "integer":
-                vals[i] = int(parts[2])
-            else:
-                vals[i] = float(parts[2])
-        if dtype is None:
-            dtype = INT64 if field in ("integer", "pattern") else FP64
-        return Matrix.from_coo(rows, cols, vals, dtype=dtype, nrows=nrows, ncols=ncols)
-    finally:
-        if should_close:
-            fh.close()
-
-
-def write_triples(target: Union[PathLike, TextIO], matrix: Matrix, *, sep: str = "\t") -> None:
-    """Write ``row<sep>col<sep>value`` triples (0-based), the D4M exchange format."""
-    rows, cols, vals = matrix.extract_tuples()
-    fh, should_close = _open(target, "w")
-    try:
-        for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
-            fh.write(f"{r}{sep}{c}{sep}{v}\n")
-    finally:
-        if should_close:
-            fh.close()
-
-
-def read_triples(
-    source: Union[PathLike, TextIO],
-    *,
-    sep: str = "\t",
-    dtype="fp64",
-    nrows: int = 2 ** 64,
-    ncols: int = 2 ** 64,
-    dup_op: Optional[BinaryOp] = None,
-) -> Matrix:
-    """Read ``row<sep>col<sep>value`` triples into a hypersparse Matrix."""
-    fh, should_close = _open(source, "r")
-    try:
-        rows, cols, vals = [], [], []
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            r, c, v = line.split(sep)
-            rows.append(int(r))
-            cols.append(int(c))
-            vals.append(float(v))
-        return Matrix.from_coo(
-            np.asarray(rows, dtype=np.uint64),
-            np.asarray(cols, dtype=np.uint64),
-            np.asarray(vals),
-            dtype=dtype,
-            nrows=nrows,
-            ncols=ncols,
-            dup_op=dup_op,
-        )
-    finally:
-        if should_close:
-            fh.close()
+def _open(source):
+    if hasattr(source, "read"):
+        return source, False
+    return open(source, "r"), True
 
 
 def read_triples_arrays(
@@ -149,12 +33,12 @@ def read_triples_arrays(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read ``row<sep>col<sep>value`` triples as raw coordinate arrays.
 
-    Unlike :func:`read_triples` this performs no duplicate collapse, so a
-    recorded traffic capture replays as the original update *stream* —
-    duplicates and ordering intact — which is what the sharded ingest CLI
-    needs to re-feed a file through the streaming path.
+    No duplicate is collapsed, so a recorded traffic capture replays as the
+    original update *stream* — duplicates and ordering intact — which is
+    what the sharded ingest CLI needs to re-feed a file through the
+    streaming path.
     """
-    fh, should_close = _open(source, "r")
+    fh, should_close = _open(source)
     try:
         rows, cols, vals = [], [], []
         for line in fh:

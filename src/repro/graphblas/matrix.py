@@ -23,8 +23,8 @@ operation on the dual-key lexsort kernels — the reference the keyed path is
 property-tested against.
 
 The class mirrors the GraphBLAS C API surface used by the paper (build,
-setElement/extractElement, eWiseAdd, eWiseMult, mxm/mxv, reduce, apply, select,
-extract, assign, transpose, kronecker, dup, clear) plus the pending-tuple
+setElement/extractElement, eWiseAdd, eWiseMult, reduce, apply, extract,
+transpose, dup, clear) plus the pending-tuple
 buffering that SuiteSparse uses to make streams of ``setElement`` calls cheap:
 scalar insertions append to an unsorted pending buffer and are merged into the
 sorted representation lazily, exactly the behaviour the hierarchical layering
@@ -33,33 +33,27 @@ in :mod:`repro.core` builds upon.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
 from . import _kernels as K
 from . import arena, coords
 from .binaryop import BinaryOp, binary
-from .descriptor import NULL_DESCRIPTOR, Descriptor
 from .errors import (
     DimensionMismatch,
-    EmptyObject,
     IndexOutOfBound,
     InvalidValue,
-    NotImplementedException,
 )
-from .mask import Mask, resolve_mask
 from .monoid import Monoid, monoid
-from .select import SelectOp, select_op
-from .semiring import Semiring, semiring
-from .types import BOOL, DataType, lookup_dtype, unify
+from .types import DataType, lookup_dtype
 
 __all__ = ["Matrix"]
 
 #: Maximum dimension: GraphBLAS "GrB_INDEX_MAX + 1"; full 64-bit index space.
 MAX_DIM = 2 ** 64
 
-_ALL = object()  # sentinel for "all rows/cols" in extract/assign
+_ALL = object()  # sentinel for "all rows/cols" in extract
 
 
 def _check_dim(value: int, name: str) -> int:
@@ -194,14 +188,6 @@ class Matrix:
         pend.append(*coords.unpack(pending_keys, self._spec), bits)
         self._keys, self._pend, self._spec = None, pend, None
 
-    def _keep(self, mask: np.ndarray) -> None:
-        """Drop the stored entries where ``mask`` is False."""
-        if self._keys is not None:
-            self._set_keys(self._keys[mask], self._vals[mask])
-        else:
-            rows, cols = self._rc
-            self._set_coo(rows[mask], cols[mask], self._vals[mask])
-
     # -- alternate constructors ----------------------------------------- #
 
     @classmethod
@@ -239,37 +225,6 @@ class Matrix:
         out = cls(v.dtype if dtype is None else dtype, nrows, ncols, name=name)
         out.build(r, c, v, dup_op=dup_op)
         return out
-
-    @classmethod
-    def from_scipy_sparse(cls, sp_matrix, *, dtype=None, name: str = "") -> "Matrix":
-        """Build a matrix from any SciPy sparse matrix/array."""
-        coo = sp_matrix.tocoo()
-        return cls.from_coo(
-            coo.row,
-            coo.col,
-            coo.data,
-            dtype=dtype,
-            nrows=coo.shape[0],
-            ncols=coo.shape[1],
-            name=name,
-        )
-
-    @classmethod
-    def from_dense(cls, array, *, dtype=None, name: str = "") -> "Matrix":
-        """Build a matrix from a dense 2-D array, dropping explicit zeros."""
-        arr = np.asarray(array)
-        if arr.ndim != 2:
-            raise DimensionMismatch(f"from_dense expects a 2-D array, got {arr.ndim}-D")
-        r, c = np.nonzero(arr)
-        return cls.from_coo(
-            r, c, arr[r, c], dtype=dtype, nrows=arr.shape[0], ncols=arr.shape[1], name=name
-        )
-
-    @classmethod
-    def identity(cls, n: int, value=1, *, dtype="fp64", name: str = "") -> "Matrix":
-        """The ``n x n`` identity-pattern matrix with ``value`` on the diagonal."""
-        idx = np.arange(int(n), dtype=np.int64)
-        return cls.from_coo(idx, idx, value, dtype=dtype, nrows=n, ncols=n, name=name)
 
     def dup(self, *, dtype=None, name: str = "") -> "Matrix":
         """Deep copy of this matrix (optionally cast to ``dtype``)."""
@@ -617,16 +572,6 @@ class Matrix:
 
     get = extractElement
 
-    def removeElement(self, row: int, col: int) -> bool:
-        """Delete a single entry; returns True if it was present."""
-        pos = self._find(row, col)
-        if pos < 0:
-            return False
-        keep = np.ones(self._vals.size, dtype=bool)
-        keep[pos] = False
-        self._keep(keep)
-        return True
-
     def clear(self) -> "Matrix":
         """Remove every stored entry (dimensions and type are retained).
 
@@ -721,9 +666,6 @@ class Matrix:
         self,
         other: "Matrix",
         op: Optional[Union[BinaryOp, Monoid, str]] = None,
-        *,
-        mask=None,
-        desc: Descriptor = NULL_DESCRIPTOR,
     ) -> "Matrix":
         """Element-wise union: entries of either operand, combined where both exist."""
         op = self._coerce_op(op, binary.plus)
@@ -742,15 +684,12 @@ class Matrix:
             out_dtype=out_type.np_type,
         )
         out._set_coo(r, c, v.astype(out_type.np_type, copy=False))
-        return out._apply_mask(mask, desc)
+        return out
 
     def ewise_mult(
         self,
         other: "Matrix",
         op: Optional[Union[BinaryOp, Monoid, str]] = None,
-        *,
-        mask=None,
-        desc: Descriptor = NULL_DESCRIPTOR,
     ) -> "Matrix":
         """Element-wise intersection: only coordinates present in both operands."""
         op = self._coerce_op(op, binary.times)
@@ -769,7 +708,7 @@ class Matrix:
             out_dtype=out_type.np_type,
         )
         out._set_coo(r, c, v.astype(out_type.np_type, copy=False))
-        return out._apply_mask(mask, desc)
+        return out
 
     # Operator sugar ----------------------------------------------------- #
 
@@ -787,167 +726,11 @@ class Matrix:
     def __rmul__(self, other):
         return self.apply(binary.times, left=other)
 
-    def __matmul__(self, other):
-        return self.mxm(other)
-
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self.ewise_add(other.apply("ainv"), binary.plus)
 
     def __neg__(self) -> "Matrix":
         return self.apply("ainv")
-
-    # ------------------------------------------------------------------ #
-    # multiplication
-    # ------------------------------------------------------------------ #
-
-    def mxm(
-        self,
-        other: "Matrix",
-        op: Optional[Union[Semiring, str]] = None,
-        *,
-        mask=None,
-        desc: Descriptor = NULL_DESCRIPTOR,
-    ) -> "Matrix":
-        """Matrix-matrix multiply over a semiring (default ``plus_times``).
-
-        The kernel is a fully vectorised sparse join: the inner dimension is
-        matched by binary search, products are materialised with fancy
-        indexing, and duplicates are collapsed with the additive monoid's
-        ``reduceat`` fast path.  Works for arbitrarily large hypersparse
-        dimensions because no dense structure is ever formed.
-        """
-        if op is None:
-            op = semiring.plus_times
-        elif isinstance(op, str):
-            op = semiring[op]
-        A, B = self, other
-        if desc.transpose_a:
-            A = A.transpose()
-        if desc.transpose_b:
-            B = B.transpose()
-        if A._ncols != B._nrows:
-            raise DimensionMismatch(
-                f"mxm inner dimensions differ: {A.shape} @ {B.shape}"
-            )
-        A._wait()
-        B._wait()
-        out_type = op.output_type(A._dtype, B._dtype)
-        out = Matrix(out_type, A._nrows, B._ncols)
-        if A._rows.size == 0 or B._rows.size == 0:
-            return out._apply_mask(mask, desc)
-
-        # Sort A by inner index (its columns); B is already sorted by rows.
-        a_order = np.argsort(A._cols, kind="stable")
-        a_rows = A._rows[a_order]
-        a_inner = A._cols[a_order]
-        a_vals = A._vals[a_order]
-        b_inner = B._rows
-        b_cols = B._cols
-        b_vals = B._vals
-
-        lo = np.searchsorted(b_inner, a_inner, side="left")
-        hi = np.searchsorted(b_inner, a_inner, side="right")
-        counts = (hi - lo).astype(np.int64)
-        total = int(counts.sum())
-        if total == 0:
-            return out._apply_mask(mask, desc)
-
-        rep = np.repeat(np.arange(a_inner.size, dtype=np.int64), counts)
-        starts = np.repeat(lo.astype(np.int64), counts)
-        prefix = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(prefix, counts)
-        b_idx = starts + offsets
-
-        prod_vals = op.multiply(a_vals[rep], b_vals[b_idx]).astype(
-            out_type.np_type, copy=False
-        )
-        spec = coords.plan_pack((a_rows, b_cols))
-        if spec is not None:
-            # Packed product path: build the output coordinates directly as
-            # single uint64 keys (row from A, column from B), so the collapse
-            # is one single-key stable argsort plus one gather — no (rows,
-            # cols) materialisation before the sort and only the collapsed
-            # group heads are ever unpacked.  Packing is monotone in the
-            # lexicographic order, so this is bit-identical to the lexsort
-            # engine (property-tested).
-            prod_keys = coords.pack(a_rows[rep], b_cols[b_idx], spec)
-            order = np.argsort(prod_keys, kind="stable")
-            skeys = prod_keys[order]
-            starts2 = K.key_group_starts(skeys)
-            out._set_coo(
-                *coords.unpack(skeys[starts2], spec),
-                op.add.reduce_groups(prod_vals[order], starts2).astype(
-                    out_type.np_type, copy=False
-                ),
-            )
-            return out._apply_mask(mask, desc)
-        prod_rows = a_rows[rep]
-        prod_cols = b_cols[b_idx]
-        prod_rows, prod_cols, prod_vals = K.sort_coo(prod_rows, prod_cols, prod_vals)
-        starts2 = K.group_starts(prod_rows, prod_cols)
-        out._set_coo(
-            prod_rows[starts2],
-            prod_cols[starts2],
-            op.add.reduce_groups(prod_vals, starts2).astype(out_type.np_type, copy=False),
-        )
-        return out._apply_mask(mask, desc)
-
-    def mxv(self, vector, op: Optional[Union[Semiring, str]] = None, *, mask=None):
-        """Matrix-vector multiply ``A x`` over a semiring (default ``plus_times``)."""
-        from .vector import Vector
-
-        if op is None:
-            op = semiring.plus_times
-        elif isinstance(op, str):
-            op = semiring[op]
-        if vector.size != self._ncols:
-            raise DimensionMismatch(
-                f"mxv requires vector of size {self._ncols}, got {vector.size}"
-            )
-        self._wait()
-        vector._wait()
-        out_type = op.output_type(self._dtype, vector.dtype)
-        out = Vector(out_type, self._nrows)
-        if self._rows.size == 0 or vector.nvals == 0:
-            return out
-        v_idx, v_vals = vector._indices, vector._vals
-        pos = np.searchsorted(v_idx, self._cols)
-        pos_clamped = np.minimum(pos, v_idx.size - 1)
-        hit = v_idx[pos_clamped] == self._cols
-        if not np.any(hit):
-            return out
-        rows = self._rows[hit]
-        prods = op.multiply(self._vals[hit], v_vals[pos_clamped[hit]]).astype(
-            out_type.np_type, copy=False
-        )
-        # self._rows is sorted and boolean masking preserves order, so `rows`
-        # is already non-decreasing: the historical stable re-sort here was
-        # always the identity permutation and is skipped bit-identically.
-        starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
-        out._indices = rows[starts]
-        out._vals = op.add.reduce_groups(prods, starts).astype(out_type.np_type, copy=False)
-        return out
-
-    def kronecker(self, other: "Matrix", op: Optional[BinaryOp] = None) -> "Matrix":
-        """Kronecker product with multiplicative operator ``op`` (default ``times``)."""
-        op = self._coerce_op(op, binary.times)
-        self._wait()
-        other._wait()
-        if self._nrows > MAX_DIM // max(other._nrows, 1) or self._ncols > MAX_DIM // max(other._ncols, 1):
-            raise InvalidValue("kronecker result dimensions exceed 2**64")
-        out_type = op.output_type(self._dtype, other._dtype)
-        out = Matrix(out_type, self._nrows * other._nrows, self._ncols * other._ncols)
-        if self._rows.size == 0 or other._rows.size == 0:
-            return out
-        na, nb = self._rows.size, other._rows.size
-        rep_a = np.repeat(np.arange(na), nb)
-        rep_b = np.tile(np.arange(nb), na)
-        rows = self._rows[rep_a] * np.uint64(other._nrows) + other._rows[rep_b]
-        cols = self._cols[rep_a] * np.uint64(other._ncols) + other._cols[rep_b]
-        vals = op(self._vals[rep_a], other._vals[rep_b]).astype(out_type.np_type, copy=False)
-        rows, cols, vals = K.sort_coo(rows, cols, vals)
-        out._set_coo(rows, cols, vals)
-        return out
 
     # ------------------------------------------------------------------ #
     # reductions
@@ -982,10 +765,10 @@ class Matrix:
         return m.reduce(self._vals, dtype=self._dtype)
 
     # ------------------------------------------------------------------ #
-    # apply / select / extract / assign / transpose
+    # apply / extract / transpose
     # ------------------------------------------------------------------ #
 
-    def apply(self, op, *, left=None, right=None, mask=None, desc: Descriptor = NULL_DESCRIPTOR) -> "Matrix":
+    def apply(self, op, *, left=None, right=None) -> "Matrix":
         """Apply a unary operator (or a binary operator bound to a scalar) to every value."""
         from .unaryop import UnaryOp, unary as unary_ns
 
@@ -1011,16 +794,6 @@ class Matrix:
             self._cols.copy(),
             np.asarray(new_vals).astype(out_type.np_type, copy=False),
         )
-        return out._apply_mask(mask, desc)
-
-    def select(self, op: Union[SelectOp, str], thunk=None) -> "Matrix":
-        """Keep only the entries satisfying a select operator (``tril``, ``valuegt`` ...)."""
-        if isinstance(op, str):
-            op = select_op[op]
-        self._wait()
-        keep = np.asarray(op(self._rows, self._cols, self._vals, thunk), dtype=bool)
-        out = Matrix(self._dtype, self._nrows, self._ncols)
-        out._set_coo(self._rows[keep], self._cols[keep], self._vals[keep])
         return out
 
     @staticmethod
@@ -1122,36 +895,6 @@ class Matrix:
         out._set_coo(r, c, v)
         return out
 
-    def assign(self, value, rows=_ALL, cols=_ALL, *, accum: Optional[BinaryOp] = None) -> "Matrix":
-        """Assign a scalar (or accumulate it) into every position of a row/column block."""
-        self._wait()
-        row_sel = (
-            np.arange(min(self._nrows, 2 ** 20), dtype=np.uint64)
-            if rows is _ALL
-            else K.as_index_array(rows, "rows")
-        )
-        col_sel = (
-            np.arange(min(self._ncols, 2 ** 20), dtype=np.uint64)
-            if cols is _ALL
-            else K.as_index_array(cols, "cols")
-        )
-        if rows is _ALL and self._nrows > 2 ** 20:
-            raise NotImplementedException(
-                "assign to all rows of a hypersparse dimension is not supported; "
-                "pass explicit row indices"
-            )
-        if cols is _ALL and self._ncols > 2 ** 20:
-            raise NotImplementedException(
-                "assign to all columns of a hypersparse dimension is not supported; "
-                "pass explicit column indices"
-            )
-        rr = np.repeat(row_sel, col_sel.size)
-        cc = np.tile(col_sel, row_sel.size)
-        vv = np.full(rr.size, value, dtype=self._dtype.np_type)
-        block = Matrix(self._dtype, self._nrows, self._ncols)
-        block.build(rr, cc, vv, dup_op=binary.second)
-        return self.update(block, accum=accum if accum is not None else binary.second)
-
     def transpose(self) -> "Matrix":
         """Materialised transpose (rows and columns exchanged, re-sorted)."""
         self._wait()
@@ -1161,69 +904,9 @@ class Matrix:
             out._set_coo(r, c, v)
         return out
 
-    def diag(self):
-        """The main diagonal as a sparse Vector of length min(nrows, ncols)."""
-        from .vector import Vector
-
-        self._wait()
-        out = Vector(self._dtype, min(self._nrows, self._ncols))
-        hit = self._rows == self._cols
-        out._indices = self._rows[hit].copy()
-        out._vals = self._vals[hit].copy()
-        return out
-
-    # ------------------------------------------------------------------ #
-    # masks
-    # ------------------------------------------------------------------ #
-
-    def _apply_mask(self, mask, desc: Descriptor = NULL_DESCRIPTOR) -> "Matrix":
-        """Filter stored entries through a mask (structural or value, possibly complemented)."""
-        mask = resolve_mask(mask, desc)
-        if mask is None:
-            return self
-        parent: "Matrix" = mask.parent
-        parent._wait()
-        self._wait()
-        if mask.structure:
-            m_rows, m_cols = parent._rows, parent._cols
-        else:
-            truthy = parent._vals.astype(bool)
-            m_rows, m_cols = parent._rows[truthy], parent._cols[truthy]
-        member = K.membership_mask(self._rows, self._cols, m_rows, m_cols)
-        if mask.complement:
-            member = ~member
-        self._keep(member)
-        return self
-
     # ------------------------------------------------------------------ #
     # conversions and comparisons
     # ------------------------------------------------------------------ #
-
-    def to_scipy_sparse(self, format: str = "csr"):
-        """Convert to a SciPy sparse matrix (dimensions must fit in int64)."""
-        import scipy.sparse as sp
-
-        self._wait()
-        if self._nrows > np.iinfo(np.int64).max or self._ncols > np.iinfo(np.int64).max:
-            raise NotImplementedException(
-                "matrix dimensions exceed SciPy's index range; extract a submatrix first"
-            )
-        coo = sp.coo_matrix(
-            (self._vals, (self._rows.astype(np.int64), self._cols.astype(np.int64))),
-            shape=(self._nrows, self._ncols),
-        )
-        return coo.asformat(format)
-
-    def to_dense(self, fill_value=0) -> np.ndarray:
-        """Convert to a dense ndarray (guarded against blowing up memory)."""
-        self._wait()
-        if self._nrows * self._ncols > 10 ** 8:
-            raise NotImplementedException(
-                f"refusing to densify a {self._nrows} x {self._ncols} matrix"
-            )
-        out = np.full((self._nrows, self._ncols), fill_value, dtype=self._dtype.np_type)
-        out[self._rows.astype(np.int64), self._cols.astype(np.int64)] = self._vals
-        return out
 
     def isequal(self, other: "Matrix", *, check_dtype: bool = False) -> bool:
         """Exact equality of pattern and values (and optionally dtype)."""

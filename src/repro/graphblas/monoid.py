@@ -1,7 +1,7 @@
 """GraphBLAS monoids: associative, commutative binary operators with identity.
 
-Monoids drive reductions (``Matrix.reduce_rowwise``, ``reduce_scalar``) and the
-additive half of semirings.  Each monoid references a :class:`BinaryOp`, its
+Monoids drive reductions (``Matrix.reduce_rowwise``, ``reduce_scalar``).
+Each monoid references a :class:`BinaryOp`, its
 identity element, and (where one exists) a *terminal* value that permits early
 exit — exactly mirroring SuiteSparse's monoid descriptors.
 """

@@ -4,8 +4,7 @@ A :class:`Vector` stores only its nonzero entries as sorted ``uint64`` indices
 plus values, so it supports the same hypersparse dimensions as
 :class:`~repro.graphblas.matrix.Matrix` (e.g. a degree vector over the full
 IPv4 address space).  The API mirrors the GraphBLAS vector operations: build,
-setElement/extractElement, eWiseAdd/eWiseMult, apply, select, reduce, and
-vector-matrix multiply.
+setElement/extractElement, eWiseAdd/eWiseMult, apply and reduce.
 
 Like :class:`~repro.graphblas.matrix.Matrix`, vectors support deferred
 (``lazy=True``) builds — batches append to a pending buffer in O(n) and the
@@ -31,10 +30,8 @@ import numpy as np
 from . import _kernels as K
 from . import arena
 from .binaryop import BinaryOp, binary
-from .errors import DimensionMismatch, IndexOutOfBound, InvalidValue, NotImplementedException
+from .errors import DimensionMismatch, IndexOutOfBound, InvalidValue
 from .monoid import Monoid, monoid
-from .select import SelectOp, select_op
-from .semiring import Semiring, semiring
 from .types import DataType, lookup_dtype
 
 __all__ = ["Vector"]
@@ -102,15 +99,6 @@ class Vector:
         out = cls(v.dtype if dtype is None else dtype, size, name=name)
         out.build(idx, v, dup_op=dup_op)
         return out
-
-    @classmethod
-    def from_dense(cls, array, *, dtype=None, name: str = "") -> "Vector":
-        """Build a vector from a dense 1-D array, dropping explicit zeros."""
-        arr = np.asarray(array)
-        if arr.ndim != 1:
-            raise DimensionMismatch("from_dense expects a 1-D array")
-        idx = np.flatnonzero(arr)
-        return cls.from_coo(idx, arr[idx], dtype=dtype, size=arr.size, name=name)
 
     def dup(self, *, dtype=None, name: str = "") -> "Vector":
         """Deep copy (optionally cast to ``dtype``)."""
@@ -317,18 +305,6 @@ class Vector:
 
     get = extractElement
 
-    def removeElement(self, index: int) -> bool:
-        """Delete a single entry; returns True if it was present."""
-        self._wait()
-        pos = np.searchsorted(self._indices, np.uint64(int(index)))
-        if pos < self._indices.size and self._indices[pos] == np.uint64(int(index)):
-            keep = np.ones(self._indices.size, dtype=bool)
-            keep[pos] = False
-            self._indices = self._indices[keep]
-            self._vals = self._vals[keep]
-            return True
-        return False
-
     def clear(self) -> "Vector":
         """Remove every stored entry (including pending ones)."""
         self._indices = np.empty(0, dtype=K.INDEX_DTYPE)
@@ -415,7 +391,7 @@ class Vector:
         return self.apply(binary.times, right=other)
 
     # ------------------------------------------------------------------ #
-    # apply / select / reduce / multiply
+    # apply / reduce
     # ------------------------------------------------------------------ #
 
     def apply(self, op, *, left=None, right=None) -> "Vector":
@@ -441,40 +417,11 @@ class Vector:
         out._vals = np.asarray(new_vals).astype(out_type.np_type, copy=False)
         return out
 
-    def select(self, op: Union[SelectOp, str], thunk=None) -> "Vector":
-        """Keep only the entries satisfying a select operator."""
-        if isinstance(op, str):
-            op = select_op[op]
-        self._wait()
-        keep = np.asarray(
-            op(self._indices, np.zeros(self._indices.size, dtype=K.INDEX_DTYPE), self._vals, thunk),
-            dtype=bool,
-        )
-        out = Vector(self._dtype, self._size)
-        out._indices = self._indices[keep]
-        out._vals = self._vals[keep]
-        return out
-
     def reduce(self, op: Optional[Union[Monoid, str]] = None):
         """Reduce every stored value to a scalar (monoid identity if empty)."""
         m = monoid[op] if isinstance(op, str) else (op or monoid.plus)
         self._wait()
         return m.reduce(self._vals, dtype=self._dtype)
-
-    def vxm(self, matrix, op: Optional[Union[Semiring, str]] = None) -> "Vector":
-        """Vector-matrix multiply ``x^T A`` over a semiring (default ``plus_times``)."""
-        return matrix.transpose().mxv(self, op)
-
-    def to_dense(self, fill_value=0) -> np.ndarray:
-        """Convert to a dense ndarray (guarded against huge logical sizes)."""
-        self._wait()
-        if self._size > 10 ** 8:
-            raise NotImplementedException(
-                f"refusing to densify a vector of logical size {self._size}"
-            )
-        out = np.full(self._size, fill_value, dtype=self._dtype.np_type)
-        out[self._indices.astype(np.int64)] = self._vals
-        return out
 
     def isequal(self, other: "Vector", *, check_dtype: bool = False) -> bool:
         """Exact equality of pattern and values."""

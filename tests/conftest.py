@@ -50,3 +50,20 @@ def random_coo(rng, n, nrows=1000, ncols=1000):
     cols = rng.integers(0, ncols, size=n, dtype=np.uint64)
     vals = rng.normal(size=n)
     return rows, cols, vals
+
+
+def to_array(A):
+    """Dense NumPy oracle of a small Matrix, built from its stored tuples."""
+    rows, cols, vals = A.extract_tuples()
+    out = np.zeros(A.shape, dtype=A.dtype.np_type)
+    out[rows.astype(np.int64), cols.astype(np.int64)] = vals
+    return out
+
+
+def from_array(array):
+    """The Matrix holding a dense 2-D array's nonzeros, built with ``from_coo``."""
+    array = np.asarray(array)
+    rows, cols = np.nonzero(array)
+    return Matrix.from_coo(
+        rows, cols, array[rows, cols], nrows=array.shape[0], ncols=array.shape[1]
+    )

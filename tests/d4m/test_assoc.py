@@ -111,15 +111,6 @@ class TestAlgebra:
         assert A.T.getval("x", "a") == 1.0
         assert A.transpose().transpose() == A
 
-    def test_sqin_sqout(self):
-        A = Assoc(["s1", "s1", "s2"], ["d1", "d2", "d1"], [1.0, 1.0, 1.0])
-        sq_in = A.sqin()   # column-column correlation
-        assert sq_in.getval("d1", "d1") == 2.0
-        assert sq_in.getval("d1", "d2") == 1.0
-        sq_out = A.sqout()  # row-row correlation
-        assert sq_out.getval("s1", "s1") == 2.0
-        assert sq_out.getval("s1", "s2") == 1.0
-
     def test_sums(self):
         A = Assoc(["a", "a", "b"], ["x", "y", "x"], [1.0, 2.0, 3.0])
         col_sums = A.sum_rows()

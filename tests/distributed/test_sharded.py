@@ -26,6 +26,8 @@ from repro.distributed import (
 from repro.graphblas import Matrix, binary, coords
 from repro.workloads import synthetic_packets
 
+from ..conftest import from_array, to_array
+
 CUTS = [500, 5_000]
 
 
@@ -139,7 +141,7 @@ class TestExtractDuplicateIndicesFix:
 
     @pytest.fixture()
     def matrix(self, dense):
-        return Matrix.from_dense(dense)
+        return from_array(dense)
 
     def test_duplicate_row_selection_replicates(self, matrix):
         """M.extract([1, 1], [1]) must have 2 entries (GraphBLAS semantics)."""
@@ -159,12 +161,12 @@ class TestExtractDuplicateIndicesFix:
     )
     def test_matches_dense_fancy_indexing(self, matrix, dense, rsel, csel):
         sub = matrix.extract(rsel, csel)
-        assert np.array_equal(sub.to_dense(), dense[np.ix_(rsel, csel)])
+        assert np.array_equal(to_array(sub), dense[np.ix_(rsel, csel)])
 
     def test_duplicate_rows_all_columns(self, matrix, dense):
         sub = matrix.extract([1, 1])
         assert sub.nvals == 8
-        assert np.array_equal(sub.to_dense(), dense[[1, 1], :])
+        assert np.array_equal(to_array(sub), dense[[1, 1], :])
 
     def test_reindex_false_keeps_set_semantics(self, matrix):
         """Original coordinates are preserved, so duplicates cannot replicate."""

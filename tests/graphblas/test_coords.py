@@ -156,16 +156,6 @@ class TestEngineParity:
             fallback = K.intersect_merge(a, b, op)
         assert_triples_equal(packed, fallback)
 
-    @given(pairs_a=triple_lists, pairs_b=triple_lists)
-    @settings(max_examples=60, deadline=None)
-    def test_membership_mask_parity(self, pairs_a, pairs_b):
-        ra, ca, _ = K.build_triples(*make_triples(pairs_a, np.float64), binary.plus)
-        rb, cb, _ = K.build_triples(*make_triples(pairs_b, np.float64), binary.plus)
-        packed = K.membership_mask(ra, ca, rb, cb)
-        with coords.packing_disabled():
-            fallback = K.membership_mask(ra, ca, rb, cb)
-        assert np.array_equal(packed, fallback)
-
     @given(pairs=triple_lists, queries=triple_lists)
     @settings(max_examples=60, deadline=None)
     def test_search_sorted_parity(self, pairs, queries):
@@ -431,8 +421,7 @@ class TestKeyedStore:
     def test_point_reads_do_not_unpack_the_store(self):
         M = Matrix("fp64", 2**32, 2**32).build([3, 1], [4, 2], [7.0, 8.0])
         assert M[3, 4] == 7.0 and M.get(3, 5) is None and (1, 2) in M
-        assert M.removeElement(1, 2) and not M.removeElement(1, 2)
-        assert M._rc is None and M.nvals == 1
+        assert M._rc is None and M.nvals == 2
 
 
 class TestPackOnce:
@@ -504,43 +493,13 @@ class TestPackOnce:
             HierarchicalMatrix(cuts=[8]).update_packed(ok, 1)  # 2^64 x 2^64: no key form
 
 
-class TestMultiplyAndExtractParity:
-    """Packed-key mxm/mxv/extract fast paths vs the lexsort/np.isin reference.
+class TestExtractParity:
+    """The ``extract`` fast path (sorted membership join) vs the np.isin reference.
 
-    The fast paths are gated on the same toggle as the packed kernels, so
+    The fast path is gated on the same toggle as the packed kernels, so
     ``packing_disabled`` drives the reference engine on identical inputs —
-    outputs must be bit-identical (the product-key sort and the lexsort see
-    the same composite order, and both sorts are stable).
+    outputs must be bit-identical.
     """
-
-    @given(pairs_a=triple_lists, pairs_b=triple_lists, dtype=value_dtype)
-    @settings(max_examples=40, deadline=None)
-    def test_mxm_parity(self, pairs_a, pairs_b, dtype):
-        name = np.dtype(dtype).name.replace("float", "fp")
-        ra, ca, va = make_triples(pairs_a, dtype)
-        rb, cb, vb = make_triples(pairs_b, dtype)
-        A = Matrix(name, 2**64, 2**64).build(ra, ca, va)
-        B = Matrix(name, 2**64, 2**64).build(rb, cb, vb)
-        fast = A.mxm(B)
-        with coords.packing_disabled():
-            reference = A.mxm(B)
-        assert fast.isequal(reference, check_dtype=True)
-
-    @given(pairs=triple_lists, dtype=value_dtype)
-    @settings(max_examples=40, deadline=None)
-    def test_mxv_parity(self, pairs, dtype):
-        from repro.graphblas import Vector
-
-        name = np.dtype(dtype).name.replace("float", "fp")
-        rows, cols, vals = make_triples(pairs, dtype)
-        A = Matrix(name, 2**64, 2**64).build(rows, cols, vals)
-        x = Vector(name, 2**64)
-        if cols.size:
-            x.build(cols[::2], (np.arange(cols[::2].size) % 3 + 1).astype(dtype))
-        fast = A.mxv(x)
-        with coords.packing_disabled():
-            reference = A.mxv(x)
-        assert fast.isequal(reference, check_dtype=True)
 
     @given(
         pairs=triple_lists,
@@ -566,16 +525,6 @@ class TestMultiplyAndExtractParity:
         empty = np.empty(0, dtype=np.uint64)
         assert K.sorted_membership(empty, selection).size == 0
         assert not K.sorted_membership(values, empty).any()
-
-    def test_mxm_on_unpackable_shape_uses_fallback(self):
-        # Full 64-bit coordinates cannot pack into one key: plan_pack
-        # declines and the lexsort branch must produce the same product.
-        big = 2**63
-        A = Matrix("fp64", 2**64, 2**64).build([big, 1], [2, 2], [3.0, 4.0])
-        B = Matrix("fp64", 2**64, 2**64).build([2, 2], [big + 1, 5], [10.0, 1.0])
-        out = A.mxm(B)
-        assert out[big, big + 1] == 30.0 and out[1, 5] == 4.0
-        assert out.nvals == 4
 
 
 class TestSearchScaling:

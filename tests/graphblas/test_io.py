@@ -1,90 +1,32 @@
-"""Tests for Matrix Market / triple-file I/O and random matrix generation."""
+"""Tests for triple-file reading and random matrix generation."""
 
 import io
 
 import numpy as np
-import pytest
 
-from repro.graphblas import (
-    InvalidValue,
-    Matrix,
-    mmread,
-    mmwrite,
-    random_hypersparse,
-    read_triples,
-    write_triples,
-)
-
-
-class TestMatrixMarket:
-    def test_roundtrip_float(self, small_matrix, tmp_path):
-        path = tmp_path / "m.mtx"
-        mmwrite(path, small_matrix)
-        back = mmread(path)
-        assert back.isequal(small_matrix)
-
-    def test_roundtrip_integer(self, tmp_path):
-        A = Matrix.from_coo([0, 1], [1, 0], [3, 4], dtype="int64", nrows=2, ncols=2)
-        path = tmp_path / "m.mtx"
-        mmwrite(path, A)
-        back = mmread(path)
-        assert back[0, 1] == 3
-        assert back.dtype.is_integer
-
-    def test_roundtrip_stringio(self, small_matrix):
-        buf = io.StringIO()
-        mmwrite(buf, small_matrix, comment="traffic matrix\nsecond line")
-        text = buf.getvalue()
-        assert text.startswith("%%MatrixMarket")
-        assert "% traffic matrix" in text
-        buf.seek(0)
-        assert mmread(buf).isequal(small_matrix)
-
-    def test_header_has_dimensions(self, small_matrix):
-        buf = io.StringIO()
-        mmwrite(buf, small_matrix)
-        dims_line = buf.getvalue().splitlines()[1]
-        assert dims_line.split() == ["5", "5", "6"]
-
-    def test_read_rejects_non_mm(self):
-        with pytest.raises(InvalidValue):
-            mmread(io.StringIO("not a matrix market file\n"))
-
-    def test_indices_are_one_based_on_disk(self):
-        A = Matrix.from_coo([0], [0], [1.0], nrows=1, ncols=1)
-        buf = io.StringIO()
-        mmwrite(buf, A)
-        last = buf.getvalue().strip().splitlines()[-1]
-        assert last.split()[:2] == ["1", "1"]
+from repro.graphblas import random_hypersparse
+from repro.graphblas.io import read_triples_arrays
 
 
 class TestTriples:
-    def test_roundtrip(self, small_matrix, tmp_path):
-        path = tmp_path / "triples.tsv"
-        write_triples(path, small_matrix)
-        back = read_triples(path, nrows=5, ncols=5)
-        assert back.isequal(small_matrix)
-
     def test_comments_and_blank_lines_skipped(self):
         text = "# header\n\n1\t2\t3.0\n"
-        back = read_triples(io.StringIO(text), nrows=4, ncols=4)
-        assert back.nvals == 1
-        assert back[1, 2] == 3.0
+        rows, cols, vals = read_triples_arrays(io.StringIO(text))
+        assert rows.tolist() == [1] and cols.tolist() == [2] and vals.tolist() == [3.0]
 
-    def test_custom_separator(self):
-        buf = io.StringIO()
-        write_triples(buf, Matrix.from_coo([0], [1], [2.0], nrows=2, ncols=2), sep=",")
-        buf.seek(0)
-        back = read_triples(buf, sep=",", nrows=2, ncols=2)
-        assert back[0, 1] == 2.0
+    def test_custom_separator(self, tmp_path):
+        path = tmp_path / "triples.csv"
+        path.write_text("0,1,2.0\n")
+        rows, cols, vals = read_triples_arrays(path, sep=",")
+        assert (rows.tolist(), cols.tolist(), vals.tolist()) == ([0], [1], [2.0])
 
-    def test_hypersparse_coordinates_roundtrip(self):
-        A = Matrix.from_coo([2**40], [2**50], [1.0], nrows=2**64, ncols=2**64)
-        buf = io.StringIO()
-        write_triples(buf, A)
-        buf.seek(0)
-        back = read_triples(buf)
-        assert back[2**40, 2**50] == 1.0
+    def test_stream_order_and_duplicates_kept(self):
+        text = f"{2**40}\t{2**50}\t1.0\n5\t5\t2.0\n{2**40}\t{2**50}\t4.0\n"
+        rows, cols, vals = read_triples_arrays(io.StringIO(text))
+        assert rows.dtype == np.uint64 and cols.dtype == np.uint64
+        assert rows.tolist() == [2**40, 5, 2**40]
+        assert cols.tolist() == [2**50, 5, 2**50]
+        assert vals.tolist() == [1.0, 2.0, 4.0]
 
 
 class TestRandom:

@@ -230,24 +230,7 @@ class TestIntersectMerge:
         assert v[0] == True  # noqa: E712
 
 
-class TestMembershipAndSearch:
-    def test_membership_mask(self):
-        rows, cols = np.array([0, 1, 2], dtype=np.uint64), np.array([0, 1, 2], dtype=np.uint64)
-        orows, ocols = np.array([1, 3], dtype=np.uint64), np.array([1, 3], dtype=np.uint64)
-        mask = K.membership_mask(rows, cols, orows, ocols)
-        assert np.array_equal(mask, [False, True, False])
-
-    def test_membership_empty(self):
-        empty = np.empty(0, dtype=np.uint64)
-        assert K.membership_mask(empty, empty, empty, empty).size == 0
-        rows = np.array([1], dtype=np.uint64)
-        assert not K.membership_mask(rows, rows, empty, empty)[0]
-
-    def test_difference_mask(self):
-        rows, cols = np.array([0, 1], dtype=np.uint64), np.array([0, 1], dtype=np.uint64)
-        orows, ocols = np.array([1], dtype=np.uint64), np.array([1], dtype=np.uint64)
-        assert np.array_equal(K.difference_mask(rows, cols, orows, ocols), [True, False])
-
+class TestSearch:
     def test_search_sorted_coo(self):
         rows, cols, _ = make([0, 0, 2], [1, 5, 3], [1, 1, 1])
         pos = K.search_sorted_coo(rows, cols, [0, 2, 2], [5, 3, 99])

@@ -8,7 +8,6 @@ from repro.graphblas import (
     IndexOutOfBound,
     InvalidValue,
     Matrix,
-    NotImplementedException,
     binary,
 )
 from repro.graphblas.types import FP64, INT64
@@ -54,30 +53,6 @@ class TestConstruction:
         A = Matrix.from_coo([0], [0], [2.7], dtype="int64", nrows=1, ncols=1)
         assert A.dtype is INT64
         assert A[0, 0] == 2
-
-    def test_from_dense(self):
-        dense = np.array([[0, 1.0], [2.0, 0]])
-        A = Matrix.from_dense(dense)
-        assert A.nvals == 2
-        assert A[1, 0] == 2.0
-
-    def test_from_dense_rejects_1d(self):
-        with pytest.raises(DimensionMismatch):
-            Matrix.from_dense(np.array([1.0, 2.0]))
-
-    def test_from_scipy_roundtrip(self):
-        import scipy.sparse as sp
-
-        S = sp.random(20, 30, density=0.1, random_state=0, format="csr")
-        A = Matrix.from_scipy_sparse(S)
-        back = A.to_scipy_sparse("csr")
-        assert (back != S).nnz == 0
-
-    def test_identity(self):
-        I = Matrix.identity(4, value=2, dtype="int64")
-        assert I.nvals == 4
-        assert I[3, 3] == 2
-        assert I[0, 1] is None
 
     def test_dup_is_deep(self):
         A = Matrix.from_coo([0], [0], [1.0], nrows=2, ncols=2)
@@ -141,12 +116,6 @@ class TestElementAccess:
             A.setElement(4, 0, 1.0)
         with pytest.raises(IndexOutOfBound):
             A.build([0], [4], [1.0])
-
-    def test_remove_element(self):
-        A = Matrix.from_coo([0, 1], [0, 1], [1.0, 2.0], nrows=2, ncols=2)
-        assert A.removeElement(0, 0)
-        assert A.nvals == 1
-        assert not A.removeElement(0, 0)
 
     def test_contains(self):
         A = Matrix.from_coo([0], [1], [1.0], nrows=2, ncols=2)
@@ -234,20 +203,7 @@ class TestBuildAndClear:
         assert A.memory_usage > before
 
 
-class TestConversions:
-    def test_to_dense(self):
-        A = Matrix.from_coo([0, 1], [1, 0], [1.0, 2.0], nrows=2, ncols=2)
-        dense = A.to_dense()
-        assert np.array_equal(dense, [[0.0, 1.0], [2.0, 0.0]])
-
-    def test_to_dense_guard(self, huge_matrix):
-        with pytest.raises(NotImplementedException):
-            huge_matrix.to_dense()
-
-    def test_to_scipy_guard(self, huge_matrix):
-        with pytest.raises(NotImplementedException):
-            huge_matrix.to_scipy_sparse()
-
+class TestComparisons:
     def test_isequal(self):
         A = Matrix.from_coo([0], [1], [1.0], nrows=2, ncols=2)
         B = Matrix.from_coo([0], [1], [1.0], nrows=2, ncols=2)

@@ -1,5 +1,5 @@
-"""Tests for Matrix algebra: element-wise ops, mxm, reductions, apply, select,
-extract/assign, transpose, kronecker, and masks."""
+"""Tests for Matrix algebra: element-wise ops, reductions, apply, extract and
+transpose."""
 
 import numpy as np
 import pytest
@@ -7,19 +7,12 @@ import pytest
 from repro.graphblas import (
     DimensionMismatch,
     InvalidValue,
-    Mask,
     Matrix,
-    StructuralMask,
-    Vector,
     binary,
-    descriptor,
     monoid,
-    semiring,
 )
 
-
-def dense(A):
-    return A.to_dense()
+from ..conftest import from_array, to_array
 
 
 class TestEwise:
@@ -34,8 +27,8 @@ class TestEwise:
     def test_ewise_add_matches_dense(self, rng):
         a = rng.random((6, 7)) * (rng.random((6, 7)) > 0.5)
         b = rng.random((6, 7)) * (rng.random((6, 7)) > 0.5)
-        C = Matrix.from_dense(a).ewise_add(Matrix.from_dense(b))
-        assert np.allclose(dense(C), a + b)
+        C = from_array(a).ewise_add(from_array(b))
+        assert np.allclose(to_array(C), a + b)
 
     def test_ewise_add_min_operator(self):
         A = Matrix.from_coo([0], [0], [5.0], nrows=1, ncols=1)
@@ -58,8 +51,8 @@ class TestEwise:
     def test_ewise_mult_matches_dense(self, rng):
         a = rng.random((5, 5)) * (rng.random((5, 5)) > 0.4)
         b = rng.random((5, 5)) * (rng.random((5, 5)) > 0.4)
-        C = Matrix.from_dense(a).ewise_mult(Matrix.from_dense(b))
-        assert np.allclose(dense(C), a * b)
+        C = from_array(a).ewise_mult(from_array(b))
+        assert np.allclose(to_array(C), a * b)
 
     def test_shape_mismatch(self):
         A = Matrix("fp64", 2, 2)
@@ -91,84 +84,6 @@ class TestEwise:
         assert A.ewise_add(B).dtype.name == "FP64"
 
 
-class TestMxM:
-    def test_small_known_product(self):
-        A = Matrix.from_coo([0, 1], [1, 2], [1.0, 2.0], nrows=3, ncols=3)
-        B = Matrix.from_coo([1, 2], [2, 0], [3.0, 4.0], nrows=3, ncols=3)
-        C = A.mxm(B)
-        assert sorted(C) == [(0, 2, 3.0), (1, 0, 8.0)]
-
-    def test_matches_dense_product(self, rng):
-        a = rng.random((6, 8)) * (rng.random((6, 8)) > 0.5)
-        b = rng.random((8, 5)) * (rng.random((8, 5)) > 0.5)
-        C = Matrix.from_dense(a).mxm(Matrix.from_dense(b))
-        assert np.allclose(dense(C), a @ b)
-
-    def test_matmul_operator(self, rng):
-        a = rng.random((4, 4))
-        C = Matrix.from_dense(a) @ Matrix.from_dense(a)
-        assert np.allclose(dense(C), a @ a)
-
-    def test_inner_dimension_mismatch(self):
-        A = Matrix("fp64", 3, 4)
-        B = Matrix("fp64", 5, 3)
-        with pytest.raises(DimensionMismatch):
-            A.mxm(B)
-
-    def test_empty_result(self):
-        A = Matrix.from_coo([0], [0], [1.0], nrows=2, ncols=2)
-        B = Matrix.from_coo([1], [1], [1.0], nrows=2, ncols=2)
-        assert A.mxm(B).nvals == 0
-
-    def test_min_plus_semiring(self):
-        # Shortest-path style: C[i,j] = min_k(A[i,k] + B[k,j])
-        A = Matrix.from_coo([0, 0], [0, 1], [1.0, 5.0], nrows=1, ncols=2)
-        B = Matrix.from_coo([0, 1], [0, 0], [2.0, 1.0], nrows=2, ncols=1)
-        C = A.mxm(B, semiring.min_plus)
-        assert C[0, 0] == 3.0
-
-    def test_plus_pair_counts_overlap(self):
-        # plus_pair counts matched index pairs — the triangle-counting trick.
-        A = Matrix.from_coo([0, 0, 0], [0, 1, 2], [9.0, 9.0, 9.0], nrows=1, ncols=3)
-        B = Matrix.from_coo([0, 1, 2], [0, 0, 0], [7.0, 7.0, 7.0], nrows=3, ncols=1)
-        assert A.mxm(B, semiring.plus_pair)[0, 0] == 3
-
-    def test_semiring_by_name(self):
-        A = Matrix.from_coo([0], [0], [2.0], nrows=1, ncols=1)
-        assert A.mxm(A, "plus_times")[0, 0] == 4.0
-
-    def test_transpose_descriptors(self, rng):
-        a = rng.random((4, 6))
-        b = rng.random((4, 5))
-        A, B = Matrix.from_dense(a), Matrix.from_dense(b)
-        C = A.mxm(B, desc=descriptor.t0)
-        assert np.allclose(dense(C), a.T @ b)
-
-    def test_hypersparse_product(self):
-        A = Matrix.from_coo([2**50], [2**40], [2.0], nrows=2**64, ncols=2**64)
-        B = Matrix.from_coo([2**40], [123], [3.0], nrows=2**64, ncols=2**64)
-        C = A.mxm(B)
-        assert C[2**50, 123] == 6.0
-
-    def test_mxv(self):
-        A = Matrix.from_dense(np.array([[1.0, 2.0], [0.0, 3.0]]))
-        x = Vector.from_dense(np.array([1.0, 1.0]))
-        y = A.mxv(x)
-        assert y[0] == 3.0 and y[1] == 3.0
-
-    def test_mxv_dimension_mismatch(self):
-        A = Matrix("fp64", 2, 3)
-        x = Vector("fp64", 2)
-        with pytest.raises(DimensionMismatch):
-            A.mxv(x)
-
-    def test_vxm(self):
-        A = Matrix.from_dense(np.array([[1.0, 2.0], [0.0, 3.0]]))
-        x = Vector.from_dense(np.array([1.0, 1.0]))
-        y = x.vxm(A)
-        assert y[0] == 1.0 and y[1] == 5.0
-
-
 class TestReductions:
     def test_reduce_scalar(self, small_matrix):
         assert small_matrix.reduce_scalar() == pytest.approx(21.0)
@@ -190,7 +105,7 @@ class TestReductions:
 
     def test_reduce_rowwise_matches_dense(self, rng):
         a = rng.random((7, 5)) * (rng.random((7, 5)) > 0.3)
-        A = Matrix.from_dense(a)
+        A = from_array(a)
         v = A.reduce_rowwise()
         expected = a.sum(axis=1)
         for i in range(7):
@@ -198,7 +113,7 @@ class TestReductions:
             assert got == pytest.approx(expected[i])
 
 
-class TestApplySelect:
+class TestApply:
     def test_apply_unary(self, small_matrix):
         neg = small_matrix.apply("ainv")
         assert neg[0, 0] == -1.0
@@ -216,26 +131,7 @@ class TestApplySelect:
         with pytest.raises(InvalidValue):
             small_matrix.apply(binary.times, left=1, right=2)
 
-    def test_select_tril_triu_diag(self):
-        A = Matrix.from_dense(np.arange(1, 10, dtype=float).reshape(3, 3))
-        assert A.select("tril").nvals == 6
-        assert A.select("triu").nvals == 6
-        assert A.select("diag").nvals == 3
-        assert A.select("offdiag").nvals == 6
-
-    def test_select_value_predicates(self, small_matrix):
-        assert small_matrix.select("valuegt", 4.0).nvals == 2
-        assert small_matrix.select("valuele", 1.0).nvals == 1
-        assert small_matrix.select("valueeq", 3.0).nvals == 1
-        assert small_matrix.select("nonzero").nvals == 6
-
-    def test_select_positional_thunk(self):
-        A = Matrix.from_dense(np.ones((4, 4)))
-        assert A.select("rowle", 1).nvals == 8
-        assert A.select("colgt", 2).nvals == 4
-
-
-class TestExtractAssignTranspose:
+class TestExtractTranspose:
     def test_extract_submatrix(self, small_matrix):
         sub = small_matrix.extract([0, 2], [0, 2, 3])
         assert sub.shape == (2, 3)
@@ -261,17 +157,6 @@ class TestExtractAssignTranspose:
         sub = small_matrix.extract([], [])
         assert sub.nvals == 0
 
-    def test_assign_scalar(self):
-        A = Matrix("fp64", 5, 5)
-        A.assign(3.0, [0, 1], [0, 1])
-        assert A.nvals == 4
-        assert A[1, 0] == 3.0
-
-    def test_assign_accumulates(self):
-        A = Matrix.from_coo([0], [0], [1.0], nrows=3, ncols=3)
-        A.assign(2.0, [0], [0], accum=binary.plus)
-        assert A[0, 0] == 3.0
-
     def test_transpose(self, small_matrix):
         T = small_matrix.transpose()
         assert T[3, 2] == 4.0
@@ -280,61 +165,4 @@ class TestExtractAssignTranspose:
 
     def test_transpose_matches_dense(self, rng):
         a = rng.random((4, 6)) * (rng.random((4, 6)) > 0.5)
-        assert np.allclose(dense(Matrix.from_dense(a).transpose()), a.T)
-
-    def test_diag(self):
-        A = Matrix.from_dense(np.diag([1.0, 2.0, 3.0]))
-        d = A.diag()
-        assert d.nvals == 3
-        assert d[1] == 2.0
-
-    def test_kronecker(self):
-        A = Matrix.from_dense(np.array([[1.0, 2.0]]))
-        B = Matrix.from_dense(np.array([[0.0, 3.0], [4.0, 0.0]]))
-        K = A.kronecker(B)
-        assert K.shape == (2, 4)
-        expected = np.kron(np.array([[1.0, 2.0]]), np.array([[0.0, 3.0], [4.0, 0.0]]))
-        assert np.allclose(dense(K), expected)
-
-
-class TestMasks:
-    def test_value_mask_default(self):
-        A = Matrix.from_dense(np.ones((2, 2)))
-        M = Matrix.from_coo([0, 1], [0, 1], [1.0, 0.0], nrows=2, ncols=2)
-        C = A.ewise_add(Matrix("fp64", 2, 2), mask=M)
-        # value mask: only (0,0) kept because M[1,1] is zero-valued
-        assert C.nvals == 1
-        assert C[0, 0] == 1.0
-
-    def test_structural_mask(self):
-        A = Matrix.from_dense(np.ones((2, 2)))
-        M = Matrix.from_coo([0, 1], [0, 1], [1.0, 0.0], nrows=2, ncols=2)
-        C = A.ewise_add(Matrix("fp64", 2, 2), mask=StructuralMask(M))
-        assert C.nvals == 2
-
-    def test_complement_mask(self):
-        A = Matrix.from_dense(np.ones((2, 2)))
-        M = Matrix.from_coo([0], [0], [1.0], nrows=2, ncols=2)
-        C = A.ewise_add(Matrix("fp64", 2, 2), mask=~Mask(M))
-        assert C.nvals == 3
-        assert C[0, 0] is None
-
-    def test_mask_via_descriptor_flags(self):
-        A = Matrix.from_dense(np.ones((2, 2)))
-        M = Matrix.from_coo([0], [0], [0.0], nrows=2, ncols=2)
-        C = A.ewise_add(Matrix("fp64", 2, 2), mask=M, desc=descriptor.s)
-        assert C.nvals == 1  # structure flag keeps the explicit zero
-
-    def test_mask_on_mxm(self, rng):
-        a = rng.random((4, 4))
-        A = Matrix.from_dense(a)
-        M = Matrix.from_coo([0], [0], [1.0], nrows=4, ncols=4)
-        C = A.mxm(A, mask=M)
-        assert C.nvals == 1
-        assert C[0, 0] == pytest.approx((a @ a)[0, 0])
-
-    def test_mask_S_and_V_accessors(self):
-        M = Matrix.from_coo([0], [0], [0.0], nrows=1, ncols=1)
-        m = Mask(M)
-        assert m.S.structure and not m.V.structure
-        assert (~m).complement
+        assert np.allclose(to_array(from_array(a).transpose()), a.T)

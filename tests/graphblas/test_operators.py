@@ -1,9 +1,9 @@
-"""Tests for binary operators, unary operators, monoids and semirings."""
+"""Tests for binary operators, unary operators and monoids."""
 
 import numpy as np
 import pytest
 
-from repro.graphblas import binary, monoid, semiring, unary
+from repro.graphblas import binary, monoid, unary
 from repro.graphblas.binaryop import BinaryOp
 from repro.graphblas.errors import DomainMismatch
 from repro.graphblas.monoid import Monoid
@@ -171,32 +171,3 @@ class TestMonoids:
     def test_lor_land_reduce(self):
         assert monoid.lor.reduce(np.array([False, True, False])) == True  # noqa: E712
         assert monoid.land.reduce(np.array([True, True, False])) == False  # noqa: E712
-
-
-class TestSemirings:
-    def test_builtin_composition(self):
-        assert semiring.plus_times.add is monoid.plus
-        assert semiring.plus_times.multiply is binary.times
-        assert semiring.min_plus.add is monoid.min
-        assert semiring.max_first.multiply is binary.first
-
-    def test_output_type(self):
-        assert semiring.plus_times.output_type(INT32, FP64) is FP64
-        assert semiring.lor_land.output_type(FP64, FP64) is BOOL
-
-    def test_namespace_access(self):
-        assert semiring["plus_times"] is semiring.plus_times
-        assert "min_plus" in semiring
-        assert semiring.plus_pair in list(semiring)
-
-    def test_register_custom(self):
-        s = semiring.register("testring", monoid.max, binary.plus)
-        assert s.add is monoid.max
-
-    def test_all_standard_semirings_present(self):
-        for name in [
-            "plus_times", "plus_min", "plus_max", "plus_first", "plus_second",
-            "plus_pair", "min_plus", "min_times", "min_first", "min_second",
-            "max_plus", "max_times", "lor_land", "any_pair",
-        ]:
-            assert name in semiring

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graphblas import Matrix, binary, monoid
 
+from ..conftest import to_array
+
 # Strategy: small coordinate triples over a modest dense-checkable space.
 coords = st.lists(
     st.tuples(
@@ -32,7 +34,7 @@ def from_triples(triples, n=16):
 
 
 def matrix_dense(A):
-    return A.to_dense().astype(float)
+    return to_array(A).astype(float)
 
 
 @settings(max_examples=60, deadline=None)
@@ -75,14 +77,6 @@ def test_ewise_add_associative(t1, t2, t3):
     left = A.ewise_add(B).ewise_add(C)
     right = A.ewise_add(B.ewise_add(C))
     assert left.isclose(right, abs_tol=1e-9)
-
-
-@settings(max_examples=40, deadline=None)
-@given(coords, coords)
-def test_mxm_matches_dense(t1, t2):
-    A, B = from_triples(t1), from_triples(t2)
-    C = A.mxm(B)
-    assert np.allclose(matrix_dense(C), to_dense(t1) @ to_dense(t2), atol=1e-9)
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,8 +7,6 @@ from repro.graphblas import (
     DimensionMismatch,
     IndexOutOfBound,
     InvalidValue,
-    Matrix,
-    NotImplementedException,
     Vector,
     binary,
     monoid,
@@ -41,15 +39,6 @@ class TestConstruction:
         v = Vector.from_coo([0, 1, 2], 5, size=4)
         assert v[2] == 5
 
-    def test_from_dense(self):
-        v = Vector.from_dense(np.array([0.0, 1.0, 0.0, 2.0]))
-        assert v.nvals == 2
-        assert v[3] == 2.0
-
-    def test_from_dense_rejects_2d(self):
-        with pytest.raises(DimensionMismatch):
-            Vector.from_dense(np.zeros((2, 2)))
-
     def test_dup(self):
         v = Vector.from_coo([1], [1.0], size=4)
         w = v.dup()
@@ -62,15 +51,13 @@ class TestConstruction:
 
 
 class TestElements:
-    def test_set_get_remove(self):
+    def test_set_get(self):
         v = Vector("fp64", 10)
         v.setElement(3, 1.5)
         assert v[3] == 1.5
         v[4] = 2.5
         assert v.extractElement(4) == 2.5
-        assert v.removeElement(3)
-        assert not v.removeElement(3)
-        assert v.get(3, default=0.0) == 0.0
+        assert v.get(5, default=0.0) == 0.0
 
     def test_setelement_replaces(self):
         v = Vector("fp64", 10)
@@ -137,29 +124,12 @@ class TestAlgebra:
         with pytest.raises(InvalidValue):
             v.apply(binary.times)
 
-    def test_select(self):
-        v = Vector.from_coo([0, 1, 2], [1.0, 5.0, -1.0], size=4)
-        assert v.select("valuegt", 0.0).nvals == 2
-        assert v.select("valuele", 1.0).nvals == 2
-
     def test_reduce(self):
         v = Vector.from_coo([0, 5], [2.0, 3.0], size=10)
         assert v.reduce() == 5.0
         assert v.reduce(monoid.max) == 3.0
         assert v.reduce("min") == 2.0
         assert Vector("fp64", 3).reduce() == 0.0
-
-    def test_vxm_matches_dense(self, rng):
-        a = rng.random((4, 5))
-        x = rng.random(4)
-        y = Vector.from_dense(x).vxm(Matrix.from_dense(a))
-        assert np.allclose(y.to_dense(), x @ a)
-
-    def test_to_dense_and_guard(self):
-        v = Vector.from_coo([1], [2.0], size=4)
-        assert np.array_equal(v.to_dense(), [0.0, 2.0, 0.0, 0.0])
-        with pytest.raises(NotImplementedException):
-            Vector("fp64", 2**40).to_dense()
 
     def test_isequal_isclose(self):
         a = Vector.from_coo([1], [1.0], size=3)
