@@ -6,7 +6,8 @@ independent hierarchical hypersparse matrix and streams its own power-law
 graph.  This example:
 
 1. measures the per-instance update rate locally (one real ingest),
-2. runs a small local parallel engine (independent workers whose rates add),
+2. shards one stream over two local hierarchical matrices (independent
+   instances whose measured rates add),
 3. extrapolates to the MIT SuperCloud configuration (28 instances/node,
    up to 1,100 nodes) with the weak-scaling model,
 4. prints the rate-versus-servers table next to the published Figure 2 curves.
@@ -18,7 +19,7 @@ from repro.baselines import PAPER_HEADLINE_RATE, HierarchicalD4MIngestor
 from repro.core import HierarchicalMatrix
 from repro.distributed import (
     ClusterConfig,
-    ParallelIngestEngine,
+    ShardedHierarchicalMatrix,
     SuperCloudModel,
     build_figure2_table,
     format_table,
@@ -48,13 +49,14 @@ def main() -> None:
         f"{d4m_result.updates_per_second:,.0f} updates/s"
     )
 
-    # --- 2. local parallel engine (independent workers, rates add) ------- #
-    engine = ParallelIngestEngine(nworkers=2, cuts=CUTS, use_processes=False)
-    parallel = engine.run(updates_per_worker=50_000, batch_size=10_000)
-    print(
-        f"\nlocal parallel engine ({parallel.nworkers} workers): "
-        f"sum of per-worker rates = {parallel.aggregate_rate_sum:,.0f} updates/s"
-    )
+    # --- 2. two local shards (independent instances, rates add) --------- #
+    with ShardedHierarchicalMatrix(2, cuts=CUTS) as sharded:
+        sharded.ingest(paper_stream(total_entries=100_000, nbatches=10, seed=1))
+        sharded.finalize()
+        print(
+            f"\nlocal shards ({sharded.nshards} instances): "
+            f"sum of per-shard rates = {sharded.aggregate_rate_sum:,.0f} updates/s"
+        )
 
     # --- 3. SuperCloud projection ---------------------------------------- #
     model = SuperCloudModel(ClusterConfig.paper_configuration())

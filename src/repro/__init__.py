@@ -10,12 +10,10 @@ Inserts/Second Using Hierarchical Hypersparse GraphBLAS Matrices" (2020):
 * :mod:`repro.d4m` — D4M associative arrays (the prior-work baseline);
 * :mod:`repro.workloads` — power-law edge streams, synthetic IP traffic, and
   the ingest measurement harness;
-* :mod:`repro.baselines` — flat GraphBLAS/D4M ingest, Accumulo-style LSM and
-  SciDB-style chunked-array emulations, and published Figure 2 reference curves;
-* :mod:`repro.distributed` — the SuperCloud scaling model and a local
-  multiprocessing ingest engine;
-* :mod:`repro.memory` — memory-hierarchy cost model for the memory-pressure
-  ablation;
+* :mod:`repro.baselines` — flat GraphBLAS/D4M ingest and the published
+  Figure 2 reference curves;
+* :mod:`repro.distributed` — the SuperCloud scaling model and the sharded
+  hierarchical matrix over a persistent worker pool;
 * :mod:`repro.analytics` — supernode, background-model and anomaly analytics.
 
 Quickstart
@@ -30,7 +28,6 @@ True
 """
 
 from .core import (
-    AdaptiveCuts,
     FixedCuts,
     GeometricCuts,
     HierarchicalAssoc,
@@ -50,7 +47,6 @@ __all__ = [
     "Assoc",
     "FixedCuts",
     "GeometricCuts",
-    "AdaptiveCuts",
     "UpdateStats",
     "__version__",
 ]

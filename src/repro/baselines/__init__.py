@@ -3,13 +3,10 @@
 * :class:`FlatGraphBLASIngestor` — a single hypersparse matrix, no hierarchy;
 * :class:`FlatD4MIngestor` / :class:`HierarchicalD4MIngestor` — D4M
   associative-array ingest, flat and hierarchical (the paper's prior work);
-* :class:`SortedTableStore` — Accumulo-style LSM (memtable + SSTable) ingest;
-* :class:`ChunkedArrayStore` — SciDB-style chunked-array ingest;
 * :mod:`~repro.baselines.published` — the published rate curves from the
-  systems we cannot run offline (Accumulo clusters, CrateDB, Oracle TPC-C).
+  systems we cannot run offline (Accumulo, SciDB, CrateDB, Oracle TPC-C).
 """
 
-from .arraydb import ChunkedArrayStore
 from .d4m_baselines import FlatD4MIngestor, HierarchicalD4MIngestor
 from .flat_graphblas import FlatGraphBLASIngestor
 from .published import (
@@ -19,15 +16,11 @@ from .published import (
     figure2_reference_rows,
     published_series,
 )
-from .sorted_table import SortedRun, SortedTableStore
 
 __all__ = [
     "FlatGraphBLASIngestor",
     "FlatD4MIngestor",
     "HierarchicalD4MIngestor",
-    "SortedTableStore",
-    "SortedRun",
-    "ChunkedArrayStore",
     "PublishedSeries",
     "published_series",
     "figure2_reference_rows",

@@ -1,11 +1,9 @@
 """Command-line entry points.
 
-Six commands mirror the paper's experiments and the serving architecture:
+Five commands mirror the paper's experiments and the serving architecture:
 
 * ``repro-ingest`` — measure the single-instance streaming update rate
   (Headline A: "over 1,000,000 updates per second in a single instance");
-* ``repro-scaling`` — run the local parallel ingest engine and report the
-  aggregate rate across worker processes;
 * ``repro-fig2`` — print the full Figure 2 table (measured+modelled series next
   to the published reference curves);
 * ``repro-shard`` — shard one externally supplied stream (power-law edges,
@@ -18,8 +16,8 @@ Six commands mirror the paper's experiments and the serving architecture:
   gateway (``serve``), stream a synthetic workload into a running gateway as
   a client (``send``), or query its snapshot statistics (``stats``).
 
-Every command prints plain aligned text so output can be diffed against
-``EXPERIMENTS.md``.
+Every command prints plain aligned text; ``--json`` (where offered) prints one
+machine-readable object instead.
 """
 
 from __future__ import annotations
@@ -32,17 +30,10 @@ import time
 import numpy as np
 from typing import List, Optional, Sequence
 
-from .baselines import (
-    FlatGraphBLASIngestor,
-    HierarchicalD4MIngestor,
-    PAPER_HEADLINE_RATE,
-)
+from .baselines import FlatGraphBLASIngestor, HierarchicalD4MIngestor
 from .core import HierarchicalMatrix
 from .distributed import (
-    ClusterConfig,
-    ParallelIngestEngine,
     ShardedHierarchicalMatrix,
-    SuperCloudModel,
     build_figure2_table,
     format_table,
 )
@@ -56,7 +47,6 @@ from .workloads import (
 
 __all__ = [
     "main_ingest",
-    "main_scaling",
     "main_fig2",
     "main_shard",
     "main_node",
@@ -68,8 +58,8 @@ def _exact_stream(batches, total: int):
     """Trim a batch stream to exactly ``total`` updates (partial final batch).
 
     Synthetic generators emit whole windows/batches; requesting 1,000 updates
-    at a 10,000-packet window must not stream 10,000 — the same rounding class
-    of measurement bug the fixed ``ingest_worker`` no longer has.
+    at a 10,000-packet window must not stream 10,000 — the same rounding rule
+    :func:`~repro.distributed.worker.stream_powerlaw` follows.
     """
     remaining = int(total)
     for batch in batches:
@@ -146,60 +136,6 @@ def main_ingest(argv: Optional[Sequence[str]] = None) -> int:
         if result.metadata:
             print(f"cascades per layer:  {result.metadata.get('cascades')}")
             print(f"fast-memory share:   {result.metadata.get('fast_memory_fraction', 0):.3f}")
-    return 0
-
-
-# --------------------------------------------------------------------------- #
-# repro-scaling
-# --------------------------------------------------------------------------- #
-
-
-def main_scaling(argv: Optional[Sequence[str]] = None) -> int:
-    """Run the local parallel engine and the SuperCloud projection."""
-    parser = argparse.ArgumentParser(
-        prog="repro-scaling",
-        description="Run N independent ingest workers, sum their rates, and project "
-        "the aggregate to the paper's 1,100-node configuration.",
-    )
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--updates-per-worker", type=int, default=500_000)
-    parser.add_argument("--batch-size", type=int, default=50_000)
-    parser.add_argument(
-        "--cuts", type=_parse_cuts, default=[2 ** 17, 2 ** 20, 2 ** 23]
-    )
-    parser.add_argument("--sequential", action="store_true", help="run workers in-process")
-    parser.add_argument("--json", action="store_true")
-    args = parser.parse_args(argv)
-
-    engine = ParallelIngestEngine(
-        args.workers, cuts=args.cuts, use_processes=not args.sequential
-    )
-    result = engine.run(args.updates_per_worker, args.batch_size)
-    model = SuperCloudModel(ClusterConfig.paper_configuration())
-    projection = model.headline_projection(result.mean_worker_rate)
-
-    if args.json:
-        payload = {
-            "workers": result.nworkers,
-            "total_updates": result.total_updates,
-            "wall_seconds": result.wall_seconds,
-            "aggregate_rate_sum": result.aggregate_rate_sum,
-            "aggregate_rate_wall": result.aggregate_rate_wall,
-            "mean_worker_rate": result.mean_worker_rate,
-            "headline_projection": projection,
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"workers:                    {result.nworkers}")
-        print(f"total updates:              {result.total_updates:,}")
-        print(f"wall seconds:               {result.wall_seconds:.3f}")
-        print(f"aggregate rate (sum):       {result.aggregate_rate_sum:,.0f} updates/s")
-        print(f"aggregate rate (wall):      {result.aggregate_rate_wall:,.0f} updates/s")
-        print(f"mean per-worker rate:       {result.mean_worker_rate:,.0f} updates/s")
-        print("--- SuperCloud projection (1,100 nodes x 28 instances) ---")
-        print(f"projected aggregate rate:   {projection['aggregate_rate']:,.0f} updates/s")
-        print(f"paper headline rate:        {PAPER_HEADLINE_RATE:,} updates/s")
-        print(f"ratio to paper:             {projection['ratio_to_paper']:.2f}x")
     return 0
 
 

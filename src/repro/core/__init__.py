@@ -10,7 +10,7 @@ main Figure 2 baseline); cut policies and update statistics make the
 from .checkpoint import load_checkpoint, save_checkpoint
 from .hier_assoc import HierarchicalAssoc
 from .hierarchical import HierarchicalMatrix
-from .policy import AdaptiveCuts, CutPolicy, FixedCuts, GeometricCuts, default_policy
+from .policy import CutPolicy, FixedCuts, GeometricCuts, default_policy
 from .reductions import IncrementalReductions, KeySetCascade
 from .stats import UpdateStats
 
@@ -24,7 +24,6 @@ __all__ = [
     "CutPolicy",
     "FixedCuts",
     "GeometricCuts",
-    "AdaptiveCuts",
     "default_policy",
     "UpdateStats",
 ]

@@ -59,12 +59,10 @@ class HierarchicalAssoc:
             raise ValueError("pass either cuts= or policy=, not both")
         if policy is None:
             policy = FixedCuts(cuts) if cuts is not None else default_policy()
-        self._policy = policy
         self._cuts: List[int] = list(policy.initial_cuts())
         self._nlevels = len(self._cuts) + 1
         self._layers: List[Assoc] = [Assoc.empty() for _ in range(self._nlevels)]
         self._stats = UpdateStats(self._nlevels) if track_stats else None
-        self._last_cascade_at = [0] * self._nlevels
 
     # ------------------------------------------------------------------ #
 
@@ -123,7 +121,6 @@ class HierarchicalAssoc:
         return self
 
     def _cascade(self) -> None:
-        total_updates = self._stats.total_updates if self._stats is not None else 0
         for i in range(self._nlevels - 1):
             nnz_i = self._layers[i].nnz
             if self._stats is not None:
@@ -138,13 +135,6 @@ class HierarchicalAssoc:
             if self._stats is not None:
                 self._stats.record_cascade(i, nnz_i)
                 self._stats.record_layer_size(i + 1, self._layers[i + 1].nnz)
-            updates_since = total_updates - self._last_cascade_at[i]
-            self._last_cascade_at[i] = total_updates
-            new_cuts = self._policy.on_cascade(
-                i, nnz_i, list(self._cuts), updates_since_last=updates_since
-            )
-            if list(new_cuts) != self._cuts:
-                self._cuts = [int(c) for c in new_cuts]
 
     # ------------------------------------------------------------------ #
 
@@ -184,7 +174,6 @@ class HierarchicalAssoc:
         self._layers = [Assoc.empty() for _ in range(self._nlevels)]
         if self._stats is not None:
             self._stats.reset()
-        self._last_cascade_at = [0] * self._nlevels
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

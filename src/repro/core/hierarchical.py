@@ -84,9 +84,9 @@ class HierarchicalMatrix:
         Explicit cut thresholds :math:`c_1 ... c_{N-1}`; mutually exclusive
         with ``policy``.
     policy:
-        A :class:`~repro.core.policy.CutPolicy` supplying (and possibly
-        adapting) the cuts.  When neither ``cuts`` nor ``policy`` is given the
-        library default (4 levels, geometric growth) is used.
+        A :class:`~repro.core.policy.CutPolicy` supplying the cuts, which are
+        fixed at construction.  When neither ``cuts`` nor ``policy`` is given
+        the library default (4 levels, geometric growth) is used.
     accum:
         Binary operator used both for merging updates into layer 1 and for
         cascading layers (default ``plus``, as in the paper).
@@ -149,9 +149,6 @@ class HierarchicalMatrix:
             self._accum,
             enabled=track_reductions,
         )
-        # Per-layer count of total updates at the time of that layer's last
-        # cascade; used to feed adaptive policies.
-        self._last_cascade_at = [0] * self._nlevels
         # The tracker keeps no copy of the updates: it reads layer 1's
         # pending window and rides its flushes (support implies ``plus``, so
         # layer 1 always defers when the tracker follows it).
@@ -355,7 +352,6 @@ class HierarchicalMatrix:
         merge; only when the bound crosses the cut is the layer flushed and
         the exact post-collapse ``nvals`` consulted.
         """
-        total_updates = self._stats.total_updates if self._stats is not None else 0
         for i in range(self._nlevels - 1):
             bound = self._layers[i].nvals_upper_bound
             if bound <= self._cuts[i]:
@@ -373,23 +369,6 @@ class HierarchicalMatrix:
             if self._stats is not None:
                 self._stats.record_cascade(i, nvals_i)
                 self._stats.record_layer_size(i + 1, self._layers[i + 1].nvals)
-            updates_since = total_updates - self._last_cascade_at[i]
-            self._last_cascade_at[i] = total_updates
-            new_cuts = self._policy.on_cascade(
-                i, nvals_i, list(self._cuts), updates_since_last=updates_since
-            )
-            if list(new_cuts) != self._cuts:
-                self._set_cuts(new_cuts)
-
-    def _set_cuts(self, cuts: Sequence[int]) -> None:
-        cuts = [int(c) for c in cuts]
-        if len(cuts) != self._nlevels - 1:
-            raise InvalidValue(
-                f"expected {self._nlevels - 1} cuts, got {len(cuts)}"
-            )
-        if any(c <= 0 for c in cuts) or any(b < a for a, b in zip(cuts, cuts[1:])):
-            raise InvalidValue(f"cuts must be positive and non-decreasing, got {cuts}")
-        self._cuts = cuts
 
     # ------------------------------------------------------------------ #
     # queries
@@ -488,7 +467,6 @@ class HierarchicalMatrix:
         if self._stats is not None:
             self._stats.reset()
         self._incremental.reset()
-        self._last_cascade_at = [0] * self._nlevels
         return self
 
     def to_coo(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

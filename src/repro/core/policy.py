@@ -5,8 +5,8 @@ on controlling the number of entries in each level in the hierarchy before an
 update is cascaded" and that "the parameters are easily tunable to achieve
 optimal performance for a variety of applications".  A :class:`CutPolicy`
 encapsulates that tuning: it produces the per-level nonzero thresholds
-:math:`c_1 \\le c_2 \\le ... \\le c_{N-1}` (the last layer is unbounded) and may
-optionally adapt them while the stream runs.
+:math:`c_1 \\le c_2 \\le ... \\le c_{N-1}` (the last layer is unbounded).  The
+cuts are fixed when a hierarchy is constructed; tuning means choosing them.
 """
 
 from __future__ import annotations
@@ -19,13 +19,12 @@ __all__ = [
     "CutPolicy",
     "FixedCuts",
     "GeometricCuts",
-    "AdaptiveCuts",
     "default_policy",
 ]
 
 
 class CutPolicy(ABC):
-    """Produces and (optionally) adapts the per-level cut thresholds."""
+    """Produces the per-level cut thresholds."""
 
     @abstractmethod
     def initial_cuts(self) -> List[int]:
@@ -36,34 +35,8 @@ class CutPolicy(ABC):
         """Total number of layers (cuts plus the unbounded last layer)."""
         return len(self.initial_cuts()) + 1
 
-    def on_cascade(
-        self,
-        level: int,
-        nvals_spilled: int,
-        cuts: List[int],
-        updates_since_last: int = 0,
-    ) -> List[int]:
-        """Hook called after layer ``level`` cascades; may return adjusted cuts.
-
-        Parameters
-        ----------
-        level:
-            0-based index of the layer that overflowed.
-        nvals_spilled:
-            Number of stored entries pushed into the next layer.
-        cuts:
-            The current cut values.
-        updates_since_last:
-            Element updates submitted since this layer last cascaded (supplied
-            by the hierarchical matrix; adaptive policies use it to judge how
-            "hot" the layer is).
-
-        The default implementation leaves the cuts unchanged.
-        """
-        return cuts
-
     def describe(self) -> str:
-        """Short human-readable description used in benchmark reports."""
+        """Short human-readable description of the policy."""
         return f"{type(self).__name__}(cuts={self.initial_cuts()})"
 
 
@@ -129,82 +102,6 @@ class GeometricCuts(CutPolicy):
     @property
     def nlevels(self) -> int:
         return self.nlevels_total
-
-
-class AdaptiveCuts(CutPolicy):
-    """Cuts that widen when a layer cascades too frequently.
-
-    This implements the "easily tunable" extension suggested by the paper: if a
-    layer overflows more often than ``target_cascade_interval`` updates, its cut
-    is doubled (up to ``max_growth`` times), trading a little more memory in the
-    faster layer for fewer expensive merges into the slower one.
-
-    Parameters
-    ----------
-    first_cut, ratio, nlevels_total:
-        Initial geometric configuration (as :class:`GeometricCuts`).
-    target_cascade_interval:
-        Desired minimum number of element updates between cascades of the same
-        layer.
-    max_growth:
-        Maximum number of doublings applied to any single cut.
-    """
-
-    def __init__(
-        self,
-        first_cut: int = 2 ** 17,
-        ratio: int = 8,
-        nlevels_total: int = 4,
-        *,
-        target_cascade_interval: int = 4,
-        max_growth: int = 6,
-    ):
-        self._base = GeometricCuts(first_cut, ratio, nlevels_total)
-        self.target_cascade_interval = int(target_cascade_interval)
-        self.max_growth = int(max_growth)
-        self._growth_applied = [0] * (nlevels_total - 1)
-
-    def initial_cuts(self) -> List[int]:
-        return self._base.initial_cuts()
-
-    @property
-    def nlevels(self) -> int:
-        return self._base.nlevels
-
-    def on_cascade(
-        self,
-        level: int,
-        nvals_spilled: int,
-        cuts: List[int],
-        updates_since_last: int = 0,
-    ) -> List[int]:
-        """Double the cut of a layer that cascades again too soon.
-
-        A layer is "too hot" when fewer than ``target_cascade_interval * c_level``
-        element updates arrived since its previous cascade — i.e. it is spilling
-        before it has absorbed several times its own capacity worth of traffic.
-        """
-        if level >= len(cuts):
-            return cuts
-        threshold = self.target_cascade_interval * cuts[level]
-        if (
-            updates_since_last < threshold
-            and self._growth_applied[level] < self.max_growth
-        ):
-            new_cuts = list(cuts)
-            new_cuts[level] *= 2
-            # Keep the non-decreasing invariant.
-            for i in range(level + 1, len(new_cuts)):
-                new_cuts[i] = max(new_cuts[i], new_cuts[i - 1])
-            self._growth_applied[level] += 1
-            return new_cuts
-        return cuts
-
-    def describe(self) -> str:
-        return (
-            f"AdaptiveCuts(initial={self.initial_cuts()}, "
-            f"target_interval={self.target_cascade_interval})"
-        )
 
 
 def default_policy() -> GeometricCuts:

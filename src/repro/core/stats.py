@@ -4,8 +4,8 @@ The paper's central claim is that the hierarchy "dramatically reduces the
 number of updates to slow memory".  :class:`UpdateStats` records exactly the
 quantities needed to verify that claim: how many raw element updates arrived,
 how many element-writes each layer absorbed, and how many cascades each layer
-triggered.  The memory cost model in :mod:`repro.memory` converts these counts
-into estimated memory traffic per level of the machine's memory hierarchy.
+triggered.  ``slow_memory_writes`` (writes into the unbounded last layer) and
+``fast_memory_fraction`` read the claim straight off those counts.
 """
 
 from __future__ import annotations

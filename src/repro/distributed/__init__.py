@@ -2,11 +2,9 @@
 worker pool and its one process wire (length-prefixed socket frames to
 workers forked over a ``socketpair`` or hosted by
 :class:`~repro.distributed.node.NodeAgent` endpoints), the sharded
-hierarchical matrix with replica failover, the local parallel ingest engine,
-and the Figure 2 table assembly."""
+hierarchical matrix with replica failover, and the Figure 2 table assembly."""
 
 from .aggregate import DEFAULT_SERVER_COUNTS, Figure2Row, build_figure2_table, format_table
-from .engine import ParallelIngestEngine, ParallelIngestResult, ingest_worker
 from .node import (
     NodeAgent,
     RemoteWorkerHandle,
@@ -36,12 +34,9 @@ __all__ = [
     "ClusterConfig",
     "ScalingPoint",
     "SuperCloudModel",
-    "ParallelIngestEngine",
-    "ParallelIngestResult",
     "WorkerReport",
     "WorkerCrash",
     "WorkerDied",
-    "ingest_worker",
     "stream_powerlaw",
     "ShardWorkerPool",
     "ShardRouter",

@@ -10,8 +10,8 @@ This module produces the rate-versus-servers table that reproduces Figure 2:
 * the database systems (Accumulo, SciDB, CrateDB, Oracle TPC-C) are carried as
   published reference curves because they cannot be run offline.
 
-The output is a list of plain dict rows so both pytest-benchmark reports and
-the CLI can print the same table.
+The output is a list of plain dict rows, so the CLI, the example and the
+tests all read the same table.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .errors import DomainMismatch
 from .types import BOOL, DataType, lookup_dtype, unify
 
 __all__ = [
@@ -62,15 +61,6 @@ class BinaryOp:
         if self.bool_result:
             return BOOL
         return unify(a, b)
-
-    def validate(self, a: DataType, b: DataType) -> None:
-        """Raise :class:`DomainMismatch` if the operand types cannot be combined."""
-        try:
-            unify(a, b)
-        except Exception as exc:  # pragma: no cover - defensive
-            raise DomainMismatch(
-                f"Operator {self.name!r} cannot combine {a.name} and {b.name}"
-            ) from exc
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BinaryOp({self.name})"

@@ -1,7 +1,7 @@
 """I/O helpers for hypersparse matrices.
 
 TSV triple files (the format the D4M pipelines use for traffic data) and
-random-matrix generation used by the kernel benchmarks.
+a seeded random hypersparse matrix generator.
 """
 
 from __future__ import annotations

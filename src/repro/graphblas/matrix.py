@@ -309,9 +309,7 @@ class Matrix:
 
         The pending arena preallocates geometrically, so its resident
         footprint (``pending_capacity_bytes``) can exceed the live data
-        (``pending_used_bytes``); spill/placement decisions must follow the
-        capacity while traffic estimates follow the used bytes (see
-        :meth:`repro.memory.hierarchy.MemoryHierarchy.placement_level`).
+        (``pending_used_bytes``).
         """
         coordinate_bytes = 0 if self._keys is None else self._keys.nbytes
         if self._rc is not None:

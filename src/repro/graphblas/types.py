@@ -61,10 +61,6 @@ class DataType:
         return np.issubdtype(self.np_type, np.integer)
 
     @property
-    def is_signed(self) -> bool:
-        return np.issubdtype(self.np_type, np.signedinteger)
-
-    @property
     def is_unsigned(self) -> bool:
         return np.issubdtype(self.np_type, np.unsignedinteger)
 

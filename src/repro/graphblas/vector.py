@@ -149,9 +149,7 @@ class Vector:
 
         The pending arena preallocates geometrically, so its resident
         footprint (``pending_capacity_bytes``) can exceed the live data
-        (``pending_used_bytes``); spill/placement decisions must follow the
-        capacity while traffic estimates follow the used bytes (see
-        :meth:`repro.memory.hierarchy.MemoryHierarchy.placement_level`).
+        (``pending_used_bytes``).
         """
         return {
             "stored_bytes": int(self._indices.nbytes + self._vals.nbytes),

@@ -5,6 +5,7 @@ import pytest
 
 from repro.baselines import FlatD4MIngestor, FlatGraphBLASIngestor, HierarchicalD4MIngestor
 from repro.core import HierarchicalMatrix
+from repro.workloads import IngestSession, paper_stream
 
 
 def batches(rng, n=5, size=40, space=500):
@@ -110,3 +111,33 @@ class TestRelativePerformanceShape:
             flat.update(rows, cols, vals)
             hier.update(rows, cols, vals)
         assert sum(hier.stats.element_writes) < flat.element_writes
+
+
+class TestSlowMemoryWrites:
+    """The paper's memory claim on its own stream shape: the hierarchy keeps
+    most element-writes in the cut-bounded layers, and writes far fewer
+    elements into the unbounded last layer than the flat matrix rewrites."""
+
+    @pytest.fixture(scope="class")
+    def flat(self):
+        flat = FlatGraphBLASIngestor(2**32, 2**32)
+        IngestSession(flat, "flat").run(
+            paper_stream(total_entries=100_000, nbatches=100, seed=0)
+        )
+        return flat
+
+    @pytest.mark.parametrize(
+        "cuts, last_layer_written",
+        # 100k updates never overflow a 200k third layer, so the last layer
+        # stays empty there; a 20k second layer overflows, which makes the
+        # bound a real check on last-layer writes.
+        [([2_000, 20_000, 200_000], False), ([2_000, 20_000], True)],
+    )
+    def test_slow_writes_below_half_of_flat(self, flat, cuts, last_layer_written):
+        hier = HierarchicalMatrix(2**32, 2**32, cuts=cuts)
+        IngestSession(hier, "hier").run(
+            paper_stream(total_entries=100_000, nbatches=100, seed=0)
+        )
+        assert hier.stats.fast_memory_fraction > 0.5
+        assert hier.stats.slow_memory_writes < flat.element_writes / 2
+        assert (hier.stats.slow_memory_writes > 0) == last_layer_written

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import AdaptiveCuts, FixedCuts, GeometricCuts, HierarchicalMatrix, default_policy
+from repro.core import FixedCuts, GeometricCuts, default_policy
 
 
 class TestFixedCuts:
@@ -23,10 +23,6 @@ class TestFixedCuts:
 
     def test_equal_cuts_allowed(self):
         assert FixedCuts([10, 10]).initial_cuts() == [10, 10]
-
-    def test_on_cascade_default_keeps_cuts(self):
-        p = FixedCuts([10])
-        assert p.on_cascade(0, 15, [10], updates_since_last=1) == [10]
 
     def test_describe(self):
         assert "FixedCuts" in FixedCuts([4]).describe()
@@ -51,54 +47,3 @@ class TestGeometricCuts:
 
     def test_ratio_one_gives_constant_cuts(self):
         assert GeometricCuts(5, 1, 3).initial_cuts() == [5, 5]
-
-
-class TestAdaptiveCuts:
-    def test_initial_cuts_match_geometric(self):
-        p = AdaptiveCuts(first_cut=8, ratio=2, nlevels_total=3)
-        assert p.initial_cuts() == [8, 16]
-
-    def test_hot_layer_cut_doubles(self):
-        p = AdaptiveCuts(first_cut=8, ratio=2, nlevels_total=3, target_cascade_interval=4)
-        # Cascade after absorbing only 10 updates (< 4*8=32): layer is hot.
-        new = p.on_cascade(0, 9, [8, 16], updates_since_last=10)
-        assert new[0] == 16
-        assert new[1] >= new[0]  # non-decreasing invariant preserved
-
-    def test_cool_layer_cut_unchanged(self):
-        p = AdaptiveCuts(first_cut=8, ratio=2, nlevels_total=3, target_cascade_interval=4)
-        new = p.on_cascade(0, 9, [8, 16], updates_since_last=1000)
-        assert new == [8, 16]
-
-    def test_growth_is_bounded(self):
-        p = AdaptiveCuts(first_cut=8, ratio=2, nlevels_total=3,
-                         target_cascade_interval=1000, max_growth=2)
-        cuts = [8, 16]
-        for _ in range(10):
-            cuts = p.on_cascade(0, 9, cuts, updates_since_last=0)
-        assert cuts[0] == 32  # doubled at most max_growth times
-
-    def test_out_of_range_level_ignored(self):
-        p = AdaptiveCuts(first_cut=8, ratio=2, nlevels_total=3)
-        assert p.on_cascade(5, 9, [8, 16], updates_since_last=0) == [8, 16]
-
-    def test_describe(self):
-        assert "AdaptiveCuts" in AdaptiveCuts().describe()
-
-    def test_adaptive_in_hierarchical_matrix_stays_correct(self, rng=None):
-        import numpy as np
-        from repro.graphblas import Matrix, binary
-
-        rng = np.random.default_rng(5)
-        policy = AdaptiveCuts(first_cut=4, ratio=2, nlevels_total=3, target_cascade_interval=8)
-        H = HierarchicalMatrix(policy=policy)
-        ref = Matrix("fp64", 2**64, 2**64)
-        for _ in range(15):
-            rows = rng.integers(0, 50, 20).astype(np.uint64)
-            cols = rng.integers(0, 50, 20).astype(np.uint64)
-            vals = np.ones(20)
-            H.update(rows, cols, vals)
-            ref.build(rows, cols, vals, dup_op=binary.plus)
-        assert H.materialize().isclose(ref)
-        # The adaptive policy actually widened the first cut under pressure.
-        assert H.cuts[0] >= 4

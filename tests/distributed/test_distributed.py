@@ -1,4 +1,4 @@
-"""Tests for the SuperCloud model, the parallel ingest engine, and Figure 2 assembly."""
+"""Tests for the SuperCloud model and Figure 2 assembly."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,9 @@ import pytest
 from repro.distributed import (
     ClusterConfig,
     Figure2Row,
-    ParallelIngestEngine,
     SuperCloudModel,
     build_figure2_table,
     format_table,
-    ingest_worker,
 )
 
 
@@ -74,47 +72,6 @@ class TestSuperCloudModel:
         point = SuperCloudModel().aggregate_rate(1e6, 4)
         d = point.as_dict()
         assert d["nodes"] == 4 and "aggregate_rate" in d
-
-
-class TestIngestWorker:
-    def test_worker_report(self):
-        report = ingest_worker(0, total_updates=20_000, batch_size=5_000, cuts=[1000, 10_000], seed=1)
-        assert report.total_updates == 20_000
-        assert report.updates_per_second > 0
-        assert report.final_nvals > 0
-        assert len(report.cascades) == 3
-
-    def test_workers_with_different_ids_get_different_data(self):
-        a = ingest_worker(0, 5_000, 1_000, [500], seed=1)
-        b = ingest_worker(1, 5_000, 1_000, [500], seed=1)
-        assert a.final_nvals != b.final_nvals or a.elapsed_seconds != b.elapsed_seconds
-
-
-class TestParallelIngestEngine:
-    def test_sequential_mode_aggregates(self):
-        engine = ParallelIngestEngine(nworkers=2, cuts=[1000, 10_000], use_processes=False)
-        result = engine.run(updates_per_worker=10_000, batch_size=2_000)
-        assert result.nworkers == 2
-        assert result.total_updates == 20_000
-        assert result.aggregate_rate_sum > 0
-        assert result.aggregate_rate_wall > 0
-        assert result.mean_worker_rate > 0
-        assert result.aggregate_rate_sum >= result.mean_worker_rate
-
-    def test_multiprocessing_mode(self):
-        engine = ParallelIngestEngine(nworkers=2, cuts=[1000], use_processes=True)
-        result = engine.run(updates_per_worker=5_000, batch_size=1_000)
-        assert result.total_updates == 10_000
-        assert all(w.updates_per_second > 0 for w in result.workers)
-
-    def test_measure_single_instance_rate(self):
-        engine = ParallelIngestEngine(nworkers=1, cuts=[1000, 10_000], use_processes=False)
-        rate = engine.measure_single_instance_rate(updates=20_000, batch_size=5_000)
-        assert rate > 0
-
-    def test_invalid_worker_count(self):
-        with pytest.raises(ValueError):
-            ParallelIngestEngine(nworkers=0)
 
 
 class TestFigure2Assembly:

@@ -15,12 +15,10 @@ import pytest
 
 from repro.core import HierarchicalMatrix
 from repro.distributed import (
-    ParallelIngestEngine,
     ShardRouter,
     ShardWorkerPool,
     ShardedHierarchicalMatrix,
     WorkerCrash,
-    ingest_worker,
     stream_powerlaw,
 )
 from repro.graphblas import Matrix, binary, coords
@@ -56,17 +54,20 @@ def random_stream(seed, nbatches=8, batch=400, space=2 ** 18):
 class TestRemainderBatchFix:
     def test_remainder_batch_streams_exactly(self):
         """25k updates at batch 10k used to stream only 20k."""
-        report = ingest_worker(0, 25_000, 10_000, CUTS, seed=1)
-        assert report.total_updates == 25_000
+        H = HierarchicalMatrix(cuts=CUTS)
+        done, _ = stream_powerlaw(H, 0, 25_000, 10_000, seed=1)
+        assert done == H.stats.total_updates == 25_000
 
     def test_small_request_not_rounded_up(self):
         """total < batch_size used to stream a full batch *more* than asked."""
-        report = ingest_worker(0, 3_000, 10_000, CUTS, seed=1)
-        assert report.total_updates == 3_000
+        H = HierarchicalMatrix(cuts=CUTS)
+        done, _ = stream_powerlaw(H, 0, 3_000, 10_000, seed=1)
+        assert done == H.stats.total_updates == 3_000
 
     def test_exact_multiple_unchanged(self):
-        report = ingest_worker(0, 20_000, 5_000, CUTS, seed=1)
-        assert report.total_updates == 20_000
+        H = HierarchicalMatrix(cuts=CUTS)
+        done, _ = stream_powerlaw(H, 0, 20_000, 5_000, seed=1)
+        assert done == H.stats.total_updates == 20_000
 
 
 class TestTimedFinalFlushFix:
@@ -409,15 +410,16 @@ class TestShardWorkerPool:
             )
             assert report.total_updates == 7_500
             assert report.updates_per_second > 0
+            assert report.final_nvals > 0
+            assert len(report.cascades) == len(CUTS) + 1
+
+    def test_selfgen_streams_differ_by_worker_id(self):
+        """Each worker's stream is seeded by its id, so instances differ."""
+        a, b = HierarchicalMatrix(cuts=CUTS), HierarchicalMatrix(cuts=CUTS)
+        stream_powerlaw(a, 0, 5_000, 1_000, seed=1)
+        stream_powerlaw(b, 1, 5_000, 1_000, seed=1)
+        assert not a.materialize().isequal(b.materialize())
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
             ShardWorkerPool(0)
-
-
-class TestEngineOnPool:
-    def test_engine_total_updates_includes_remainder(self):
-        engine = ParallelIngestEngine(nworkers=2, cuts=CUTS, use_processes=False)
-        result = engine.run(updates_per_worker=2_500, batch_size=1_000)
-        assert result.total_updates == 5_000
-        assert all(w.total_updates == 2_500 for w in result.workers)

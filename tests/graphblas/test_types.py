@@ -58,7 +58,7 @@ class TestLookup:
 
 class TestProperties:
     def test_integer_flags(self):
-        assert INT8.is_integer and INT8.is_signed and not INT8.is_unsigned
+        assert INT8.is_integer and not INT8.is_unsigned
         assert UINT64.is_integer and UINT64.is_unsigned
         assert not FP64.is_integer
 

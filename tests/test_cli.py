@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import main_fig2, main_gateway, main_ingest, main_scaling, main_shard
+from repro.cli import main_fig2, main_gateway, main_ingest, main_shard
 from repro.distributed import format_address, spawn_local_agents
 
 
@@ -35,28 +35,6 @@ class TestIngestCLI:
         )
         assert rc == 0
         assert "hierarchical-d4m" in capsys.readouterr().out
-
-
-class TestScalingCLI:
-    def test_sequential_run(self, capsys):
-        rc = main_scaling(
-            ["--workers", "2", "--updates-per-worker", "5000", "--batch-size", "1000",
-             "--sequential"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "SuperCloud projection" in out
-        assert "75,000,000,000" in out
-
-    def test_json_output(self, capsys):
-        rc = main_scaling(
-            ["--workers", "1", "--updates-per-worker", "3000", "--batch-size", "1000",
-             "--sequential", "--json"]
-        )
-        assert rc == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["total_updates"] == 3000
-        assert payload["headline_projection"]["nodes"] == 1100
 
 
 class TestShardCLI:
