@@ -141,3 +141,50 @@ class TestSlowMemoryWrites:
         assert hier.stats.fast_memory_fraction > 0.5
         assert hier.stats.slow_memory_writes < flat.element_writes / 2
         assert (hier.stats.slow_memory_writes > 0) == last_layer_written
+
+
+class TestSystemsAgreeOnPaperStream:
+    """The four systems the single-instance rate compares ingest the same
+    content: a rate is only comparable across systems that compute the
+    same matrix.  The D4M systems see a shorter stream (string keys)."""
+
+    N_GRAPHBLAS = 50_000
+    N_D4M = 5_000
+
+    @staticmethod
+    def ingest(system, total, nbatches):
+        result = IngestSession(system, "agree").run(
+            paper_stream(total_entries=total, nbatches=nbatches, seed=0)
+        )
+        assert result.total_updates == total
+        return system.materialize()
+
+    @staticmethod
+    def as_dict(assoc):
+        rows, cols, vals = assoc.find()
+        return {(int(r), int(c)): v for r, c, v in zip(rows, cols, vals)}
+
+    def test_hierarchical_graphblas_equals_flat(self):
+        hier = self.ingest(
+            HierarchicalMatrix(2**32, 2**32, cuts=[4_096, 32_768, 262_144]),
+            self.N_GRAPHBLAS,
+            50,
+        )
+        flat = self.ingest(FlatGraphBLASIngestor(2**32, 2**32), self.N_GRAPHBLAS, 50)
+        assert hier.isequal(flat)
+
+    def test_hierarchical_d4m_equals_flat(self):
+        hier = self.ingest(
+            HierarchicalD4MIngestor(cuts=[1_000, 10_000, 100_000]), self.N_D4M, 10
+        )
+        flat = self.ingest(FlatD4MIngestor(), self.N_D4M, 10)
+        assert hier == flat
+
+    def test_d4m_equals_graphblas(self):
+        d4m = self.ingest(FlatD4MIngestor(), self.N_D4M, 10)
+        graphblas = self.ingest(
+            HierarchicalMatrix(2**32, 2**32, cuts=[1_000, 10_000]), self.N_D4M, 10
+        )
+        rows, cols, vals = graphblas.extract_tuples()
+        expected = {(int(r), int(c)): v for r, c, v in zip(rows, cols, vals)}
+        assert self.as_dict(d4m) == expected

@@ -174,6 +174,76 @@ class TestEngineParity:
         assert np.array_equal(packed, expected)
 
 
+class TestEngineParityAtScale:
+    """Both engines on 20,000 power-law triples with IPv4-range coordinates.
+
+    The hypothesis suites above draw at most 120 pairs; this shape has the
+    heavy duplicate runs of the paper's stream, and enough queries for the
+    vectorised search path.
+    """
+
+    N = 20_000
+    N_QUERIES = 10_000
+
+    @pytest.fixture(scope="class")
+    def triples(self):
+        from repro.workloads.powerlaw import powerlaw_edges
+
+        rows, cols = powerlaw_edges(self.N, seed=11)
+        vals = (np.arange(self.N) % 7 + 1).astype(np.float64)
+        return rows, cols, vals
+
+    @pytest.mark.parametrize("op_name", ["plus", "second", "first", "min", "max", "times"])
+    def test_build_triples(self, triples, op_name):
+        rows, cols, vals = triples
+        if op_name == "times":
+            # Thousands of repeats of one coordinate: keep the product finite.
+            vals = np.where(vals > 4, -1.0, 1.0)
+        op = binary[op_name]
+        packed = K.build_triples(rows, cols, vals, op)
+        with coords.packing_disabled():
+            fallback = K.build_triples(rows, cols, vals, op)
+        assert_triples_equal(packed, fallback)
+        assert packed[0].size < self.N  # the stream does repeat coordinates
+
+    @pytest.mark.parametrize("op_name", ["plus", "second", "first", "min", "max", "minus"])
+    def test_union_merge(self, triples, op_name):
+        rows, cols, vals = triples
+        half = self.N // 2
+        a = K.build_triples(rows[:half], cols[:half], vals[:half], binary.plus)
+        b = K.build_triples(rows[half:], cols[half:], vals[half:], binary.plus)
+        op = binary[op_name]
+        packed = K.union_merge(a, b, op)
+        with coords.packing_disabled():
+            fallback = K.union_merge(a, b, op)
+        assert_triples_equal(packed, fallback)
+
+    def test_build_plus_matches_numpy_oracle(self, triples):
+        rows, cols, vals = triples
+        keys = (rows << np.uint64(32)) | cols
+        ukeys, inverse = np.unique(keys, return_inverse=True)
+        sums = np.zeros(ukeys.size)
+        np.add.at(sums, inverse, vals)
+        out_rows, out_cols, out_vals = K.build_triples(rows, cols, vals, binary.plus)
+        assert np.array_equal(out_rows, ukeys >> np.uint64(32))
+        assert np.array_equal(out_cols, ukeys & np.uint64(U32_MAX))
+        assert np.array_equal(out_vals, sums)
+
+    def test_search_sorted(self, triples):
+        srows, scols, _ = K.build_triples(*triples, binary.plus)
+        rng = np.random.default_rng(13)
+        # Half the queries hit stored coordinates, half (almost surely) miss.
+        pick = rng.integers(0, srows.size, self.N_QUERIES // 2)
+        miss = rng.integers(0, 2**32, self.N_QUERIES // 2, dtype=np.uint64)
+        qr = np.concatenate([srows[pick], miss])
+        qc = np.concatenate([scols[pick], miss[::-1]])
+        packed = K.search_sorted_coo(srows, scols, qr, qc)
+        with coords.packing_disabled():
+            fallback = K.search_sorted_coo(srows, scols, qr, qc)
+        assert np.array_equal(packed, fallback)
+        assert np.array_equal(packed[: self.N_QUERIES // 2], pick)
+
+
 class TestMatrixAndHierarchyParity:
     """End-to-end parity: whole containers built on each engine are equal."""
 

@@ -328,6 +328,53 @@ class TestGatewayServing:
             gw.close()
             matrix.close()
 
+    @pytest.mark.parametrize("nclients", [1, 4, 16])
+    def test_split_stream_delivered_exactly(self, nclients):
+        """One stream split over N concurrent clients arrives whole."""
+        total, batch = 8_000, 500
+        per_client = total // nclients
+        rng = np.random.default_rng(nclients)
+        shares = []
+        for _ in range(nclients):
+            rows = rng.integers(0, 2 ** 22, per_client, dtype=np.uint64)
+            cols = rng.integers(0, 2 ** 22, per_client, dtype=np.uint64)
+            vals = rng.integers(1, 10, per_client).astype(np.float64)
+            shares.append((rows, cols, vals))
+        flat = HierarchicalMatrix(2 ** 32, 2 ** 32, cuts=CUTS)
+        for rows, cols, vals in shares:
+            flat.update(rows, cols, vals)
+        failures = []
+        barrier = threading.Barrier(nclients)
+
+        def run(client_id, share):
+            try:
+                with GatewayClient(gw.address, client_id=f"c{client_id}") as client:
+                    barrier.wait()
+                    rows, cols, vals = share
+                    for lo in range(0, per_client, batch):
+                        hi = lo + batch
+                        client.update(rows[lo:hi], cols[lo:hi], vals[lo:hi])
+                    assert client.sync()["acked"] == per_client
+            except Exception as exc:  # pragma: no cover - surfaced below
+                failures.append(exc)
+
+        with ShardedHierarchicalMatrix(4, cuts=CUTS) as matrix:
+            with IngestGateway(matrix, coalesce_updates=8192, flush_interval=0.005) as gw:
+                threads = [
+                    threading.Thread(target=run, args=(i, share))
+                    for i, share in enumerate(shares)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert failures == []
+                metrics = gw.metrics()
+                assert metrics["clients_total"] == nclients
+                assert metrics["received_updates"] == metrics["routed_updates"] == total
+                assert matrix.materialize().isequal(flat.materialize())
+
     def test_serves_a_plain_hierarchical_matrix(self):
         """Single-node serving: no sharding, no pressure signal, epoch 0."""
         matrix = HierarchicalMatrix(2 ** 32, 2 ** 32, cuts=CUTS)
