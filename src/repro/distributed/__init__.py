@@ -1,14 +1,14 @@
 """Distributed-scaling substrate: the SuperCloud model, the persistent shard
-worker pool and its one process wire (length-prefixed socket frames to
-workers forked over a ``socketpair`` or hosted by
-:class:`~repro.distributed.node.NodeAgent` endpoints), the sharded
+worker pool and its one process wire (the length-prefixed frames of
+:mod:`repro.distributed.codec`, to workers forked over a ``socketpair`` or
+hosted by :class:`~repro.distributed.node.NodeAgent` endpoints), the sharded
 hierarchical matrix with replica failover, and the Figure 2 table assembly."""
 
 from .aggregate import DEFAULT_SERVER_COUNTS, Figure2Row, build_figure2_table, format_table
+from .codec import BatchCodec, ValueCodec
 from .node import (
     NodeAgent,
     RemoteWorkerHandle,
-    ValueCodec,
     format_address,
     parse_address,
     restart_local_agent,
@@ -49,6 +49,7 @@ __all__ = [
     "PARTITION_NAMES",
     "ShardTransport",
     "SocketTransport",
+    "BatchCodec",
     "ValueCodec",
     "NodeAgent",
     "RemoteWorkerHandle",

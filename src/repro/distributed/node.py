@@ -1,4 +1,4 @@
-"""The shard wire's frames and worker loop, and the agents that host workers.
+"""The shard worker's frame loop, and the agents that host workers.
 
 Every process-backed shard worker serves one stream socket with
 :func:`_serve_connection`: the connection *is* the worker's task queue,
@@ -10,24 +10,8 @@ reaches a worker in one of two ways: it forks a local child over a
 lifecycle on its machine, exposes a ``host:port`` endpoint, and forks one
 worker child per accepted connection.
 
-Wire format (all little-endian; one 9-byte header per frame)::
-
-    header   <BQ>  frame type, payload byte length
-    HELLO         pickled {"slot": int, "matrix_kwargs": dict}   parent -> agent
-    HELLO_ACK     pickled {"pid": int}                           worker -> parent
-    DATA          n = len/16 uint64 packed keys, then n uint64 value bits
-    DATA_KEYONLY  n = len/8 uint64 packed keys (values = scalar 1)
-    DATA_PICKLED  pickled (rows, cols, values)  [IPv6 / wide-dtype fallback]
-    CONTROL       pickled (command, payload)
-    REPLY         pickled (status, value)
-
-HELLO/HELLO_ACK is the agent handshake only; a forked worker starts serving
-at once.  Ingest frames carry the PR-1 packed ``uint64`` coordinate keys plus
-the :class:`ValueCodec` raw value bits — no pickle on the hot path.
-All-ones batches (the traffic workload) ship key-only.  Shapes that do not
-pack into 64 bits and value types wider than 8 bytes fall back to pickled
-ingest frames on the same connection, so the wire serves *every* shard
-configuration.
+The frames are defined in :mod:`repro.distributed.codec`.  HELLO/HELLO_ACK
+is the agent handshake only; a forked worker starts serving at once.
 
 Failure model: an agent's worker child sets ``PR_SET_PDEATHSIG`` so a
 SIGKILLed agent takes its workers down with it; a forked worker holds only
@@ -47,37 +31,31 @@ import contextlib
 import ctypes
 import multiprocessing as mp
 import os
-import pickle
 import signal
 import socket
-import struct
 import time
 from typing import Iterator, List, Optional, Tuple, Union
 
-import numpy as np
-
-from ..graphblas.types import lookup_dtype
+from .codec import (
+    DATA_FRAMES,
+    F_CONTROL,
+    F_HELLO,
+    F_HELLO_ACK,
+    F_REPLY,
+    load_pickled,
+    recv_frame,
+    send_pickled,
+)
+from .worker import CommandExecutor
 
 __all__ = [
     "NodeAgent",
     "RemoteWorkerHandle",
-    "ValueCodec",
     "spawn_local_agents",
     "restart_local_agent",
     "parse_address",
     "format_address",
 ]
-
-# Frame types of the socket wire (module docstring has the layout).
-F_HELLO = 1
-F_HELLO_ACK = 2
-F_DATA = 3
-F_DATA_KEYONLY = 4
-F_DATA_PICKLED = 5
-F_CONTROL = 6
-F_REPLY = 7
-
-_HEADER = struct.Struct("<BQ")
 
 #: Accept-loop tick: how often an idle agent reaps exited worker children.
 _ACCEPT_TICK_SECONDS = 0.2
@@ -103,124 +81,6 @@ def format_address(addr: Union[str, Address]) -> str:
     """The canonical ``host:port`` string of an address."""
     host, port = parse_address(addr)
     return f"{host}:{port}"
-
-
-class ValueCodec:
-    """Bit-exact ``values <-> uint64`` wire codec for one shard value type.
-
-    The sender converts values to the shard's dtype — the same (single)
-    conversion :meth:`HierarchicalMatrix.update
-    <repro.core.HierarchicalMatrix.update>` would apply worker-side — then
-    transmits *raw bit patterns*: 8-byte types cross as their own bits,
-    narrower types as zero-padded raw bytes.  No numeric widening happens
-    after the dtype conversion, so even exotic payloads (signalling NaNs,
-    negative zeros) cross unchanged and every framing built on this codec
-    (ingest frames, migration slab payloads, gateway client frames) stays
-    bit-identical to applying the values in-process.  Types wider than 8
-    bytes are not representable (their batches travel as pickled frames).
-    Producer and consumer share one machine, so native byte order is
-    consistent by construction.
-    """
-
-    def __init__(self, np_type) -> None:
-        self.np_type = np.dtype(np_type)
-        self.itemsize = int(self.np_type.itemsize)
-        if self.itemsize > 8:
-            raise ValueError(
-                f"value type {self.np_type} does not fit an 8-byte wire slot"
-            )
-
-    def encode(self, values, n: int) -> np.ndarray:
-        """Bit pattern of ``values`` (scalar broadcast over ``n``) as uint64."""
-        if np.isscalar(values) or (isinstance(values, np.ndarray) and values.ndim == 0):
-            typed = np.full(n, values, dtype=self.np_type)
-        else:
-            typed = np.ascontiguousarray(np.asarray(values), dtype=self.np_type)
-        if self.itemsize == 8:
-            return typed.view(np.uint64)
-        out = np.zeros(typed.size, dtype=np.uint64)
-        out.view(np.uint8).reshape(-1, 8)[:, : self.itemsize] = typed.view(
-            np.uint8
-        ).reshape(-1, self.itemsize)
-        return out
-
-    def decode(self, bits: np.ndarray) -> np.ndarray:
-        """Invert :meth:`encode` back to a typed value array."""
-        if self.itemsize == 8:
-            return bits.view(self.np_type)
-        raw = np.ascontiguousarray(
-            bits.view(np.uint8).reshape(-1, 8)[:, : self.itemsize]
-        )
-        return raw.view(self.np_type).reshape(-1)
-
-    @property
-    def one_bits(self) -> np.uint64:
-        """The encoded bit pattern of the scalar ``1`` in this value type.
-
-        Key-only framing elides the value payload when every value equals 1
-        — the dominant one-count-per-packet traffic workload — and the
-        consumer re-synthesises it from this word.
-        """
-        return self.encode(1, 1)[0]
-
-    def encodes_to_ones(self, values, bits: np.ndarray) -> bool:
-        """Whether ``bits`` (the encoding of ``values``) is uniformly the
-        all-ones pattern, i.e. the value payload can be elided on the wire.
-
-        ``values`` is consulted only for the scalar fast path (one word
-        compared instead of the whole array).
-        """
-        if np.isscalar(values) or (isinstance(values, np.ndarray) and values.ndim == 0):
-            return bool(bits[:1] == self.one_bits) if bits.size else True
-        return bool(np.all(bits == self.one_bits))
-
-
-# --------------------------------------------------------------------------- #
-# frame I/O
-# --------------------------------------------------------------------------- #
-
-
-def send_frame(sock: socket.socket, ftype: int, payload) -> None:
-    """Write one length-prefixed frame (header and payload in one send)."""
-    sock.sendall(_HEADER.pack(ftype, len(payload)) + bytes(payload))
-
-
-def send_pickled(sock: socket.socket, ftype: int, obj) -> None:
-    """Write one frame whose payload is the pickled ``obj``."""
-    send_frame(sock, ftype, pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
-
-
-def _recv_exact(sock: socket.socket, n: int) -> Optional[bytearray]:
-    """Read exactly ``n`` bytes, or None on EOF at a frame boundary.
-
-    Returns a *writable* buffer so ingest arrays built on it need no second
-    copy.  EOF in the middle of a frame is still returned as None — the peer
-    died mid-send and the stream is unusable either way.
-    """
-    buf = bytearray(n)
-    view = memoryview(buf)
-    got = 0
-    while got < n:
-        try:
-            r = sock.recv_into(view[got:], n - got)
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            return None
-        if r == 0:
-            return None
-        got += r
-    return buf
-
-
-def recv_frame(sock: socket.socket) -> Optional[Tuple[int, bytearray]]:
-    """Read one ``(frame type, payload)`` frame, or None when the peer is gone."""
-    header = _recv_exact(sock, _HEADER.size)
-    if header is None:
-        return None
-    ftype, length = _HEADER.unpack(bytes(header))
-    payload = _recv_exact(sock, int(length))
-    if payload is None:
-        return None
-    return int(ftype), payload
 
 
 # --------------------------------------------------------------------------- #
@@ -268,31 +128,16 @@ def _serve_connection(conn: socket.socket, slot: int, matrix_kwargs) -> None:
     loop ends at a ``stop`` command or at EOF, i.e. once every copy of the
     routing parent's end of the connection is closed.
     """
-    from .worker import CommandExecutor  # worker.py imports this module's codec
-
     executor = CommandExecutor(slot, matrix_kwargs, _SocketReplyChannel(conn))
-    np_type = lookup_dtype(dict(matrix_kwargs or {}).get("dtype", "fp64")).np_type
-    codec = ValueCodec(np_type) if np_type.itemsize <= 8 else None
     while True:
         frame = recv_frame(conn)
         if frame is None:
             break  # routing parent is gone; nothing left to serve
         ftype, payload = frame
-        if ftype == F_DATA:
-            n = len(payload) // 16
-            keys = np.frombuffer(payload, dtype=np.uint64, count=n)
-            bits = np.frombuffer(payload, dtype=np.uint64, count=n, offset=8 * n)
-            executor.ingest(lambda: (keys, codec.decode(bits)))
-        elif ftype == F_DATA_KEYONLY:
-            keys = np.frombuffer(payload, dtype=np.uint64)
-            # The producer proved every value's bit pattern equals scalar 1
-            # in the shard dtype; the scalar fill in update_packed() stores
-            # the identical bits.
-            executor.ingest(lambda: (keys, 1))
-        elif ftype == F_DATA_PICKLED:
-            executor.ingest(lambda: pickle.loads(bytes(payload)))
+        if ftype in DATA_FRAMES:
+            executor.ingest(ftype, payload)
         elif ftype == F_CONTROL:
-            cmd, cmd_payload = pickle.loads(bytes(payload))
+            cmd, cmd_payload = load_pickled(payload)
             if cmd == "stop":
                 break
             executor.execute(cmd, cmd_payload)
@@ -354,7 +199,7 @@ class NodeAgent:
         if frame is None or frame[0] != F_HELLO:
             conn.close()
             return
-        hello = pickle.loads(bytes(frame[1]))
+        hello = load_pickled(frame[1])
         pid = os.fork()
         if pid == 0:
             # Worker child: drop the listener, serve this connection forever.

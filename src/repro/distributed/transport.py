@@ -11,7 +11,7 @@
 * **replies** — one per reply-bearing control command, FIFO per worker.
 
 Each worker slot is one stream socket carrying the frames of
-:mod:`repro.distributed.node`, reached in one of two connection modes:
+:mod:`repro.distributed.codec`, reached in one of two connection modes:
 
 local (no ``nodes``)
     The transport forks the worker itself over a ``socketpair``; the child
@@ -21,12 +21,12 @@ agent (``nodes`` given)
     The transport dials a :class:`~repro.distributed.node.NodeAgent`
     endpoint per slot; the agent forks the worker behind the connection.
 
-Either way ingest crosses as packed ``uint64`` keys plus
-:class:`~repro.distributed.node.ValueCodec` value bits (key-only for all-ones
-batches, pickled for unpackable IPv6 shapes and wide dtypes), and control
-commands and replies share the stream, so a reply-bearing command is a
-barrier for every batch sent before it and *only* those: a byte stream
-cannot reorder.
+Either way ingest crosses as the data frames
+:class:`~repro.distributed.codec.BatchCodec` encodes (packed ``uint64`` keys
+plus raw value bits, key-only for all-ones batches, ``uint64`` COO columns
+for unpackable IPv6 shapes), and control commands and replies share the
+stream, so a reply-bearing command is a barrier for every batch sent before
+it and *only* those: a byte stream cannot reorder.
 
 Worker failures surface one way: a worker-side exception is delivered as an
 ``("error", traceback)`` reply and the worker keeps serving; a worker that
@@ -44,19 +44,13 @@ from __future__ import annotations
 import contextlib
 import multiprocessing as mp
 import os
-import pickle
 import socket as socket_mod
 import struct
 from typing import Any, Dict, List, Optional, Tuple
 
-import numpy as np
-
-from ..graphblas import coords
-from ..graphblas import _kernels as K
-from ..graphblas.errors import InvalidIndex
-from ..graphblas.types import lookup_dtype
+from . import codec
 from . import node as node_mod
-from .node import RemoteWorkerHandle, ValueCodec, parse_address
+from .node import RemoteWorkerHandle, parse_address
 from .worker import WorkerCrash, WorkerDied
 
 __all__ = ["ShardTransport", "SocketTransport", "SOCKET_BUFFER_BYTES"]
@@ -165,12 +159,10 @@ def _serve_forked(conn, inherited, slot: int, matrix_kwargs) -> None:
 class SocketTransport(ShardTransport):
     """One stream socket per worker slot: forked locally or dialled.
 
-    Ingest crosses as packed-key + raw-value-bit frames (key-only for
-    all-ones batches); control commands and replies share the same stream,
-    so per-worker FIFO ordering — and with it the barrier semantics of
+    Ingest crosses as :class:`~repro.distributed.codec.BatchCodec` data
+    frames; control commands and replies share the same stream, so
+    per-worker FIFO ordering — and with it the barrier semantics of
     reply-bearing commands — holds because a byte stream cannot reorder.
-    Configurations the binary frames cannot carry (unpackable IPv6 shapes,
-    > 8-byte value types) use pickled ingest frames on the same connection.
 
     Parameters
     ----------
@@ -216,12 +208,11 @@ class SocketTransport(ShardTransport):
                     f"{len(placement)} placements do not cover {self.nworkers} slots"
                 )
             self.placement = [int(p) for p in placement]
-        nrows = int(self._matrix_kwargs.get("nrows", 2 ** 32))
-        ncols = int(self._matrix_kwargs.get("ncols", 2 ** 32))
-        self._nrows, self._ncols = nrows, ncols
-        self._spec = coords.shape_split(nrows, ncols)
-        np_type = lookup_dtype(self._matrix_kwargs.get("dtype", "fp64")).np_type
-        self._codec = ValueCodec(np_type) if np_type.itemsize <= 8 else None
+        self._codec = codec.BatchCodec(
+            self._matrix_kwargs.get("nrows", 2 ** 32),
+            self._matrix_kwargs.get("ncols", 2 ** 32),
+            self._matrix_kwargs.get("dtype", "fp64"),
+        )
         #: Key-only ingest frames sent so far (observability + tests).
         self.key_only_batches = 0
         self._conns: List[Optional[socket_mod.socket]] = [None] * self.nworkers
@@ -264,65 +255,36 @@ class SocketTransport(ShardTransport):
         address = self._nodes[self.placement[slot]]
         conn = socket_mod.create_connection(address, timeout=30)
         conn.setsockopt(socket_mod.IPPROTO_TCP, socket_mod.TCP_NODELAY, 1)
-        node_mod.send_pickled(
-            conn,
-            node_mod.F_HELLO,
-            {"slot": slot, "matrix_kwargs": self._matrix_kwargs},
+        codec.send_pickled(
+            conn, codec.F_HELLO, {"slot": slot, "matrix_kwargs": self._matrix_kwargs}
         )
         # The 30s timeout stays armed through the HELLO exchange: a rejoin
         # re-dial can reach an endpoint that accepts but never serves (e.g.
         # an agent mid-restart), and an unbounded recv here would wedge the
         # supervisor instead of surfacing a retryable failure.
         try:
-            frame = node_mod.recv_frame(conn)
+            frame = codec.recv_frame(conn)
         except socket_mod.timeout:
             frame = None
-        if frame is None or frame[0] != node_mod.F_HELLO_ACK:
+        if frame is None or frame[0] != codec.F_HELLO_ACK:
             conn.close()
             raise WorkerCrash(
                 f"node agent at {address} did not acknowledge worker slot {slot}"
             )
         conn.settimeout(None)
-        ack = pickle.loads(bytes(frame[1]))
+        ack = codec.load_pickled(frame[1])
         self._conns[slot] = conn
         self._handles[slot] = RemoteWorkerHandle(int(ack["pid"]))
 
     # Wire implementation ------------------------------------------------- #
 
     def send_ingest(self, worker: int, rows, cols, values, keys=None) -> None:
-        if self._spec is not None and self._codec is not None:
-            if keys is None:
-                r = K.as_index_array(rows, "rows")
-                c = K.as_index_array(cols, "cols")
-                if r.size == 0:
-                    return
-                if int(r.max()) >= self._nrows or int(c.max()) >= self._ncols:
-                    raise InvalidIndex(
-                        f"coordinate batch exceeds the {self._nrows}x{self._ncols} shape"
-                    )
-                keys = coords.pack(r, c, self._spec)
-            else:
-                keys = np.ascontiguousarray(keys, dtype=np.uint64)
-                if keys.size == 0:
-                    return
-            scalar = np.isscalar(values) or (
-                isinstance(values, np.ndarray) and values.ndim == 0
-            )
-            bits = self._codec.encode(values, 1 if scalar else keys.size)
-            if self._codec.encodes_to_ones(values, bits):
-                self.key_only_batches += 1
-                self._send(worker, node_mod.F_DATA_KEYONLY, keys.tobytes())
-                return
-            if scalar:
-                bits = self._codec.encode(values, keys.size)
-            self._send(worker, node_mod.F_DATA, keys.tobytes() + bits.tobytes())
+        encoded = self._codec.encode(rows, cols, values, keys)
+        if encoded is None:
             return
-        # Unpackable shape / wide dtype: pickled COO on the same stream.
-        self._send(
-            worker,
-            node_mod.F_DATA_PICKLED,
-            pickle.dumps((rows, cols, values), protocol=pickle.HIGHEST_PROTOCOL),
-        )
+        if encoded[0] == codec.F_DATA_KEYONLY:
+            self.key_only_batches += 1
+        self._send(worker, codec.frame(*encoded))
 
     def ingest_watermark(self, worker: int) -> Optional[float]:
         # Linux SIOCOUTQ (== TIOCOUTQ): bytes queued in the kernel send
@@ -349,23 +311,19 @@ class SocketTransport(ShardTransport):
         (as a ``"died"`` reply), which is where every caller that expects an
         answer is already waiting."""
         with contextlib.suppress(WorkerDied):
-            self._send(
-                worker,
-                node_mod.F_CONTROL,
-                pickle.dumps((cmd, payload), protocol=pickle.HIGHEST_PROTOCOL),
-            )
+            self._send(worker, codec.pickled_frame(codec.F_CONTROL, (cmd, payload)))
 
-    def _send(self, worker: int, ftype: int, payload: bytes) -> None:
+    def _send(self, worker: int, data: bytes) -> None:
         try:
-            node_mod.send_frame(self._conns[worker], ftype, payload)
+            self._conns[worker].sendall(data)
         except OSError as exc:
             raise WorkerDied(
                 f"shard worker {worker} is gone; socket send failed: {exc}"
             ) from exc
 
     def recv_reply(self, worker: int) -> Tuple[str, Any]:
-        frame = node_mod.recv_frame(self._conns[worker])
-        if frame is None or frame[0] != node_mod.F_REPLY:
+        frame = codec.recv_frame(self._conns[worker])
+        if frame is None or frame[0] != codec.F_REPLY:
             # EOF delivers buffered replies first, so reaching this point
             # means the worker truly died before replying.
             return (
@@ -373,7 +331,7 @@ class SocketTransport(ShardTransport):
                 f"worker process died (connection to pid "
                 f"{self._handles[worker].pid} lost) without replying",
             )
-        return pickle.loads(bytes(frame[1]))
+        return codec.load_pickled(frame[1])
 
     def worker_alive(self, worker: int) -> bool:
         return self._handles[worker].is_alive()

@@ -15,16 +15,16 @@ from __future__ import annotations
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core import HierarchicalMatrix
 from ..core.checkpoint import checkpoint_bytes, load_checkpoint_bytes
-from ..graphblas import Matrix, coords
+from ..graphblas import Matrix
 from ..graphblas.binaryop import binary
 from ..workloads.powerlaw import powerlaw_edges
-from .node import ValueCodec
+from .codec import BatchCodec
 from .partition import interval_mask, partition_keys
 
 __all__ = [
@@ -182,9 +182,11 @@ class ShardState:
             accum = binary[accum]
         self.worker_id = int(worker_id)
         self.matrix = HierarchicalMatrix(nrows, ncols, dtype, accum=accum, **kwargs)
+        #: Decodes this shard's data frames and encodes its migrating slabs.
+        self.codec = BatchCodec(nrows, ncols, self.matrix.dtype)
         # The toggle-independent shape split — identical to the router's, so
         # worker-side slab membership can never disagree with routing.
-        self.spec = coords.shape_split(int(nrows), int(ncols))
+        self.spec = self.codec.spec
         self.done = 0
         self.elapsed = 0.0
         self.slabs_in = 0
@@ -342,24 +344,6 @@ class ShardState:
         )
         return combined.extract_tuples()
 
-    def _encode_slab(self, rows, cols, vals):
-        """Slab wire form: packed uint64 keys + raw value bits when possible.
-
-        Reuses the ingest frames' pieces (the PR-1 coordinate codec and
-        the :class:`~repro.distributed.node.ValueCodec` bit codec), so a
-        migrating slab crosses the reply channel as two flat uint64 arrays
-        instead of three pickled object arrays; unpackable (IPv6) shapes
-        fall back to plain COO triples.
-        """
-        if self.spec is not None and vals.dtype.itemsize <= 8:
-            codec = ValueCodec(vals.dtype)
-            return (
-                "packed",
-                coords.pack(rows, cols, self.spec),
-                codec.encode(vals, rows.size),
-            )
-        return ("coo", rows, cols, vals)
-
     def _extract_slab(self, payload) -> Dict[str, Any]:
         """Choose and copy out one slab; the shard's content is unchanged.
 
@@ -380,7 +364,10 @@ class ShardState:
         (``weight="count"``, the nnz policy) or the entry's absolute value
         (``weight="value"``, the traffic policy — exactly the units the
         coordinator's traffic loads are measured in).  Cuts land on whole
-        keys only, so a hot coordinate is never split across shards.
+        keys only, so a hot coordinate is never split across shards.  The
+        slab travels as :meth:`BatchCodec.encode
+        <repro.distributed.codec.BatchCodec.encode>` output, the same
+        ``(frame type, payload)`` an ingest frame carries.
         """
         partition = payload["partition"]
         target = payload.get("target")
@@ -449,7 +436,7 @@ class ShardState:
             "lo": lo,
             "hi": hi,
             "count": count,
-            "slab": self._encode_slab(rows, cols, vals),
+            "slab": self.codec.encode(rows, cols, vals),
         }
 
     def _install_slab(self, slab) -> int:
@@ -463,11 +450,7 @@ class ShardState:
         coordinate's tracked contribution *is* its combined value).
         Deliberately not counted into the ingest measurement counters.
         """
-        if slab[0] == "packed":  # keys + raw value bits: no unpack, no re-pack
-            _, keys, bits = slab
-            batch = (keys, ValueCodec(self.matrix.dtype.np_type).decode(bits))
-        else:
-            batch = slab[1:]
+        batch = self.codec.decode(*slab)
         self.slabs_in += 1
         return self._apply(batch) if batch[0].size else 0
 
@@ -527,15 +510,13 @@ class CommandExecutor:
             self._init_error = traceback.format_exc()
         self.pending_error = self._init_error
 
-    def ingest(self, decode_payload: Callable[[], tuple]) -> None:
-        """Apply one fire-and-forget batch; ``decode_payload`` materialises
-        the ``(rows, cols, values)`` or ``(keys, values)`` tuple and may
-        itself raise (wire decode errors are latched exactly like command
-        errors)."""
+    def ingest(self, ftype: int, payload) -> None:
+        """Apply one fire-and-forget data frame; a frame that fails to
+        decode is latched exactly like a command error."""
         if self.pending_error is not None:
             return
         try:
-            self.state.handle("ingest", decode_payload())
+            self.state.handle("ingest", self.state.codec.decode(ftype, payload))
         except Exception:
             self.pending_error = traceback.format_exc()
 

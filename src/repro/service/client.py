@@ -1,10 +1,10 @@
 """Blocking gateway client: binary update frames out, epoch-tagged reads back.
 
-:class:`GatewayClient` mirrors the encoding decisions of the socket
-transport's ingest path (packed-key binary frames, key-only all-ones
-batches, pickled fallback for unpackable shapes/dtypes) using the matrix
-parameters the HELLO acknowledgement advertises, so a client never needs the
-matrix object — just the gateway address.
+:class:`GatewayClient` encodes its batches with the socket transport's
+:class:`~repro.distributed.codec.BatchCodec` (packed-key frames, key-only
+all-ones batches, ``uint64`` COO columns for unpackable shapes), built from
+the matrix parameters the HELLO acknowledgement advertises, so a client
+never needs the matrix object — just the gateway address.
 
 Updates are fire-and-forget; :meth:`sync` flushes the gateway's coalescer
 and returns the count of updates *applied* for this connection (an ingest
@@ -17,31 +17,23 @@ it was served at (:attr:`last_epoch` keeps the most recent one).
 from __future__ import annotations
 
 import os
-import pickle
 import socket
 from typing import Optional
 
-import numpy as np
-
-from ..distributed.node import (
+from ..distributed.codec import (
     F_CONTROL,
-    F_DATA,
-    F_DATA_KEYONLY,
-    F_DATA_PICKLED,
     F_HELLO,
     F_HELLO_ACK,
     F_REPLY,
-    ValueCodec,
-    parse_address,
+    F_SET_OP,
+    BatchCodec,
+    load_pickled,
     recv_frame,
     send_frame,
     send_pickled,
 )
-from ..graphblas import _kernels as K
-from ..graphblas import coords
-from ..graphblas.errors import InvalidIndex
-from ..graphblas.types import lookup_dtype
-from .gateway import F_SET_OP, GatewayError
+from ..distributed.node import parse_address
+from .gateway import GatewayError
 
 __all__ = ["GatewayClient"]
 
@@ -71,19 +63,15 @@ class GatewayClient:
             if frame is None:
                 raise GatewayError("gateway closed the connection during handshake")
             if frame[0] == F_REPLY:
-                _status, value = pickle.loads(bytes(frame[1]))
+                _status, value = load_pickled(frame[1])
                 raise GatewayError(str(value))
             if frame[0] != F_HELLO_ACK:
                 raise GatewayError(f"unexpected handshake frame type {frame[0]}")
-            self.info = pickle.loads(bytes(frame[1]))
+            self.info = load_pickled(frame[1])
         except BaseException:
             self._sock.close()
             raise
-        self._nrows = int(self.info["nrows"])
-        self._ncols = int(self.info["ncols"])
-        self._spec = coords.shape_split(self._nrows, self._ncols)
-        np_type = lookup_dtype(self.info["dtype"]).np_type
-        self._codec = ValueCodec(np_type) if np_type.itemsize <= 8 else None
+        self._codec = BatchCodec(self.info["nrows"], self.info["ncols"], self.info["dtype"])
         self._op = self.info["accum"]
         #: Partition-map epoch of the most recent reply.
         self.last_epoch = int(self.info.get("epoch", 0))
@@ -99,36 +87,11 @@ class GatewayClient:
         if op is not None and op != self._op:
             send_frame(self._sock, F_SET_OP, op.encode("utf-8"))
             self._op = op
-        if self._spec is not None and self._codec is not None:
-            r = K.as_index_array(rows, "rows")
-            c = K.as_index_array(cols, "cols")
-            if r.size == 0:
-                return
-            if int(r.max()) >= self._nrows or int(c.max()) >= self._ncols:
-                raise InvalidIndex(
-                    f"coordinate batch exceeds the {self._nrows}x{self._ncols} shape"
-                )
-            keys = coords.pack(r, c, self._spec)
-            scalar = np.isscalar(values) or (
-                isinstance(values, np.ndarray) and values.ndim == 0
-            )
-            bits = self._codec.encode(values, 1 if scalar else keys.size)
-            if self._codec.encodes_to_ones(values, bits):
-                self._send(F_DATA_KEYONLY, keys.tobytes())
-            else:
-                if scalar:
-                    bits = self._codec.encode(values, keys.size)
-                self._send(F_DATA, keys.tobytes() + bits.tobytes())
-            self.sent_updates += int(r.size)
+        encoded = self._codec.encode(rows, cols, values)
+        if encoded is None:
             return
-        r = K.as_index_array(rows, "rows")
-        if r.size == 0:
-            return
-        self._send(
-            F_DATA_PICKLED,
-            pickle.dumps((rows, cols, values), protocol=pickle.HIGHEST_PROTOCOL),
-        )
-        self.sent_updates += int(r.size)
+        self._send(*encoded)
+        self.sent_updates += self._codec.count(*encoded)
 
     def sync(self) -> dict:
         """Flush + acknowledge: ``{"acked": <applied updates>, "epoch": ...}``.
@@ -209,7 +172,7 @@ class GatewayClient:
         ftype, data = frame
         if ftype != F_REPLY:
             raise GatewayError(f"unexpected reply frame type {ftype}")
-        status, value = pickle.loads(bytes(data))
+        status, value = load_pickled(data)
         if status != "ok":
             raise GatewayError(str(value))
         return value

@@ -2,16 +2,19 @@
 
 Protocol
 --------
-The wire is the PR-7 node protocol (9-byte ``<BQ`` length-prefixed frames,
-same frame types, same binary batch encodings), so everything the socket
-transport learned about framing — FIFO byte streams as barriers, key-only
-all-ones batches, pickled fallback for unpackable shapes — carries over:
+The wire is the shard wire's framing (:mod:`repro.distributed.codec`: 9-byte
+``<BQ`` length-prefixed frames, the same frame types and the same
+:class:`~repro.distributed.codec.BatchCodec` data frames), so everything the
+socket transport learned about framing — FIFO byte streams as barriers,
+key-only all-ones batches, ``uint64`` COO columns for unpackable shapes —
+carries over:
 
 * ``F_HELLO`` ``{"client": name}`` → ``F_HELLO_ACK`` with the matrix shape,
   dtype, accumulator and the gateway's coalescing bound, so the client can
   build the same packed-key codec the shard wire uses.
-* ``F_DATA`` / ``F_DATA_KEYONLY`` / ``F_DATA_PICKLED`` — update batches,
-  fire-and-forget (acknowledged collectively by the next ``sync``).
+* ``F_DATA`` / ``F_DATA_KEYONLY`` / ``F_DATA_COO`` — update batches,
+  fire-and-forget (acknowledged collectively by the next ``sync``).  A frame
+  that is not a whole number of records is refused and latched.
 * ``F_SET_OP`` (gateway extension) — switches the connection's combine
   operator; any switch flushes coalesced updates first (single-combiner
   rule), and an operator other than the matrix accumulator is refused.
@@ -43,38 +46,31 @@ with bounded gateway memory and no bookkeeping.
 from __future__ import annotations
 
 import asyncio
-import pickle
 import socket
 import threading
 from typing import Dict, List, Optional, Set
 
-import numpy as np
-
-from ..distributed.node import (
+from ..distributed.codec import (
+    DATA_FRAMES,
     F_CONTROL,
-    F_DATA,
     F_DATA_KEYONLY,
-    F_DATA_PICKLED,
     F_HELLO,
     F_HELLO_ACK,
     F_REPLY,
-    _HEADER,
-    ValueCodec,
-    format_address,
+    F_SET_OP,
+    HEADER,
+    BatchCodec,
+    load_pickled,
+    pickled_frame,
 )
-from ..graphblas import _kernels as K
+from ..distributed.node import format_address
 from ..graphblas import coords
 from ..graphblas.errors import InvalidIndex
-from ..graphblas.types import lookup_dtype
 from .coalesce import BatchCoalescer, CoalescedBatch
 from .rebalancer import AutoRebalancer
 from .rejoin import AutoRejoiner
 
-__all__ = ["F_SET_OP", "GatewayError", "IngestGateway"]
-
-#: Gateway protocol extension: payload is the utf-8 operator name the
-#: connection's subsequent data frames combine under.
-F_SET_OP = 8
+__all__ = ["GatewayError", "IngestGateway"]
 
 
 class GatewayError(RuntimeError):
@@ -165,7 +161,6 @@ class IngestGateway:
         self.rejoiner = rejoiner
         self._own_matrix = bool(own_matrix)
         self._accum = matrix.accum.name
-        self._spec = coords.shape_split(matrix.nrows, matrix.ncols)
         # The sharded matrix accepts the wire's packed keys straight through
         # (one pack per update across the whole gateway path); plain
         # hierarchical matrices and test fakes do not take the keyword.
@@ -175,8 +170,7 @@ class IngestGateway:
             self._update_takes_keys = "keys" in inspect.signature(matrix.update).parameters
         except (TypeError, ValueError):  # pragma: no cover - exotic callables
             self._update_takes_keys = False
-        np_type = matrix.dtype.np_type
-        self._codec = ValueCodec(np_type) if np_type.itemsize <= 8 else None
+        self._codec = BatchCodec(matrix.nrows, matrix.ncols, matrix.dtype)
         self._conns: Set[_Connection] = set()
         self._metrics: Dict[str, int] = {
             "clients_total": 0,
@@ -250,8 +244,8 @@ class IngestGateway:
         flusher = asyncio.ensure_future(self._flush_loop())
         started.set()
         await self._stop_event.wait()
-        # Shutdown: stop accepting, wake clients with EOF, drain everything
-        # already accepted into the coalescer, then cancel stragglers.
+        # Shutdown: stop accepting, wake clients with EOF, let the handlers
+        # finish, then drain everything accepted into the coalescer.
         self._closing = True
         server.close()
         await server.wait_closed()
@@ -261,13 +255,18 @@ class IngestGateway:
                 conn.writer.close()
             except Exception:  # pragma: no cover - already torn down
                 pass
-        self._route_sync(self._coalescer.flush())
+        # Handlers end by themselves on the EOF their closed writers cause;
+        # cancelling one mid-read would log a CancelledError traceback, so
+        # only those still running after a grace period are cancelled.
         current = asyncio.current_task()
         pending = [t for t in asyncio.all_tasks(self._loop) if t is not current]
-        for task in pending:
-            task.cancel()
         if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
+            _done, running = await asyncio.wait(pending, timeout=1.0)
+            for task in running:
+                task.cancel()
+            if running:
+                await asyncio.gather(*running, return_exceptions=True)
+        self._route_sync(self._coalescer.flush())
 
     def close(self) -> None:
         """Drain and stop the gateway; idempotent.
@@ -395,10 +394,10 @@ class IngestGateway:
 
     async def _read_frame(self, reader: asyncio.StreamReader):
         try:
-            header = await reader.readexactly(_HEADER.size)
+            header = await reader.readexactly(HEADER.size)
         except (asyncio.IncompleteReadError, ConnectionResetError):
             return None
-        ftype, length = _HEADER.unpack(header)
+        ftype, length = HEADER.unpack(header)
         if length > self._max_frame_bytes:
             raise GatewayError(
                 f"frame of {length} bytes exceeds the gateway bound "
@@ -409,8 +408,7 @@ class IngestGateway:
 
     @staticmethod
     def _reply(writer: asyncio.StreamWriter, status: str, value) -> None:
-        payload = pickle.dumps((status, value), protocol=pickle.HIGHEST_PROTOCOL)
-        writer.write(_HEADER.pack(F_REPLY, len(payload)) + payload)
+        writer.write(pickled_frame(F_REPLY, (status, value)))
 
     async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         conn: Optional[_Connection] = None
@@ -419,7 +417,7 @@ class IngestGateway:
             if frame is None or frame[0] != F_HELLO:
                 writer.close()
                 return
-            hello = pickle.loads(bytes(frame[1]))
+            hello = load_pickled(frame[1])
             if len(self._conns) >= self._max_clients:
                 self._reply(writer, "error", "gateway full: too many clients")
                 await writer.drain()
@@ -429,7 +427,8 @@ class IngestGateway:
             self._conns.add(conn)
             self._metrics["clients_total"] += 1
             self._metrics["open_clients"] = len(self._conns)
-            ack = pickle.dumps(
+            writer.write(pickled_frame(
+                F_HELLO_ACK,
                 {
                     "server": "repro-gateway",
                     "nrows": self._matrix.nrows,
@@ -440,9 +439,7 @@ class IngestGateway:
                     "coalesce_updates": self._coalescer.max_updates,
                     "max_frame_bytes": self._max_frame_bytes,
                 },
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-            writer.write(_HEADER.pack(F_HELLO_ACK, len(ack)) + ack)
+            ))
             await writer.drain()
             while not self._closing:
                 frame = await self._read_frame(reader)
@@ -471,31 +468,19 @@ class IngestGateway:
     def _decode_data(self, ftype: int, payload: bytes):
         """Decode one data frame to ``(rows, cols, values, keys)``.
 
-        Binary frames carry the coordinates as packed ``uint64`` keys under
-        the matrix's own split — exactly what the router packs — so they are
-        returned alongside the unpacked coordinates and ride the coalescer
-        to the matrix, which then skips re-packing (pickled frames have no
-        keys and return ``None``).
+        The keys of a keyed frame are what the router packs, so they ride
+        the coalescer to the matrix, which then skips re-packing
+        (``F_DATA_COO`` frames have none: ``keys`` is ``None``).
         """
-        keys = None
-        if ftype == F_DATA_PICKLED:
-            rows, cols, values = pickle.loads(bytes(payload))
-            r = K.as_index_array(rows, "rows")
-            c = K.as_index_array(cols, "cols")
+        batch = self._codec.decode(ftype, payload)
+        if len(batch) == 2:
+            keys, values = batch
+            r, c = coords.unpack(keys, self._codec.spec)
         else:
-            if self._spec is None or self._codec is None:
-                raise GatewayError(
-                    "binary frames unsupported for this shape/dtype; "
-                    "send pickled batches"
-                )
-            n = len(payload) // 8 if ftype == F_DATA_KEYONLY else len(payload) // 16
-            keys = np.frombuffer(payload, np.uint64, count=n)
-            r, c = coords.unpack(keys, self._spec)
-            if ftype == F_DATA_KEYONLY:
-                self._metrics["key_only_frames"] += 1
-                values = 1
-            else:
-                values = self._codec.decode(np.frombuffer(payload, np.uint64, count=n, offset=8 * n))
+            keys = None
+            r, c, values = batch
+        if ftype == F_DATA_KEYONLY:
+            self._metrics["key_only_frames"] += 1
         if r.size and (int(r.max()) >= self._matrix.nrows or int(c.max()) >= self._matrix.ncols):
             raise InvalidIndex(
                 f"coordinate batch exceeds the "
@@ -504,7 +489,7 @@ class IngestGateway:
         return r, c, values, keys
 
     async def _dispatch_frame(self, conn: _Connection, ftype: int, payload: bytes, writer) -> None:
-        if ftype in (F_DATA, F_DATA_KEYONLY, F_DATA_PICKLED):
+        if ftype in DATA_FRAMES:
             if conn.error is not None:
                 return  # latched: drop until the client observes the error
             try:
@@ -533,7 +518,7 @@ class IngestGateway:
                     f"{self._accum!r} (single-combiner rule)"
                 )
         elif ftype == F_CONTROL:
-            cmd, arg = pickle.loads(bytes(payload))
+            cmd, arg = load_pickled(payload)
             await self._control(conn, cmd, arg, writer)
         # Unknown frame types are ignored (forward compatibility).
 

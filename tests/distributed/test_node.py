@@ -1,15 +1,15 @@
-"""Node-agent unit tests: addresses, wire framing, handshake, worker handles.
+"""Node-agent unit tests: addresses, worker loop, handshake, worker handles.
 
 The conformance and fault batteries already exercise the socket transport
 end-to-end through :class:`~repro.distributed.ShardedHierarchicalMatrix`;
 these tests pin the layers *underneath* — the ``host:port`` address helpers,
-the length-prefixed frame codec (split across small kernel buffers,
-backpressured, randomized), the worker frame loop driven frame by frame in a
-thread, the agent's HELLO handshake as seen by a raw
-client socket, the pid-based :class:`~repro.distributed.RemoteWorkerHandle`
-surface the fault suite relies on, and the transport ``respawn`` contract
-that replica resync depends on (a replacement worker must get *fresh*
-channels, never the dead worker's half-read ones).
+the worker frame loop driven frame by frame in a thread, the agent's HELLO
+handshake as seen by a raw client socket, the pid-based
+:class:`~repro.distributed.RemoteWorkerHandle` surface the fault suite
+relies on, and the transport ``respawn`` contract that replica resync
+depends on (a replacement worker must get *fresh* channels, never the dead
+worker's half-read ones).  The frame codec itself is tested in
+``test_codec.py``.
 """
 
 from __future__ import annotations
@@ -23,28 +23,28 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core import HierarchicalMatrix
 from repro.distributed import ShardWorkerPool, WorkerCrash
-from repro.distributed.node import (
+from repro.distributed.codec import (
     F_CONTROL,
     F_DATA,
+    F_DATA_COO,
     F_DATA_KEYONLY,
-    F_DATA_PICKLED,
     F_HELLO,
     F_HELLO_ACK,
     F_REPLY,
-    NodeAgent,
-    RemoteWorkerHandle,
     ValueCodec,
-    _serve_connection,
-    format_address,
-    parse_address,
     recv_frame,
     send_frame,
     send_pickled,
+)
+from repro.distributed.node import (
+    NodeAgent,
+    RemoteWorkerHandle,
+    _serve_connection,
+    format_address,
+    parse_address,
     spawn_local_agents,
 )
 from repro.distributed.partition import partition_keyspace
@@ -75,128 +75,6 @@ class TestAddresses:
     def test_format_round_trips(self):
         assert format_address(("127.0.0.1", 6000)) == "127.0.0.1:6000"
         assert parse_address(format_address("a:1")) == ("a", 1)
-
-
-@contextlib.contextmanager
-def socket_pair(buffer_bytes=None):
-    """A connected ``socketpair``, closed on exit.  ``buffer_bytes`` shrinks
-    the kernel buffers so modest frames span many partial sends and receives."""
-    a, b = socket.socketpair()
-    try:
-        for end in (a, b) if buffer_bytes else ():
-            for opt in (socket.SO_SNDBUF, socket.SO_RCVBUF):
-                end.setsockopt(socket.SOL_SOCKET, opt, buffer_bytes)
-        yield a, b
-    finally:
-        a.close()
-        b.close()
-
-
-class TestFraming:
-    def test_frame_round_trip(self):
-        with socket_pair() as (a, b):
-            send_frame(a, F_DATA, b"\x01\x02\x03")
-            send_pickled(a, F_CONTROL, ("stats", None))
-            assert recv_frame(b) == (F_DATA, bytearray(b"\x01\x02\x03"))
-            ftype, payload = recv_frame(b)
-            assert ftype == F_CONTROL
-            assert pickle.loads(bytes(payload)) == ("stats", None)
-
-    def test_empty_payload_frame(self):
-        with socket_pair() as (a, b):
-            send_frame(a, F_HELLO_ACK, b"")
-            assert recv_frame(b) == (F_HELLO_ACK, bytearray(b""))
-
-    def test_eof_at_boundary_returns_none(self):
-        with socket_pair() as (a, b):
-            a.close()
-            assert recv_frame(b) is None
-
-    def test_eof_mid_frame_returns_none(self):
-        import struct
-
-        with socket_pair() as (a, b):
-            # Header promises 100 payload bytes; only 10 arrive before EOF.
-            a.sendall(struct.pack("<BQ", F_DATA, 100) + b"x" * 10)
-            a.close()
-            assert recv_frame(b) is None
-
-    def test_payload_is_a_writable_buffer(self):
-        """Ingest arrays are built on the received buffer without a copy."""
-        keys = np.arange(8, dtype=np.uint64)
-        with socket_pair() as (a, b):
-            send_frame(a, F_DATA_KEYONLY, keys.tobytes())
-            ftype, payload = recv_frame(b)
-        view = np.frombuffer(payload, dtype=np.uint64)
-        assert ftype == F_DATA_KEYONLY and view.flags.writeable
-        assert np.array_equal(view, keys)
-
-    def test_frame_larger_than_the_socket_buffers_crosses_intact(self):
-        """A frame many times the kernel buffers arrives whole, in order."""
-        big = np.arange(1 << 17, dtype=np.uint64).tobytes()  # 1 MiB
-        received = []
-        with socket_pair(4096) as (a, b):
-            reader = threading.Thread(target=lambda: received.append(recv_frame(b)))
-            reader.start()
-            with deadline(30):
-                send_frame(a, F_DATA_KEYONLY, big)
-                send_frame(a, F_REPLY, b"after")
-            reader.join(timeout=30)
-            assert received == [(F_DATA_KEYONLY, bytearray(big))]
-            assert recv_frame(b) == (F_REPLY, bytearray(b"after"))
-
-    def test_full_buffers_block_the_sender_until_the_reader_drains(self):
-        """Backpressure: with nobody reading, a send larger than the buffers
-        cannot finish; it completes once the reader drains."""
-        payload = b"\x07" * (1 << 20)
-        done = threading.Event()
-        with socket_pair(4096) as (a, b):
-            sender = threading.Thread(
-                target=lambda: (send_frame(a, F_DATA_KEYONLY, payload), done.set())
-            )
-            sender.start()
-            assert not done.wait(0.1), "send must block while the buffers are full"
-            with deadline(30):
-                assert recv_frame(b) == (F_DATA_KEYONLY, bytearray(payload))
-            sender.join(timeout=30)
-            assert done.is_set()
-
-    def test_send_to_a_closed_peer_raises(self):
-        """A gone reader is an error at the sender, never a hang."""
-        with socket_pair() as (a, b):
-            b.close()
-            with pytest.raises(OSError):
-                send_frame(a, F_DATA_KEYONLY, b"\x00" * 64)
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        frames=st.lists(
-            st.tuples(
-                st.sampled_from([F_DATA, F_DATA_KEYONLY, F_CONTROL, F_REPLY]),
-                st.integers(min_value=0, max_value=40_000),
-            ),
-            min_size=1,
-            max_size=25,
-        )
-    )
-    def test_randomized_frame_stream_preserves_fifo_and_content(self, frames):
-        """Any mix of frame types and sizes — many straddling the small
-        kernel buffers — is read back frame for frame, byte for byte."""
-        sent = [
-            (ftype, np.random.default_rng(i).bytes(size))
-            for i, (ftype, size) in enumerate(frames)
-        ]
-        received = []
-        with socket_pair(4096) as (a, b):
-            reader = threading.Thread(
-                target=lambda: received.extend(recv_frame(b) for _ in sent)
-            )
-            reader.start()
-            for ftype, payload in sent:
-                send_frame(a, ftype, payload)
-            reader.join(timeout=30)
-            assert not reader.is_alive()
-        assert received == [(f, bytearray(p)) for f, p in sent]
 
 
 class TestWorkerLoop:
@@ -263,11 +141,12 @@ class TestWorkerLoop:
             assert self.request(router, "get", (7, 7)) == ("ok", 2.0)
             assert self.request(router, "stats")[1]["updates"] == 20
 
-    def test_pickled_frame_carries_unpackable_shapes(self):
+    def test_coo_frame_carries_unpackable_shapes(self):
         rows = np.array([2 ** 63 + 5, 2 ** 40], dtype=np.uint64)
         cols = np.array([2 ** 62, 2 ** 64 - 1], dtype=np.uint64)
+        bits = ValueCodec(np.float64).encode(np.array([1.5, 2.5]), 2)
         with self.serving({"nrows": 2 ** 64, "ncols": 2 ** 64}) as (router, _):
-            send_pickled(router, F_DATA_PICKLED, (rows, cols, np.array([1.5, 2.5])))
+            send_frame(router, F_DATA_COO, rows.tobytes() + cols.tobytes() + bits.tobytes())
             assert self.request(router, "get", (2 ** 63 + 5, 2 ** 62)) == ("ok", 1.5)
             assert self.request(router, "get", (2 ** 40, 2 ** 64 - 1)) == ("ok", 2.5)
 
@@ -294,11 +173,31 @@ class TestWorkerLoop:
         spec = coords.shape_split(2 ** 32, 2 ** 32)
         rows = np.arange(3, dtype=np.uint64)
         with self.serving() as (router, _):
-            send_frame(router, F_DATA_PICKLED, b"not a pickle")
+            send_frame(router, F_DATA_COO, b"\x00" * 23)  # not whole records
             status, trace = self.request(router, "stats")
-            assert status == "error" and "pickle" in trace.lower()
+            assert status == "error" and "whole number" in trace.lower()
             send_frame(router, F_DATA_KEYONLY, coords.pack(rows, rows, spec).tobytes())
             assert self.request(router, "stats")[1]["updates"] == 3
+
+    @pytest.mark.parametrize(
+        "ftype, size",
+        [(F_DATA, 19), (F_DATA_KEYONLY, 11), (F_DATA_COO, 29)],
+        ids=["data", "keyonly", "coo"],
+    )
+    def test_misaligned_data_frames_are_latched_and_not_applied(self, ftype, size):
+        """A frame whose length is not a whole number of records stores
+        nothing: the error latches until the next reply."""
+        spec = coords.shape_split(2 ** 32, 2 ** 32)
+        record = np.concatenate(
+            [coords.pack(np.array([1], np.uint64), np.array([2], np.uint64), spec),
+             np.array([5.0]).view(np.uint64), np.array([5.0]).view(np.uint64)]
+        ).tobytes()
+        with self.serving() as (router, _):
+            send_frame(router, ftype, (record * 2)[:size])
+            status, trace = self.request(router, "get", (1, 2))
+            assert status == "error" and "ValueError" in trace
+            assert self.request(router, "get", (1, 2)) == ("ok", None)
+            assert self.request(router, "stats")[1]["updates"] == 0
 
     def test_unknown_frame_types_are_ignored(self):
         with self.serving() as (router, _):
@@ -491,10 +390,11 @@ class TestMaterializeFreeSlabExtraction:
             "extract_slab", {"partition": "hash", "lo": 0, "hi": keyspace}
         )
         assert result["count"] == ref_rows.size
-        form, keys, bits = result["slab"]
-        assert form == "packed"
+        ftype, payload = result["slab"]
+        assert ftype in (F_DATA, F_DATA_KEYONLY)  # packed keys
+        keys, vals = state.codec.decode(ftype, payload)
         rows, cols = coords.unpack(keys, state.spec)
-        vals = ValueCodec(np.float64).decode(bits)
+        vals = np.broadcast_to(np.asarray(vals, dtype=np.float64), keys.shape)
         order = np.lexsort((cols, rows))
         ref_order = np.lexsort((ref_cols, ref_rows))
         np.testing.assert_array_equal(rows[order], ref_rows[ref_order])

@@ -29,7 +29,6 @@ from repro.distributed import (
     ShardedHierarchicalMatrix,
     ShardWorkerPool,
     SocketTransport,
-    ValueCodec,
 )
 from repro.graphblas import coords
 from repro.graphblas.types import BUILTIN_TYPES, lookup_dtype
@@ -253,7 +252,7 @@ class TestConformanceGrid:
 
     @mode_param()
     def test_ipv6_shape_served_via_fallback(self, mode):
-        """Full 64-bit shapes work in every mode (pickled ingest frames)."""
+        """Full 64-bit shapes work in every mode (``F_DATA_COO`` ingest frames)."""
         rng = np.random.default_rng(11)
         batches = [
             (
@@ -420,7 +419,7 @@ class TestRebalanceConformance:
         # The slab comes from the heavy interval and carries ~target weight.
         assert reply["lo"] >= key(20_000)
         assert 1 <= reply["count"] <= 10
-        _, keys, bits = reply["slab"]
+        keys, _values = state.codec.decode(*reply["slab"])
         assert keys.size == reply["count"]
 
     def test_manual_source_dest_and_validation(self):
@@ -975,52 +974,3 @@ class TestBarrierSemantics:
                 pool.submit(0, "stats")
             counts = [pool.collect(0)["updates"] for _ in range(8)]
             assert counts == [20 * (b + 1) for b in range(8)]
-
-
-class TestValueCodec:
-    @pytest.mark.parametrize(
-        "np_type",
-        [np.float64, np.float32, np.int64, np.uint64, np.int32, np.uint8, np.bool_],
-    )
-    def test_roundtrip_is_bit_exact(self, np_type):
-        codec = ValueCodec(np_type)
-        rng = np.random.default_rng(3)
-        if np.dtype(np_type) == np.bool_:
-            values = rng.integers(0, 2, 64).astype(np.bool_)
-        elif np.issubdtype(np_type, np.integer):
-            info = np.iinfo(np_type)
-            values = rng.integers(info.min, info.max, 64, dtype=np.int64 if info.min < 0 else np.uint64).astype(np_type)
-        else:
-            values = rng.normal(scale=1e6, size=64).astype(np_type)
-        decoded = codec.decode(codec.encode(values, values.size))
-        assert decoded.dtype == np.dtype(np_type)
-        assert np.array_equal(decoded, values)
-
-    def test_float64_bit_patterns_survive(self):
-        codec = ValueCodec(np.float64)
-        tricky = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 2 ** -1074, 1e308])
-        decoded = codec.decode(codec.encode(tricky, tricky.size))
-        assert np.array_equal(
-            decoded.view(np.uint64), tricky.view(np.uint64)
-        ), "NaN payloads and signed zeros must cross bit-exactly"
-
-    def test_float32_signalling_nan_not_quieted(self):
-        """Narrow floats cross as raw bytes: widening through float64 would
-        set the quiet bit on a signalling NaN and break bit-identity with
-        in-process ingest."""
-        codec = ValueCodec(np.float32)
-        patterns = np.array(
-            [0x7F800001, 0xFF800001, 0x7FC00000, 0x80000000], dtype=np.uint32
-        )  # sNaN, -sNaN, qNaN, -0.0
-        tricky = patterns.view(np.float32)
-        decoded = codec.decode(codec.encode(tricky, tricky.size))
-        assert np.array_equal(decoded.view(np.uint32), patterns)
-
-    def test_scalar_broadcast_matches_update_semantics(self):
-        codec = ValueCodec(np.float32)
-        decoded = codec.decode(codec.encode(1.5, 4))
-        assert np.array_equal(decoded, np.full(4, 1.5, dtype=np.float32))
-
-    def test_wide_types_rejected(self):
-        with pytest.raises(ValueError):
-            ValueCodec(np.complex128)

@@ -186,7 +186,7 @@ class TestKeys:
         assert out[0].keys.dtype == np.uint64
 
     def test_keys_dropped_when_any_chunk_lacks_them(self):
-        """A keyless chunk (pickled-frame client) poisons only its window."""
+        """A keyless chunk (a COO-frame client) poisons only its window."""
         c = BatchCoalescer(8)
         c.add("a", [1, 2, 3], [4, 5, 6], 1, keys=np.array([10, 11, 12], dtype=np.uint64))
         out = c.add("b", np.arange(5), np.arange(5), 1)

@@ -10,7 +10,7 @@ an injected clock.
 
 from __future__ import annotations
 
-import pickle
+import logging
 import threading
 from types import SimpleNamespace
 
@@ -19,7 +19,7 @@ import pytest
 
 from repro.core import HierarchicalMatrix
 from repro.distributed import ShardedHierarchicalMatrix
-from repro.distributed.node import F_DATA_PICKLED
+from repro.distributed.codec import F_DATA, F_DATA_COO, F_DATA_KEYONLY
 from repro.graphblas.errors import InvalidValue
 from repro.graphblas.types import lookup_dtype
 from repro.service import AutoRebalancer, GatewayClient, GatewayError, IngestGateway
@@ -272,16 +272,29 @@ class TestGatewayServing:
 
     def test_server_side_range_error_latches_until_sync(self, gateway):
         with GatewayClient(gateway.address) as client:
-            # Bypass the client's local validation: a pickled frame with
+            # Bypass the client's local validation: a COO frame with
             # coordinates beyond the shape must latch server-side.
-            client._send(
-                F_DATA_PICKLED,
-                pickle.dumps(([2 ** 40], [1], [1.0]), protocol=pickle.HIGHEST_PROTOCOL),
+            coo = np.concatenate(
+                [np.array([2 ** 40, 1], np.uint64), np.array([1.0]).view(np.uint64)]
             )
+            client._send(F_DATA_COO, coo.tobytes())
             with pytest.raises(GatewayError, match="InvalidIndex"):
                 client.sync()
             # The connection keeps serving after reporting the error.
             client.update([1], [1], [1.0])
+            assert client.sync()["acked"] == 1
+
+    def test_misaligned_data_frames_latch_and_apply_nothing(self, gateway):
+        """A data frame that is not a whole number of records is refused."""
+        with GatewayClient(gateway.address) as client:
+            record = np.array([(1 << 32) | 2, 0x4008000000000000], np.uint64).tobytes()
+            client._send(F_DATA, record + b"\x00")  # 17 bytes: 1 record + 1
+            client._send(F_DATA_KEYONLY, record[:8] + b"\x00" * 3)  # 11 bytes
+            with pytest.raises(GatewayError, match="ValueError"):
+                client.sync()
+            assert client.get(1, 2) is None
+            assert gateway.metrics()["rejected_frames"] >= 1
+            client.update([1], [2], [3.0])
             assert client.sync()["acked"] == 1
 
     def test_operator_mismatch_latches_and_drops(self, gateway):
@@ -302,6 +315,24 @@ class TestGatewayServing:
         metrics = gateway.metrics()
         assert metrics["key_only_frames"] >= 1
         assert gateway.matrix.get(1, 1) == 1.0
+
+    def test_close_with_a_client_connected_logs_no_error(self, caplog):
+        """Closing drains the open connection's handler instead of cancelling
+        it mid-read, which would log a CancelledError traceback."""
+        matrix = HierarchicalMatrix(2 ** 32, 2 ** 32, cuts=CUTS)
+        gw = IngestGateway(matrix, flush_interval=0.01)
+        gw.start()
+        client = GatewayClient(gw.address)
+        try:
+            client.update([1], [1], [1.0])
+            assert client.sync()["acked"] == 1
+            with caplog.at_level(logging.DEBUG, logger="asyncio"):
+                gw.close()
+        finally:
+            client.close()
+            gw.close()
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert [r for r in errors if r.name == "asyncio"] == []
 
     def test_close_drains_coalesced_updates(self):
         matrix = ShardedHierarchicalMatrix(2, cuts=CUTS)
