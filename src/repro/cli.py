@@ -58,8 +58,8 @@ def _exact_stream(batches, total: int):
     """Trim a batch stream to exactly ``total`` updates (partial final batch).
 
     Synthetic generators emit whole windows/batches; requesting 1,000 updates
-    at a 10,000-packet window must not stream 10,000 — the same rounding rule
-    :func:`~repro.distributed.worker.stream_powerlaw` follows.
+    at a 10,000-packet window must not stream 10,000: the final batch is cut
+    short instead.
     """
     remaining = int(total)
     for batch in batches:

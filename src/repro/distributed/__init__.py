@@ -1,7 +1,8 @@
 """Distributed-scaling substrate: the SuperCloud model, the persistent shard
-worker pool and its one process wire (the length-prefixed frames of
-:mod:`repro.distributed.codec`, to workers forked over a ``socketpair`` or
-hosted by :class:`~repro.distributed.node.NodeAgent` endpoints), the sharded
+worker pool and its slot interface (in-process slots, or the one process
+wire: the length-prefixed frames of :mod:`repro.distributed.codec`, to
+workers forked over a ``socketpair`` or hosted by
+:class:`~repro.distributed.node.NodeAgent` endpoints), the sharded
 hierarchical matrix with replica failover, and the Figure 2 table assembly."""
 
 from .aggregate import DEFAULT_SERVER_COUNTS, Figure2Row, build_figure2_table, format_table
@@ -20,7 +21,7 @@ from .partition import (
     partition_keys,
     partition_keyspace,
 )
-from .pool import ShardWorkerPool, WorkerCrash, WorkerDied, WorkerReport, stream_powerlaw
+from .pool import ShardWorkerPool, WorkerCrash, WorkerDied, WorkerReport
 from .sharded import (
     RebalanceReport,
     ShardRouter,
@@ -28,7 +29,7 @@ from .sharded import (
     ShardedIncrementalReductions,
 )
 from .supercloud import ClusterConfig, ScalingPoint, SuperCloudModel
-from .transport import ShardTransport, SocketTransport
+from .transport import InprocTransport, ShardTransport, SocketTransport
 
 __all__ = [
     "ClusterConfig",
@@ -37,7 +38,6 @@ __all__ = [
     "WorkerReport",
     "WorkerCrash",
     "WorkerDied",
-    "stream_powerlaw",
     "ShardWorkerPool",
     "ShardRouter",
     "ShardedHierarchicalMatrix",
@@ -48,6 +48,7 @@ __all__ = [
     "partition_keyspace",
     "PARTITION_NAMES",
     "ShardTransport",
+    "InprocTransport",
     "SocketTransport",
     "BatchCodec",
     "ValueCodec",

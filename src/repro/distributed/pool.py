@@ -1,11 +1,11 @@
-"""Persistent shard-worker pool: long-lived workers behind one socket wire.
+"""Persistent shard-worker pool: long-lived workers behind one slot interface.
 
 PR 1's parallel engine could only run *one-shot* workers (``pool.map`` over a
 function that generated its own workload), which rules out the serving shapes
 the ROADMAP asks for: sharding one externally supplied stream across workers,
 querying the shards afterwards, and keeping workers alive between batches.
 This module provides that substrate.  Each worker — a separate process, or an
-in-process state object when ``use_processes=False`` — owns a private
+in-process slot when ``use_processes=False`` — owns a private
 :class:`~repro.core.HierarchicalMatrix` and executes a small command protocol:
 
 ``ingest``
@@ -14,10 +14,6 @@ in-process state object when ``use_processes=False`` — owns a private
     split — into the worker's matrix.  Fire and forget: no reply, so the
     parent can pipeline batches to all shards without per-batch round trips.
     Update time is accumulated worker-side.
-``selfgen``
-    Generate and stream a power-law workload inside the worker (the paper's
-    original self-generated measurement, now just one stream source among
-    several).  Replies with a :class:`WorkerReport`.
 ``finalize``
     Force the deferred layer-1 flush *inside* the timed section and reply
     with the worker's measured ``(updates, seconds)`` so reported rates
@@ -42,17 +38,21 @@ in-process state object when ``use_processes=False`` — owns a private
 ``report`` / ``clear`` / ``stop``
     Measurement snapshot, state reset, and shutdown.
 
-How commands travel is the wire's business
-(:class:`~repro.distributed.transport.SocketTransport`): one stream socket
-per worker slot, to a child the pool forks over a ``socketpair`` or, with
+How commands travel is the business of the pool's one
+:class:`~repro.distributed.transport.ShardTransport`: an
+:class:`~repro.distributed.transport.InprocTransport` of in-process slots, or
+a :class:`~repro.distributed.transport.SocketTransport` with one stream
+socket per slot, to a child the pool forks over a ``socketpair`` or, with
 ``nodes``, to a worker hosted by a :class:`~repro.distributed.node.NodeAgent`
-endpoint.  Either way the ordering contract is identical — a reply-bearing
-command acts as a barrier for every ``ingest`` submitted before it — and
-worker-side exceptions are re-raised in the parent as :class:`WorkerCrash` at
-the next reply instead of deadlocking; a worker that *dies* is detected by
-stream EOF and raised as :class:`WorkerDied`.  The conformance suite
-(``tests/distributed/test_transport.py``) asserts both connection modes and
-the in-process mode yield bit-identical results.
+endpoint.  Every slot runs the same
+:class:`~repro.distributed.worker.CommandExecutor`, so the ordering contract
+is identical — a reply-bearing command acts as a barrier for every
+``ingest`` submitted before it — and so is the error protocol: a worker-side
+exception is latched and re-raised in the parent as :class:`WorkerCrash` at
+the next reply, and the worker keeps serving; a worker that *dies* is
+detected by stream EOF and raised as :class:`WorkerDied`.  The conformance
+suite (``tests/distributed/test_transport.py``) asserts the three modes
+yield bit-identical results.
 
 Replication (PR 7): with ``replicas=r`` the pool provisions ``(1 + r)``
 worker slots per shard.  Every ingest batch is *mirrored* to the shard's
@@ -75,31 +75,22 @@ rejoin supervisor).
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Dict, Optional
 
-from .transport import SocketTransport
-from .worker import (
-    KNOWN_COMMANDS,
-    REPLY_COMMANDS,
-    ShardState,
-    WorkerCrash,
-    WorkerDied,
-    WorkerReport,
-    stream_powerlaw,
-)
+from .transport import InprocTransport, SocketTransport
+from .worker import KNOWN_COMMANDS, WorkerCrash, WorkerDied, WorkerReport
 
 __all__ = [
     "WorkerReport",
     "WorkerCrash",
     "WorkerDied",
     "ShardWorkerPool",
-    "stream_powerlaw",
 ]
 
 
 class ShardWorkerPool:
-    """K long-lived shard workers behind the socket wire.
+    """K long-lived shard workers behind one :class:`ShardTransport
+    <repro.distributed.transport.ShardTransport>`.
 
     Parameters
     ----------
@@ -114,9 +105,10 @@ class ShardWorkerPool:
         When True each worker is a separate long-lived process on the
         other end of a :class:`~repro.distributed.transport.SocketTransport`
         stream (forked locally unless ``nodes`` is given, which needs
-        ``os.fork``).  When False workers are in-process state objects
-        executing synchronously — identical semantics, no IPC, which is
-        what unit tests and the bit-identity property suite use.
+        ``os.fork``).  When False workers are the in-process slots of an
+        :class:`~repro.distributed.transport.InprocTransport`, executing
+        synchronously — identical semantics, no IPC, which is what unit
+        tests and the bit-identity property suite use.
     replicas:
         Replica workers per shard (default 0).  Each shard gets ``1 +
         replicas`` worker slots; ingest is mirrored to every replica and a
@@ -185,17 +177,13 @@ class ShardWorkerPool:
             self._transport = SocketTransport(
                 nslots, self._matrix_kwargs, nodes=nodes, placement=placement
             )
-            self._states = None
-            self._pending = None
         else:
-            self._transport = None
-            self._states = [ShardState(w, self._matrix_kwargs) for w in range(nslots)]
-            self._pending = [deque() for _ in range(nslots)]
+            self._transport = InprocTransport(nslots, self._matrix_kwargs)
 
     @property
     def transport_name(self) -> str:
         """Wire in force: ``"inproc"`` or ``"socket"``."""
-        return self._transport.name if self._transport is not None else "inproc"
+        return self._transport.name
 
     @property
     def nslots(self) -> int:
@@ -206,7 +194,7 @@ class ShardWorkerPool:
     def processes(self) -> list:
         """Worker processes/handles per slot (empty in-process); fault tests
         kill these.  With ``replicas=0`` slot indices equal shard indices."""
-        return self._transport.processes if self._transport is not None else []
+        return self._transport.processes
 
     # -- replica topology ------------------------------------------------- #
 
@@ -219,11 +207,7 @@ class ShardWorkerPool:
         return list(self._replicas_of[shard])
 
     def _slot_alive(self, slot: int) -> bool:
-        if self._transport is None:
-            return True  # in-process states cannot die
-        if slot in self._dead:
-            return False
-        return self._transport.worker_alive(slot)
+        return slot not in self._dead and self._transport.worker_alive(slot)
 
     def shard_alive(self, shard: int) -> bool:
         """Whether the shard's *primary* worker is still running.
@@ -254,10 +238,8 @@ class ShardWorkerPool:
         Replica slots count too: mirrored submits block on the slowest
         mirror, so a congested replica backpressures ingest exactly like a
         congested primary.  Wires that cannot measure depth contribute no
-        signal; in-process pools report 0.0 (ingest is synchronous).
+        signal, so in-process pools report 0.0 (ingest is synchronous).
         """
-        if self._transport is None:
-            return 0.0
         worst = 0.0
         for slot in range(self.nslots):
             if slot in self._dead:
@@ -278,13 +260,12 @@ class ShardWorkerPool:
         A pid poll is not a liveness proof at failover time: when a whole
         node dies, its workers die *with* it a beat later, so a replica on
         the same dying node can still read alive while its wire is already
-        gone.  Only a completed round-trip proves the slot can serve.
+        gone.  Only a completed round-trip proves the slot can serve — and
+        a replica whose latched error shows up here must not serve either.
         """
-        if self._transport is None:
-            return True  # in-process states cannot die
         try:
             self._submit_slot(slot, "stats")
-            status, _ = self._recv_slot(slot)
+            status, _ = self._transport.recv_reply(slot)
         except WorkerCrash:
             return False
         return status == "ok"
@@ -341,20 +322,15 @@ class ShardWorkerPool:
         """Dispatch a control command to one concrete slot (replica-aware
         callers address replicas directly; :meth:`submit` maps shard ->
         primary)."""
-        if self._transport is not None:
-            self._transport.send_control(slot, cmd, payload)
-        else:
-            result = self._states[slot].handle(cmd, payload)
-            if cmd in REPLY_COMMANDS:
-                self._pending[slot].append(("ok", result))
+        self._transport.send_control(slot, cmd, payload)
 
     def submit_ingest(self, worker: int, rows, cols, values, keys=None) -> None:
         """Fire-and-forget one ingest batch (the streaming hot path).
 
         ``keys`` optionally carries the coordinates already packed under the
         shape's 64-bit split (what :meth:`ShardRouter.route
-        <repro.distributed.sharded.ShardRouter.route>` returns); the wire ships
-        them as-is and the in-process dispatch hands them straight to
+        <repro.distributed.sharded.ShardRouter.route>` returns); the socket
+        wire ships them as-is and an in-process slot hands them straight to
         :meth:`HierarchicalMatrix.update_packed
         <repro.core.HierarchicalMatrix.update_packed>`, so a routed batch is
         packed exactly once.
@@ -362,28 +338,22 @@ class ShardWorkerPool:
         With replicas the batch is *always* mirrored to every live replica
         slot — including when the primary send fails — so a later promotion
         never needs a resend: the primary's failure is re-raised only after
-        the mirrors went out.  A failing replica is retired silently (it can
-        be resynchronised later); it never fails the stream.
+        the mirrors went out.  A replica whose send fails is retired
+        silently (it can be resynchronised later), and one whose apply fails
+        latches the error like any worker; neither fails the stream.
         """
         if self._closed:
             raise RuntimeError("pool is closed")
         primary_exc = None
-        batch = (rows, cols, values) if keys is None else (keys, values)
-        if self._transport is not None:
-            try:
-                self._transport.send_ingest(
-                    self._primary[worker], rows, cols, values, keys=keys
-                )
-            except WorkerCrash as exc:
-                primary_exc = exc
-        else:
-            self._states[self._primary[worker]].handle("ingest", batch)
+        try:
+            self._transport.send_ingest(
+                self._primary[worker], rows, cols, values, keys=keys
+            )
+        except WorkerCrash as exc:
+            primary_exc = exc
         for slot in list(self._replicas_of[worker]):
             try:
-                if self._transport is not None:
-                    self._transport.send_ingest(slot, rows, cols, values, keys=keys)
-                else:
-                    self._states[slot].handle("ingest", batch)
+                self._transport.send_ingest(slot, rows, cols, values, keys=keys)
             except WorkerCrash:
                 self._mark_replica_dead(worker, slot)
         if primary_exc is not None:
@@ -396,32 +366,17 @@ class ShardWorkerPool:
         worker process died; a worker that merely raised survives and keeps
         serving subsequent commands.
         """
-        status, value = self._recv_slot(self._primary[worker])
+        status, value = self._transport.recv_reply(self._primary[worker])
         if status == "died":
             raise WorkerDied(f"shard worker {worker} failed:\n{value}")
         if status == "error":
             raise WorkerCrash(f"shard worker {worker} failed:\n{value}")
         return value
 
-    def _recv_slot(self, slot: int):
-        if self._transport is not None:
-            return self._transport.recv_reply(slot)
-        return self._pending[slot].popleft()
-
     def request(self, worker: int, cmd: str, payload=None):
         """Submit one reply-bearing command to ``worker`` and wait for its result."""
         self.submit(worker, cmd, payload)
         return self.collect(worker)
-
-    def request_all(self, cmd: str, payload=None) -> list:
-        """Submit ``cmd`` to every worker, then gather one result per worker.
-
-        Process-backed workers execute concurrently; the returned list is
-        ordered by worker index.
-        """
-        for w in range(self.nworkers):
-            self.submit(w, cmd, payload)
-        return [self.collect(w) for w in range(self.nworkers)]
 
     def request_mirrored(self, shard: int, cmd: str, payload=None):
         """A reply-bearing command applied to the primary and every live
@@ -451,7 +406,7 @@ class ShardWorkerPool:
             # Replica replies are drained even when the primary failed:
             # leaving them queued would desynchronise every later reply.
             for slot in replica_slots:
-                status, _ = self._recv_slot(slot)
+                status, _ = self._transport.recv_reply(slot)
                 if status != "ok":
                     self._mark_replica_dead(shard, slot)
 
@@ -466,8 +421,6 @@ class ShardWorkerPool:
         single routing thread publishes no batches mid-resync, so the
         restored replica is exactly the primary's logical content.
         """
-        if self._transport is None:
-            return None  # in-process states cannot die
         home = {
             r * self.nworkers + shard for r in range(1 + self.replicas)
         } - {self._primary[shard]} - set(self._replicas_of[shard])
@@ -479,7 +432,7 @@ class ShardWorkerPool:
         self._dead.discard(slot)
         blob = self.request(shard, "checkpoint")
         self._submit_slot(slot, "restore", blob)
-        status, value = self._recv_slot(slot)
+        status, value = self._transport.recv_reply(slot)
         if status != "ok":
             self._dead.add(slot)
             raise WorkerCrash(f"replica resync for shard {shard} failed:\n{value}")
@@ -493,8 +446,7 @@ class ShardWorkerPool:
         if self._closed:
             return
         self._closed = True
-        if self._transport is not None:
-            self._transport.close()
+        self._transport.close()
 
     def __enter__(self) -> "ShardWorkerPool":
         return self

@@ -368,7 +368,7 @@ class ShardedHierarchicalMatrix:
 
     Each shard is a private :class:`~repro.core.HierarchicalMatrix` owned by a
     long-lived worker (a separate process when ``use_processes=True``, an
-    in-process state otherwise), so external streams — packet windows,
+    in-process slot otherwise), so external streams — packet windows,
     session batches, replayed triple files — can be routed, ingested at
     streaming rates, and then queried globally.
 
@@ -391,7 +391,7 @@ class ShardedHierarchicalMatrix:
         :class:`ShardRouter`).
     use_processes:
         Back shards with long-lived worker processes (streaming parallelism)
-        instead of in-process shard states (zero IPC; the default, right for
+        instead of in-process slots (zero IPC; the default, right for
         tests and single-core machines).  Each worker is reached over one
         stream socket carrying packed ``uint64`` keys + raw value bits
         (:class:`~repro.distributed.transport.SocketTransport`); without
@@ -634,8 +634,10 @@ class ShardedHierarchicalMatrix:
 
         The non-mirrored path keeps the pool's pipelining (submit everywhere,
         then collect in order); a shard whose primary died mid-round fails
-        over and re-runs just its own command.  Mirrored rounds (``clear``)
-        are sequential — they are never on the hot path.
+        over and re-runs just its own command.  Every shard's reply is read
+        before the first failure is raised: a reply left queued would answer
+        that shard's next command.  Mirrored rounds (``clear``) are
+        sequential — they are never on the hot path.
         """
         if mirrored:
             return [
@@ -644,13 +646,18 @@ class ShardedHierarchicalMatrix:
             ]
         for s in range(self.nshards):
             self._pool.submit(s, cmd, payload)
-        results = []
+        results, error = [], None
         for s in range(self.nshards):
             try:
-                results.append(self._pool.collect(s))
-            except WorkerDied:
-                self._failover(s)
-                results.append(self._pool.request(s, cmd, payload))
+                try:
+                    results.append(self._pool.collect(s))
+                except WorkerDied:
+                    self._failover(s)
+                    results.append(self._pool.request(s, cmd, payload))
+            except WorkerCrash as exc:
+                error = error or exc
+        if error is not None:
+            raise error
         return results
 
     def missing_replicas(self) -> int:
@@ -962,9 +969,7 @@ class ShardedHierarchicalMatrix:
         except Exception:
             # The source still holds the authoritative copy; best-effort
             # removal of whatever the destination applied keeps the old
-            # epoch exact if the destination survived its error.  (The
-            # process wire surfaces failures as WorkerCrash; the in-process
-            # pool re-raises the worker exception directly.)
+            # epoch exact if the destination survived its error.
             self._discard_quietly(dest, discard)
             raise
         try:

@@ -1,42 +1,49 @@
-"""The process wire of the shard pool: length-prefixed frames over sockets.
+"""The slot interface of the shard pool and its two implementations.
 
 :class:`~repro.distributed.pool.ShardWorkerPool` speaks one command protocol
-(:mod:`repro.distributed.worker`) to process-backed workers over
-:class:`SocketTransport`.  The wire moves three kinds of traffic:
+(:mod:`repro.distributed.worker`) to its worker slots through one
+:class:`ShardTransport`.  A transport moves three kinds of traffic:
 
 * **ingest batches** — fire-and-forget, the streaming hot path;
 * **control commands** — ``finalize`` / ``stats`` / ``materialize`` / ``get``
-  / ``reduce`` / ``reduce_incremental`` / ``selfgen`` / ``report`` /
-  ``clear`` / ``stop`` and the migration and resync commands;
+  / ``reduce`` / ``reduce_incremental`` / ``report`` / ``clear`` / ``stop``
+  and the migration and resync commands;
 * **replies** — one per reply-bearing control command, FIFO per worker.
 
-Each worker slot is one stream socket carrying the frames of
-:mod:`repro.distributed.codec`, reached in one of two connection modes:
+Three kinds of slot sit behind that interface, and each runs the same
+:class:`~repro.distributed.worker.CommandExecutor`:
 
-local (no ``nodes``)
+inproc (:class:`InprocTransport`)
+    The executor lives in the pool's own process; commands are direct calls
+    and replies wait in a per-slot queue.
+local (:class:`SocketTransport`, no ``nodes``)
     The transport forks the worker itself over a ``socketpair``; the child
     keeps only its own end and serves it with
     :func:`~repro.distributed.node._serve_connection`.
-agent (``nodes`` given)
+agent (:class:`SocketTransport`, ``nodes`` given)
     The transport dials a :class:`~repro.distributed.node.NodeAgent`
     endpoint per slot; the agent forks the worker behind the connection.
 
-Either way ingest crosses as the data frames
+On a socket, each slot is one stream carrying the frames of
+:mod:`repro.distributed.codec`: ingest crosses as the data frames
 :class:`~repro.distributed.codec.BatchCodec` encodes (packed ``uint64`` keys
 plus raw value bits, key-only for all-ones batches, ``uint64`` COO columns
 for unpackable IPv6 shapes), and control commands and replies share the
 stream, so a reply-bearing command is a barrier for every batch sent before
-it and *only* those: a byte stream cannot reorder.
+it and *only* those: a byte stream cannot reorder.  An in-process slot runs
+each command as it arrives, which gives the same order.
 
-Worker failures surface one way: a worker-side exception is delivered as an
-``("error", traceback)`` reply and the worker keeps serving; a worker that
-*dies* (killed, OOM, segfault, node lost) closes its end, which the parent
-observes as EOF at the next reply — a ``("died", ...)`` reply, raised by the
-pool as :class:`~repro.distributed.worker.WorkerDied` — or as a failed send
-at the next ingest push.  The error/died distinction comes from the stream
-itself, never from an after-the-fact pid poll: a dying worker closes its
-wire before its pid disappears, so polling races.  Fault injection tests in
-``tests/distributed/test_faults.py`` pin this down for both connection modes.
+Worker failures surface one way in every mode: a worker-side exception is
+latched by the executor and delivered as an ``("error", traceback)`` reply
+at the next reply-bearing command, and the worker keeps serving.  Only a
+socket worker can *die* (killed, OOM, segfault, node lost); it closes its
+end, which the parent observes as EOF at the next reply — a ``("died",
+...)`` reply, raised by the pool as
+:class:`~repro.distributed.worker.WorkerDied` — or as a failed send at the
+next ingest push.  The error/died distinction comes from the stream itself,
+never from an after-the-fact pid poll: a dying worker closes its wire before
+its pid disappears, so polling races.  Fault injection tests in
+``tests/distributed/test_faults.py`` pin this down for all three modes.
 """
 
 from __future__ import annotations
@@ -46,14 +53,20 @@ import multiprocessing as mp
 import os
 import socket as socket_mod
 import struct
+from collections import deque
 from typing import Any, Dict, List, Optional, Tuple
 
 from . import codec
 from . import node as node_mod
 from .node import RemoteWorkerHandle, parse_address
-from .worker import WorkerCrash, WorkerDied
+from .worker import CommandExecutor, WorkerCrash, WorkerDied
 
-__all__ = ["ShardTransport", "SocketTransport", "SOCKET_BUFFER_BYTES"]
+__all__ = [
+    "ShardTransport",
+    "InprocTransport",
+    "SocketTransport",
+    "SOCKET_BUFFER_BYTES",
+]
 
 #: Kernel send and receive buffer of both ends of a forked slot's
 #: ``socketpair``.  Sized by measurement (2-vCPU x86-64 host, the bench
@@ -69,11 +82,12 @@ _JOIN_SECONDS = 5.0
 
 
 class ShardTransport:
-    """The wire interface the pool speaks; implementations own the endpoint.
+    """The slot interface the pool speaks; implementations own the endpoint.
 
     A transport moves the three traffic kinds of the module docstring for
-    ``nworkers`` worker slots and owns whatever is behind each slot (a
-    forked child, a connection to an agent-hosted worker).
+    ``nworkers`` worker slots and owns whatever is behind each slot (an
+    in-process executor, a forked child, a connection to an agent-hosted
+    worker).
     """
 
     #: Wire name reported by the pool; set by subclasses.
@@ -141,6 +155,66 @@ class ShardTransport:
             self.close()
         except Exception:
             pass
+
+
+class _ReplyQueue(deque):
+    """A slot's pending replies, with the ``.put((status, value))`` surface
+    the :class:`~repro.distributed.worker.CommandExecutor` replies into."""
+
+    put = deque.append
+
+
+class InprocTransport(ShardTransport):
+    """Worker slots that live in the pool's own process.
+
+    Each slot is a :class:`~repro.distributed.worker.CommandExecutor` — the
+    one a socket worker runs — replying into a per-slot queue, so errors
+    latch and surface at the next reply exactly as they do over the wire.
+    Ingest skips the codec: the batch arrays (or the router's packed keys)
+    are handed to the executor as they are, since there is no byte stream
+    to cross and encoding would only copy them.  Nothing here can die:
+    :meth:`worker_alive` is always True and there are no processes.
+    """
+
+    name = "inproc"
+
+    def __init__(self, nworkers: int, matrix_kwargs: Optional[Dict[str, Any]] = None):
+        self.nworkers = int(nworkers)
+        self._matrix_kwargs = dict(matrix_kwargs or {})
+        self._replies = [_ReplyQueue() for _ in range(self.nworkers)]
+        #: The executor behind each slot; its ``state`` holds the shard.
+        self.executors = [self._executor(s) for s in range(self.nworkers)]
+
+    def _executor(self, slot: int) -> CommandExecutor:
+        return CommandExecutor(slot, self._matrix_kwargs, self._replies[slot])
+
+    def send_ingest(self, worker: int, rows, cols, values, keys=None) -> None:
+        batch = (rows, cols, values) if keys is None else (keys, values)
+        self.executors[worker].ingest(None, batch)
+
+    def send_control(self, worker: int, cmd: str, payload=None) -> None:
+        self.executors[worker].execute(cmd, payload)
+
+    def recv_reply(self, worker: int) -> Tuple[str, Any]:
+        """Pop the slot's oldest reply; with none pending this raises at
+        once, since nothing could ever produce one."""
+        if not self._replies[worker]:
+            raise RuntimeError(f"in-process slot {worker} has no pending reply")
+        return self._replies[worker].popleft()
+
+    def worker_alive(self, worker: int) -> bool:
+        return True
+
+    def respawn(self, worker: int) -> None:
+        self._replies[worker].clear()
+        self.executors[worker] = self._executor(worker)
+
+    @property
+    def processes(self) -> List:
+        return []
+
+    def close(self) -> None:
+        pass
 
 
 def _serve_forked(conn, inherited, slot: int, matrix_kwargs) -> None:

@@ -3,11 +3,12 @@
 A shard worker owns a private :class:`~repro.core.HierarchicalMatrix` and
 executes a small command protocol (see :mod:`repro.distributed.pool` for the
 command reference).  This module holds everything that runs *identically*
-regardless of how commands reach the worker — in-process calls, or frames
-over the socket wire to a forked or agent-hosted process — so the wire in
-:mod:`repro.distributed.transport` stays pure plumbing and the conformance
-suite (``tests/distributed/test_transport.py``) can assert that plumbing
-never changes results.
+regardless of how commands reach the worker — direct calls on an in-process
+slot, or frames over the socket wire to a forked or agent-hosted process —
+so every transport in :mod:`repro.distributed.transport` stays pure plumbing
+around one :class:`CommandExecutor` per slot, and the conformance suite
+(``tests/distributed/test_transport.py``) can assert that plumbing never
+changes results.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from ..core import HierarchicalMatrix
 from ..core.checkpoint import checkpoint_bytes, load_checkpoint_bytes
 from ..graphblas import Matrix
 from ..graphblas.binaryop import binary
-from ..workloads.powerlaw import powerlaw_edges
 from .codec import BatchCodec
 from .partition import interval_mask, partition_keys
 
@@ -33,7 +33,6 @@ __all__ = [
     "WorkerDied",
     "ShardState",
     "CommandExecutor",
-    "stream_powerlaw",
     "REPLY_COMMANDS",
     "KNOWN_COMMANDS",
     "INCREMENTAL_KINDS",
@@ -86,57 +85,9 @@ class WorkerDied(WorkerCrash):
     """
 
 
-def stream_powerlaw(
-    matrix: HierarchicalMatrix,
-    worker_id: int,
-    total_updates: int,
-    batch_size: int,
-    *,
-    nnodes: int = 2 ** 32,
-    alpha: float = 1.3,
-    distinct_nodes: int = 2 ** 22,
-    seed: Optional[int] = None,
-) -> Tuple[int, float]:
-    """Generate and stream exactly ``total_updates`` power-law edges.
-
-    Returns ``(updates_streamed, timed_seconds)``.  Measured the way the paper
-    measures: generation time is excluded (data resides in arrays before the
-    timed insert), every ``update`` call is timed, the last batch is a partial
-    batch when ``batch_size`` does not divide ``total_updates``, and the
-    deferred layer-1 flush is forced *inside* the timed section so the
-    reported rate pays for the sort/merge work the stream deferred.
-    """
-    rng_seed = (seed if seed is not None else 0) + worker_id * 1_000_003
-    total = max(int(total_updates), 0)
-    batch_size = max(int(batch_size), 1)
-    elapsed = 0.0
-    done = 0
-    b = 0
-    while done < total:
-        n = min(batch_size, total - done)
-        rows, cols = powerlaw_edges(
-            n,
-            alpha=alpha,
-            nnodes=nnodes,
-            distinct_nodes=distinct_nodes,
-            seed=rng_seed + b,
-        )
-        values = np.ones(n, dtype=np.float64)
-        start = time.perf_counter()
-        matrix.update(rows, cols, values)
-        elapsed += time.perf_counter() - start
-        done += n
-        b += 1
-    start = time.perf_counter()
-    matrix.wait()  # the deferred flush is ingest work, not query work
-    elapsed += time.perf_counter() - start
-    return done, elapsed
-
-
 #: Commands that produce exactly one reply on the worker's reply channel.
 REPLY_COMMANDS = frozenset(
     {
-        "selfgen",
         "finalize",
         "report",
         "materialize",
@@ -165,10 +116,12 @@ KNOWN_COMMANDS = REPLY_COMMANDS | {"ingest", "stop"}
 class ShardState:
     """One worker's state: a private hierarchical matrix plus ingest counters.
 
-    Runs identically inside a long-lived child process (forked or
-    agent-hosted) and in-process (``use_processes=False``), so unit tests and
-    single-core machines exercise the same command protocol without fork
-    overhead.
+    :meth:`handle` runs one command and raises on failure; it is always
+    driven through a :class:`CommandExecutor`, which turns those raises into
+    the protocol's latched error replies.  The same pair runs inside a
+    long-lived child process (forked or agent-hosted) and on an in-process
+    slot (``use_processes=False``), so unit tests and single-core machines
+    exercise the same command protocol without fork overhead.
     """
 
     def __init__(self, worker_id: int, matrix_kwargs: Optional[Dict[str, Any]] = None):
@@ -200,18 +153,6 @@ class ShardState:
             self.done += self._apply(payload)
             self.elapsed += time.perf_counter() - start
             return None
-        if cmd == "selfgen":
-            spec = dict(payload)
-            done, elapsed = stream_powerlaw(
-                self.matrix,
-                self.worker_id,
-                spec.pop("total_updates"),
-                spec.pop("batch_size"),
-                **spec,
-            )
-            self.done += done
-            self.elapsed += elapsed
-            return self.report()
         if cmd == "finalize":
             start = time.perf_counter()
             self.matrix.wait()
@@ -510,13 +451,21 @@ class CommandExecutor:
             self._init_error = traceback.format_exc()
         self.pending_error = self._init_error
 
-    def ingest(self, ftype: int, payload) -> None:
-        """Apply one fire-and-forget data frame; a frame that fails to
-        decode is latched exactly like a command error."""
+    def ingest(self, ftype: Optional[int], payload) -> None:
+        """Apply one fire-and-forget batch.
+
+        ``payload`` is a data frame to decode first (``ftype`` its frame
+        type, the socket path), or with ``ftype=None`` an already-decoded
+        ``(rows, cols, values)`` / ``(keys, values)`` batch handed over
+        in-process.  A frame that fails to decode, or a batch that fails to
+        apply, is latched exactly like a command error.
+        """
         if self.pending_error is not None:
             return
         try:
-            self.state.handle("ingest", self.state.codec.decode(ftype, payload))
+            if ftype is not None:
+                payload = self.state.codec.decode(ftype, payload)
+            self.state.handle("ingest", payload)
         except Exception:
             self.pending_error = traceback.format_exc()
 

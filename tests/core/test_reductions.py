@@ -507,7 +507,7 @@ class TestIncrementalSharded:
     def test_stats_command_snapshot(self):
         with ShardedHierarchicalMatrix(2, cuts=CUTS) as sharded:
             sharded.update([1, 2], [3, 4], [2.0, 3.0])
-            stats = sharded._pool.request_all("stats")
+            stats = sharded._request_all("stats")
             assert all(s["supported"] and s["fan_supported"] for s in stats)
             assert sum(s["total"] for s in stats) == 5.0
             assert sum(s["nnz"] for s in stats) == 2

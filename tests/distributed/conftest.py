@@ -1,6 +1,7 @@
 """Shared fixtures for the distributed suite: worker modes and a deadline guard.
 
-Worker modes: ``"inproc"`` (in-process shard states) and the two connection
+Worker modes: ``"inproc"`` (in-process slots of an
+:class:`~repro.distributed.InprocTransport`) and the two connection
 modes of the one process wire — ``"local"`` (workers forked over a
 ``socketpair``) and ``"agent"`` (workers behind dialled
 :class:`~repro.distributed.NodeAgent` endpoints).  :func:`mode_kwargs` turns

@@ -1,11 +1,12 @@
 """Fault-injection tests: dead or crashing workers must surface, never hang.
 
-The contract (pinned for both connection modes of the process wire): a
-worker that *raises* delivers the traceback as
-:class:`~repro.distributed.WorkerCrash` at the next reply and keeps serving;
-a worker that *dies* (SIGKILL here — the OOM-killer case) closes its end of
-the stream and surfaces as :class:`~repro.distributed.WorkerDied` at the next
-reply (EOF) or the next ingest push (send failure).  Every wait under test
+The contract: a worker that *raises* delivers the traceback as
+:class:`~repro.distributed.WorkerCrash` at the next reply and keeps serving
+(pinned for in-process slots and both connection modes of the process
+wire, which all run the same executor); a worker that *dies* (SIGKILL here —
+the OOM-killer case) closes its end of the stream and surfaces as
+:class:`~repro.distributed.WorkerDied` at the next reply (EOF) or the next
+ingest push (send failure).  Every wait under test
 runs inside a tight :func:`deadline` guard, so a regression fails with a
 ``TimeoutError`` pointing at the blocked call instead of deadlocking the
 suite (the directory-wide guard in ``conftest.py`` backstops everything
@@ -35,9 +36,14 @@ from .conftest import PROCESS_MODES, deadline, mode_kwargs
 
 CUTS = [500, 5_000]
 
+#: In-process slots plus both connection modes of the process wire.
+ALL_MODES = ["inproc", *PROCESS_MODES]
 
-def make_pool(mode, nworkers=1):
-    return ShardWorkerPool(nworkers, matrix_kwargs={"cuts": CUTS}, **mode_kwargs(mode))
+
+def make_pool(mode, nworkers=1, replicas=0):
+    return ShardWorkerPool(
+        nworkers, matrix_kwargs={"cuts": CUTS}, **mode_kwargs(mode, replicas=replicas)
+    )
 
 
 def ingest_some(pool, worker=0, nbatches=3):
@@ -87,14 +93,12 @@ class TestKilledWorker:
     def test_kill_while_reply_pending_does_not_hang(self, mode):
         """Die *after* the command is submitted, while the parent waits.
 
-        ``selfgen`` streams long enough that the SIGKILL always lands before
-        the reply is produced; a worker killed before even reading the
-        command surfaces identically.
+        The worker is stopped before the command goes out, so the SIGKILL
+        always lands before any reply is produced, whatever the timing.
         """
         with make_pool(mode) as pool:
-            pool.submit(
-                0, "selfgen", {"total_updates": 500_000, "batch_size": 10_000, "seed": 1}
-            )
+            os.kill(pool.processes[0].pid, signal.SIGSTOP)
+            pool.submit(0, "report")
             pool.processes[0].kill()
             with deadline(30):
                 with pytest.raises(WorkerCrash):
@@ -142,7 +146,7 @@ class TestKilledWorker:
 
 
 class TestRaisingWorker:
-    @pytest.mark.parametrize("mode", PROCESS_MODES)
+    @pytest.mark.parametrize("mode", ALL_MODES)
     def test_error_delivered_and_worker_survives(self, mode):
         with make_pool(mode) as pool:
             with deadline(30):
@@ -152,7 +156,7 @@ class TestRaisingWorker:
                 # The worker survives the crash and keeps serving.
                 assert pool.request(0, "get", (1, 2)) is None
 
-    @pytest.mark.parametrize("mode", PROCESS_MODES)
+    @pytest.mark.parametrize("mode", ALL_MODES)
     def test_unknown_command_is_an_error_not_a_hang(self, mode):
         """A typo'd command fails fast in the parent (it may never reply)."""
         with make_pool(mode) as pool:
@@ -162,7 +166,7 @@ class TestRaisingWorker:
                 # The pool is not corrupted by the rejection.
                 assert pool.request(0, "stats")["updates"] == 0
 
-    @pytest.mark.parametrize("mode", PROCESS_MODES)
+    @pytest.mark.parametrize("mode", ALL_MODES)
     def test_worker_error_after_ingest_then_recovers(self, mode):
         """A worker-side error after consumed batches reports, then serves."""
         with make_pool(mode) as pool:
@@ -189,6 +193,80 @@ class TestRaisingWorker:
                 )
             with deadline(30):
                 assert [s["updates"] for s in sharded._request_all("stats")] == [0, 0]
+
+
+class TestNoReplyLeftBehind:
+    """A failed command must leave no reply queued for a later one.
+
+    Replies are FIFO per slot, so one left unread answers that slot's next
+    command and every reply after it falls one command behind.
+    """
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_failed_all_shard_command_keeps_replies_in_step(self, mode):
+        """Every shard's reply to a failed all-shard round is read before the
+        error is raised, so each shard's next reply answers its next
+        command."""
+        with ShardedHierarchicalMatrix(2, cuts=CUTS, **mode_kwargs(mode)) as sharded:
+            rows = np.arange(50, dtype=np.uint64)
+            sharded.update(rows, rows + 1, np.ones(50))
+            with deadline(30):
+                before = [sharded._pool.request(s, "stats") for s in range(2)]
+                with pytest.raises(WorkerCrash):
+                    sharded.reduce_rowwise("no_such_monoid")
+                after = [sharded._pool.request(s, "stats") for s in range(2)]
+            assert after == before
+            assert sum(s["updates"] for s in after) == 50
+
+
+class TestRaisingReplicaLeg:
+    """A replica leg that raises is retired, never promoted, and never
+    disturbs its primary or the stream.
+
+    The fault is injected by patching :class:`ShardState` before the pool
+    starts, so in-process slots and locally forked workers both carry it;
+    agent-hosted workers were forked before the patch and cannot.
+    """
+
+    @staticmethod
+    def _fail_on_slot(monkeypatch, slot, command):
+        from repro.distributed.worker import ShardState
+
+        original_handle = ShardState.handle
+
+        def failing_handle(self, cmd, payload):
+            if cmd == command and self.worker_id == slot:
+                raise RuntimeError(f"injected {command} failure")
+            return original_handle(self, cmd, payload)
+
+        monkeypatch.setattr(ShardState, "handle", failing_handle)
+
+    @pytest.mark.parametrize("mode", ["inproc", "local"])
+    def test_raising_mirrored_leg_retires_the_replica(self, mode, monkeypatch):
+        self._fail_on_slot(monkeypatch, 1, "clear")
+        with make_pool(mode, replicas=1) as pool:
+            ingest_some(pool)
+            with deadline(30):
+                assert pool.request_mirrored(0, "clear") is True
+                assert pool.missing_replicas(0) == 1
+                # The primary's reply was consumed by the mirrored call.
+                assert pool.request(0, "stats")["updates"] == 0
+                # The retired slot comes back as a fresh copy of the primary.
+                assert pool.resync_replica(0) == 1
+                assert pool.missing_replicas(0) == 0
+
+    @pytest.mark.parametrize("mode", ["inproc", "local"])
+    def test_raising_ingest_leg_never_fails_the_stream(self, mode, monkeypatch):
+        self._fail_on_slot(monkeypatch, 1, "ingest")
+        with make_pool(mode, replicas=1) as pool:
+            ingest_some(pool)
+            with deadline(30):
+                assert pool.request(0, "stats")["updates"] == 300
+                # The replica missed the batches: its latched error shows at
+                # the promotion round-trip, so it is retired, not promoted.
+                with pytest.raises(WorkerCrash, match="no live replica"):
+                    pool.promote(0)
+            assert pool.missing_replicas(0) == 1
 
 
 class TestMigrationFaults:
@@ -287,10 +365,11 @@ class TestMigrationFaults:
     def test_install_error_compensated_bit_identical(self, monkeypatch):
         """A *raising* (surviving) destination rolls back to exact state.
 
-        In-process mode so the whole matrix remains readable afterwards: the
-        rebalance fails, the compensation discards the partial install, and
-        the full materialize is still bit-identical to the flat reference —
-        the strongest no-orphan/no-double-own statement available.
+        In-process mode so the destination's state can be patched in place;
+        the failure surfaces as WorkerCrash, as on the wire.  The rebalance
+        fails, the compensation discards the partial install, and the full
+        materialize is still bit-identical to the flat reference — the
+        strongest no-orphan/no-double-own statement available.
         """
         from repro.core import HierarchicalMatrix
         from repro.distributed.worker import ShardState
@@ -309,7 +388,7 @@ class TestMigrationFaults:
             for rows, cols, vals in batches:
                 flat.update(rows, cols, vals)
                 sharded.update(rows, cols, vals)
-            dest_state = sharded._pool._states[1]
+            dest_state = sharded._pool._transport.executors[1].state
             original_handle = ShardState.handle
 
             def failing_handle(self, cmd, payload):
@@ -319,9 +398,7 @@ class TestMigrationFaults:
 
             monkeypatch.setattr(ShardState, "handle", failing_handle)
             epoch = sharded.map_epoch
-            # The in-process pool re-raises the worker exception directly
-            # (process wires would wrap it as WorkerCrash, covered above).
-            with pytest.raises(RuntimeError, match="injected install failure"):
+            with pytest.raises(WorkerCrash, match="injected install failure"):
                 sharded.rebalance()
             monkeypatch.setattr(ShardState, "handle", original_handle)
             assert sharded.map_epoch == epoch

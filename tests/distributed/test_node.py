@@ -343,11 +343,11 @@ class TestRespawnReplacesChannels:
         with ShardWorkerPool(1, matrix_kwargs={"cuts": CUTS}, **mode_kwargs(mode)) as pool:
             rows = np.arange(200, dtype=np.uint64)
             pool.submit(0, "ingest", (rows, rows + 1, np.ones(200)))
-            # Kill while a long command is mid-flight so the death lands
-            # with the wire in the dirtiest reachable state.
-            pool.submit(
-                0, "selfgen", {"total_updates": 500_000, "batch_size": 10_000, "seed": 3}
-            )
+            # Stop the worker, queue a command behind it, then kill it: the
+            # death lands with an unread command on the wire, whatever the
+            # timing.
+            os.kill(pool.processes[0].pid, signal.SIGSTOP)
+            pool.submit(0, "report")
             pool.processes[0].kill()
             pool.processes[0].join(timeout=10)
             with deadline(30):

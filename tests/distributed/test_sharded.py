@@ -1,7 +1,7 @@
 """Tests for the sharded streaming engine and the PR-2 measurement bugfixes.
 
-Covers the four regression fixes (remainder batch, timed final flush, scalar
-hierarchical update, extract with duplicate selections) plus the
+Covers the regression fixes (timed final flush, scalar hierarchical update,
+extract with duplicate selections) plus the
 sharded-equivalence property suite: a :class:`ShardedHierarchicalMatrix` fed a
 random stream must materialize/get/reduce bit-identically to a single flat
 :class:`HierarchicalMatrix` fed the same stream, across shard counts,
@@ -19,10 +19,10 @@ from repro.distributed import (
     ShardWorkerPool,
     ShardedHierarchicalMatrix,
     WorkerCrash,
-    stream_powerlaw,
 )
 from repro.graphblas import Matrix, binary, coords
 from repro.workloads import synthetic_packets
+from repro.workloads.powerlaw import powerlaw_edges
 
 from ..conftest import from_array, to_array
 
@@ -51,26 +51,20 @@ def random_stream(seed, nbatches=8, batch=400, space=2 ** 18):
 # --------------------------------------------------------------------------- #
 
 
-class TestRemainderBatchFix:
-    def test_remainder_batch_streams_exactly(self):
-        """25k updates at batch 10k used to stream only 20k."""
-        H = HierarchicalMatrix(cuts=CUTS)
-        done, _ = stream_powerlaw(H, 0, 25_000, 10_000, seed=1)
-        assert done == H.stats.total_updates == 25_000
-
-    def test_small_request_not_rounded_up(self):
-        """total < batch_size used to stream a full batch *more* than asked."""
-        H = HierarchicalMatrix(cuts=CUTS)
-        done, _ = stream_powerlaw(H, 0, 3_000, 10_000, seed=1)
-        assert done == H.stats.total_updates == 3_000
-
-    def test_exact_multiple_unchanged(self):
-        H = HierarchicalMatrix(cuts=CUTS)
-        done, _ = stream_powerlaw(H, 0, 20_000, 5_000, seed=1)
-        assert done == H.stats.total_updates == 20_000
-
-
 class TestTimedFinalFlushFix:
+    @staticmethod
+    def _measured_pool():
+        """One in-process shard whose huge cut keeps every update pending."""
+        return ShardWorkerPool(
+            1, matrix_kwargs={"cuts": [10 ** 9]}, use_processes=False
+        )
+
+    @staticmethod
+    def _stream(pool, total, batch_size=1_000):
+        for b in range(total // batch_size):
+            rows, cols = powerlaw_edges(batch_size, seed=3 + b)
+            pool.submit(0, "ingest", (rows, cols, np.ones(batch_size)))
+
     def test_final_flush_inside_timed_section(self, monkeypatch):
         """The deferred layer-1 flush must be paid by the measured elapsed time."""
         original_wait = HierarchicalMatrix.wait
@@ -81,16 +75,20 @@ class TestTimedFinalFlushFix:
             return result
 
         monkeypatch.setattr(HierarchicalMatrix, "wait", slow_wait)
-        matrix = HierarchicalMatrix(2 ** 32, 2 ** 32, cuts=[10 ** 9])
-        done, elapsed = stream_powerlaw(matrix, 0, 2_000, 1_000, seed=3)
-        assert done == 2_000
-        assert elapsed >= 0.05
+        with self._measured_pool() as pool:
+            self._stream(pool, 2_000)
+            measured = pool.request(0, "finalize")
+        assert measured["total_updates"] == 2_000
+        assert measured["elapsed_seconds"] >= 0.05
 
     def test_no_pending_left_after_measured_stream(self):
         """With huge cuts everything stays pending unless the flush is forced."""
-        matrix = HierarchicalMatrix(2 ** 32, 2 ** 32, cuts=[10 ** 9])
-        stream_powerlaw(matrix, 0, 5_000, 1_000, seed=3)
-        assert not matrix.layers[0].has_pending
+        with self._measured_pool() as pool:
+            self._stream(pool, 5_000)
+            shard = pool._transport.executors[0].state.matrix
+            assert shard.layers[0].has_pending
+            pool.request(0, "finalize")
+            assert not shard.layers[0].has_pending
 
     def test_hierarchical_wait_is_noop_when_eager(self):
         matrix = HierarchicalMatrix(
@@ -393,32 +391,12 @@ class TestShardWorkerPool:
             # The worker survives the crash and keeps serving.
             assert pool.request(0, "get", (1, 2)) is None
 
-    def test_inprocess_errors_raise_immediately(self):
+    def test_unknown_command_rejected_in_parent(self):
         with ShardWorkerPool(
             1, matrix_kwargs={"cuts": CUTS}, use_processes=False
         ) as pool:
-            with pytest.raises(Exception):
+            with pytest.raises(ValueError, match="unknown worker command"):
                 pool.request(0, "no-such-command", None)
-
-    def test_selfgen_remainder_through_pool(self):
-        """The pool's self-generated source uses the fixed exact-count loop."""
-        with ShardWorkerPool(
-            1, matrix_kwargs={"cuts": CUTS}, use_processes=False
-        ) as pool:
-            report = pool.request(
-                0, "selfgen", {"total_updates": 7_500, "batch_size": 2_000, "seed": 2}
-            )
-            assert report.total_updates == 7_500
-            assert report.updates_per_second > 0
-            assert report.final_nvals > 0
-            assert len(report.cascades) == len(CUTS) + 1
-
-    def test_selfgen_streams_differ_by_worker_id(self):
-        """Each worker's stream is seeded by its id, so instances differ."""
-        a, b = HierarchicalMatrix(cuts=CUTS), HierarchicalMatrix(cuts=CUTS)
-        stream_powerlaw(a, 0, 5_000, 1_000, seed=1)
-        stream_powerlaw(b, 1, 5_000, 1_000, seed=1)
-        assert not a.materialize().isequal(b.materialize())
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
