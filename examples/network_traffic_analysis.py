@@ -48,10 +48,7 @@ def main() -> None:
 
     matrix = analyzer.matrix
     stats = matrix.stats
-    print(
-        f"\ningest rate: {stats.updates_per_second:,.0f} updates/s "
-        f"({stats.total_updates:,} packet observations)"
-    )
+    print(f"\ningested {stats.total_updates:,} packet observations")
     print(f"fast-memory write share: {stats.fast_memory_fraction:.3f}")
 
     # ------------------------------------------------------------------ #

@@ -19,11 +19,12 @@ Inserts/Second Using Hierarchical Hypersparse GraphBLAS Matrices" (2020):
 Quickstart
 ----------
 >>> from repro import HierarchicalMatrix
->>> from repro.workloads import paper_stream
+>>> from repro.workloads import IngestSession, paper_stream
 >>> H = HierarchicalMatrix(2**32, 2**32, cuts=[2**17, 2**20, 2**23])
->>> for batch in paper_stream(scale=0.0001):
-...     H.update(batch.rows, batch.cols, batch.values)
->>> H.stats.updates_per_second > 0
+>>> result = IngestSession(H, "hierarchical").run(paper_stream(scale=0.0001))
+>>> result.total_updates == H.stats.total_updates == 10_000
+True
+>>> result.updates_per_second > 0
 True
 """
 

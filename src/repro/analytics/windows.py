@@ -4,9 +4,11 @@ The paper notes that "in a real analysis application, each process would also
 compute various network statistics on each of the streams as they are
 updated".  :class:`WindowedAnalyzer` is that loop: it ingests packet windows
 into a hierarchical traffic matrix and, every ``analysis_interval`` windows,
-materialises the matrix and records the summary statistics / supernode reports
-that a monitoring pipeline would export — demonstrating that queries coexist
-with streaming because materialisation never disturbs the layers.
+records the summary statistics / supernode reports that a monitoring pipeline
+would export.  The reports are served by the hierarchy's incremental
+reduction tracker, so an analysis neither materialises the matrix nor forces
+layer 1's deferred flush: queries coexist with streaming at full ingest
+speed.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ class WindowedAnalyzer:
     cuts:
         Hierarchical cut configuration of the traffic matrix.
     analysis_interval:
-        Materialise and analyse after every this many windows.
+        Analyse after every this many windows.
     top_k:
         Number of supernodes reported per snapshot.
     """
@@ -72,8 +74,6 @@ class WindowedAnalyzer:
         self._matrix = HierarchicalMatrix(nrows, ncols, "fp64", **kwargs)
         self.analysis_interval = int(analysis_interval)
         self.top_k = int(top_k)
-        self._packets = 0
-        self._windows = 0
         self._snapshots: List[WindowSnapshot] = []
 
     @property
@@ -89,25 +89,29 @@ class WindowedAnalyzer:
     @property
     def packets_ingested(self) -> int:
         """Total packets ingested."""
-        return self._packets
+        return self._matrix.stats.total_updates
 
     def ingest(self, batch: PacketBatch) -> Optional[WindowSnapshot]:
         """Ingest one packet window; returns a snapshot when an analysis interval completes."""
         self._matrix.update(batch.sources, batch.destinations, 1.0)
-        self._packets += batch.npackets
-        self._windows += 1
-        if self._windows % self.analysis_interval == 0:
+        if self._matrix.stats.update_calls % self.analysis_interval == 0:
             return self.analyze()
         return None
 
     def analyze(self) -> WindowSnapshot:
-        """Materialise the matrix and export a snapshot immediately."""
-        materialised = self._matrix.materialize()
+        """Export a snapshot now.
+
+        Served by the tracker when it supports fan queries (layer 1's pending
+        window stays pending); otherwise one materialised matrix serves both
+        reports.
+        """
+        H = self._matrix
+        source = H if H.incremental.fan_supported else H.materialize()
         snapshot = WindowSnapshot(
-            window=self._windows - 1,
-            packets_ingested=self._packets,
-            summary=degree_summary(materialised),
-            supernodes=supernode_report(materialised, self.top_k),
+            window=H.stats.update_calls - 1,
+            packets_ingested=self.packets_ingested,
+            summary=degree_summary(source),
+            supernodes=supernode_report(source, self.top_k),
         )
         self._snapshots.append(snapshot)
         return snapshot

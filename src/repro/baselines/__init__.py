@@ -13,7 +13,6 @@ from .published import (
     PAPER_HEADLINE_RATE,
     PAPER_HEADLINE_SERVERS,
     PublishedSeries,
-    figure2_reference_rows,
     published_series,
 )
 
@@ -23,7 +22,6 @@ __all__ = [
     "HierarchicalD4MIngestor",
     "PublishedSeries",
     "published_series",
-    "figure2_reference_rows",
     "PAPER_HEADLINE_RATE",
     "PAPER_HEADLINE_SERVERS",
 ]

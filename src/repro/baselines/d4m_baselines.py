@@ -83,7 +83,6 @@ class HierarchicalD4MIngestor:
         if policy is not None:
             kwargs["policy"] = policy
         self._hier = HierarchicalAssoc(**kwargs)
-        self._total_updates = 0
 
     @property
     def hierarchy(self) -> HierarchicalAssoc:
@@ -98,7 +97,7 @@ class HierarchicalD4MIngestor:
     @property
     def total_updates(self) -> int:
         """Raw element updates submitted so far."""
-        return self._total_updates
+        return self._hier.stats.total_updates
 
     def update(self, rows, cols, values=1) -> "HierarchicalD4MIngestor":
         """Convert the batch to string keys and push it through the cascade."""
@@ -109,7 +108,6 @@ class HierarchicalD4MIngestor:
         else:
             vals = np.asarray(values, dtype=np.float64)
         self._hier.update(row_keys, col_keys, vals)
-        self._total_updates += len(row_keys)
         return self
 
     def materialize(self) -> Assoc:
@@ -119,5 +117,4 @@ class HierarchicalD4MIngestor:
     def clear(self) -> "HierarchicalD4MIngestor":
         """Drop all accumulated state."""
         self._hier.clear()
-        self._total_updates = 0
         return self

@@ -6,9 +6,10 @@ SciDB D4M [26], Accumulo [27], the Oracle TPC-C benchmark, and CrateDB [28].
 Those systems ran on clusters we cannot reproduce offline, so — per the
 substitution policy in DESIGN.md — this module carries the published numbers
 themselves (digitised from the figure and the cited papers, to the precision
-the log-log plot supports) as reference series.  The benchmark harness prints
-them alongside the rates measured for our own implementations so the final
-table has the same rows as the paper's figure.
+the log-log plot supports) as reference series.
+:func:`~repro.distributed.aggregate.build_figure2_table` emits them alongside
+the rates measured for our own implementations, so the table ``repro-fig2``
+prints has the same rows as the paper's figure.
 
 All rates are in updates (inserts) per second; server counts are the x-axis of
 Figure 2.
@@ -17,7 +18,7 @@ Figure 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -125,23 +126,3 @@ def published_series() -> Dict[str, PublishedSeries]:
     """All Figure 2 reference series, keyed by a short identifier."""
     return dict(_SERIES)
 
-
-def figure2_reference_rows(servers: Sequence[int] = (1, 8, 64, 256, 1100)) -> List[dict]:
-    """The Figure 2 reference table: one row per (system, server count).
-
-    Used by the benchmark harness and the CLI to print the published curves
-    next to the locally measured ones.
-    """
-    rows = []
-    for key, series in _SERIES.items():
-        for n in servers:
-            rows.append(
-                {
-                    "system": series.name,
-                    "servers": int(n),
-                    "updates_per_second": series.rate_at(int(n)),
-                    "source": "published",
-                    "citation": series.citation,
-                }
-            )
-    return rows

@@ -44,9 +44,8 @@ def _checkpoint_arrays(matrix: HierarchicalMatrix) -> dict:
         "cuts": list(matrix.cuts),
         "nlevels": matrix.nlevels,
         "name": matrix.name,
+        "stats": matrix.stats.as_dict(),
     }
-    if matrix.stats is not None:
-        meta["stats"] = matrix.stats.as_dict()
     for i, layer in enumerate(matrix.layers):
         rows, cols, vals = layer.extract_tuples()
         arrays[f"layer{i}_rows"] = rows
@@ -82,14 +81,15 @@ def _matrix_from_npz(data) -> HierarchicalMatrix:
         # reduction vectors from the materialised content once at load.
         matrix.incremental.rebuild_from_triples(*matrix.materialize().extract_tuples())
     stats_meta = meta.get("stats")
-    if stats_meta is not None and matrix.stats is not None:
+    if stats_meta is not None:
+        # Counters only: the ``elapsed_seconds``/``updates_per_second`` that
+        # older checkpoints carry are ignored.
         stats = matrix.stats
         stats.total_updates = int(stats_meta["total_updates"])
         stats.update_calls = int(stats_meta["update_calls"])
         stats.element_writes = [int(x) for x in stats_meta["element_writes"]]
         stats.cascades = [int(x) for x in stats_meta["cascades"]]
         stats.max_layer_nvals = [int(x) for x in stats_meta["max_layer_nvals"]]
-        stats.elapsed_seconds = float(stats_meta["elapsed_seconds"])
     return matrix
 
 

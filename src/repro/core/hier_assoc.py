@@ -14,12 +14,10 @@ integer-indexed hypersparse matrices eliminate.
 
 from __future__ import annotations
 
-import time
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..d4m import Assoc
+from ..d4m.assocarray import _as_key_list
 from .policy import CutPolicy, FixedCuts, default_policy
 from .stats import UpdateStats
 
@@ -36,14 +34,12 @@ class HierarchicalAssoc:
     policy:
         A :class:`~repro.core.policy.CutPolicy` (default: the library default
         geometric policy, same as :class:`HierarchicalMatrix`).
-    track_stats:
-        Maintain an :class:`UpdateStats` instance.
 
     Examples
     --------
     >>> H = HierarchicalAssoc(cuts=[2, 8])
-    >>> H.update(["a", "b"], ["x", "y"], [1.0, 1.0])
-    >>> H.update(["a"], ["x"], [2.0])
+    >>> H.update(["a", "b"], ["x", "y"], [1.0, 1.0]).update(["a", "c"], ["x", "z"], 2.0)
+    <HierarchicalAssoc levels=3, cuts=[2, 8], layer_nnz=[0, 3, 0]>
     >>> H.materialize()["a", "x"]
     3.0
     """
@@ -53,7 +49,6 @@ class HierarchicalAssoc:
         *,
         cuts: Optional[Sequence[int]] = None,
         policy: Optional[CutPolicy] = None,
-        track_stats: bool = True,
     ):
         if cuts is not None and policy is not None:
             raise ValueError("pass either cuts= or policy=, not both")
@@ -62,7 +57,7 @@ class HierarchicalAssoc:
         self._cuts: List[int] = list(policy.initial_cuts())
         self._nlevels = len(self._cuts) + 1
         self._layers: List[Assoc] = [Assoc.empty() for _ in range(self._nlevels)]
-        self._stats = UpdateStats(self._nlevels) if track_stats else None
+        self._stats = UpdateStats(self._nlevels)
 
     # ------------------------------------------------------------------ #
 
@@ -87,44 +82,36 @@ class HierarchicalAssoc:
         return tuple(layer.nnz for layer in self._layers)
 
     @property
-    def stats(self) -> Optional[UpdateStats]:
-        """Update instrumentation, or None when disabled."""
+    def stats(self) -> UpdateStats:
+        """Update counters: updates, element writes and cascades per layer."""
         return self._stats
 
     # ------------------------------------------------------------------ #
 
     def update(self, row_keys, col_keys, values=1.0) -> "HierarchicalAssoc":
-        """Add a batch of string-keyed triples and cascade as needed."""
-        start = time.perf_counter()
-        batch = Assoc(row_keys, col_keys, values)
-        n = batch.nnz
-        self._layers[0] = self._layers[0] + batch if self._layers[0].nnz else batch
-        if self._stats is not None:
-            self._stats.record_update(n)
-            self._stats.record_layer_size(0, self._layers[0].nnz)
-        self._cascade()
-        if self._stats is not None:
-            self._stats.elapsed_seconds += time.perf_counter() - start
-        return self
+        """Add a batch of string-keyed triples and cascade as needed.
+
+        :attr:`stats` counts the triples as submitted, duplicates included,
+        as :class:`~repro.core.HierarchicalMatrix` does.
+        """
+        rows = _as_key_list(row_keys)
+        return self._add(Assoc(rows, col_keys, values), len(rows))
 
     def update_assoc(self, batch: Assoc) -> "HierarchicalAssoc":
         """Add an already-built associative array into the hierarchy."""
-        start = time.perf_counter()
-        n = batch.nnz
+        return self._add(batch, batch.nnz)
+
+    def _add(self, batch: Assoc, nupdates: int) -> "HierarchicalAssoc":
         self._layers[0] = self._layers[0] + batch if self._layers[0].nnz else batch
-        if self._stats is not None:
-            self._stats.record_update(n)
-            self._stats.record_layer_size(0, self._layers[0].nnz)
+        self._stats.record_update(nupdates)
+        self._stats.record_layer_size(0, self._layers[0].nnz)
         self._cascade()
-        if self._stats is not None:
-            self._stats.elapsed_seconds += time.perf_counter() - start
         return self
 
     def _cascade(self) -> None:
         for i in range(self._nlevels - 1):
             nnz_i = self._layers[i].nnz
-            if self._stats is not None:
-                self._stats.record_layer_size(i, nnz_i)
+            self._stats.record_layer_size(i, nnz_i)
             if nnz_i <= self._cuts[i]:
                 break
             if self._layers[i + 1].nnz:
@@ -132,9 +119,8 @@ class HierarchicalAssoc:
             else:
                 self._layers[i + 1] = self._layers[i]
             self._layers[i] = Assoc.empty()
-            if self._stats is not None:
-                self._stats.record_cascade(i, nnz_i)
-                self._stats.record_layer_size(i + 1, self._layers[i + 1].nnz)
+            self._stats.record_cascade(i, nnz_i)
+            self._stats.record_layer_size(i + 1, self._layers[i + 1].nnz)
 
     # ------------------------------------------------------------------ #
 
@@ -152,8 +138,7 @@ class HierarchicalAssoc:
         for i in range(self._nlevels - 1):
             if self._layers[i].nnz:
                 top = top + self._layers[i] if top.nnz else self._layers[i]
-                if self._stats is not None:
-                    self._stats.element_writes[-1] += self._layers[i].nnz
+                self._stats.element_writes[-1] += self._layers[i].nnz
                 self._layers[i] = Assoc.empty()
         self._layers[-1] = top
         return top
@@ -172,8 +157,7 @@ class HierarchicalAssoc:
     def clear(self) -> "HierarchicalAssoc":
         """Empty every layer."""
         self._layers = [Assoc.empty() for _ in range(self._nlevels)]
-        if self._stats is not None:
-            self._stats.reset()
+        self._stats.reset()
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -52,7 +52,6 @@ layer (:mod:`repro.analytics`) uses it automatically.
 
 from __future__ import annotations
 
-import time
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -90,9 +89,6 @@ class HierarchicalMatrix:
     accum:
         Binary operator used both for merging updates into layer 1 and for
         cascading layers (default ``plus``, as in the paper).
-    track_stats:
-        Maintain an :class:`~repro.core.stats.UpdateStats` instance (small
-        constant overhead; enabled by default).
     track_reductions:
         When True (default) maintain incremental row/col reduction vectors
         (degrees, fans, total traffic, exact nnz) updated per ingest batch
@@ -104,11 +100,13 @@ class HierarchicalMatrix:
     Examples
     --------
     >>> import numpy as np
-    >>> H = HierarchicalMatrix(cuts=[4, 16])
-    >>> H.update([1, 2, 3], [4, 5, 6], [1.0, 1.0, 1.0])
-    >>> H.update([1, 9, 9], [4, 9, 9], [2.0, 1.0, 1.0])
+    >>> H = HierarchicalMatrix(2**32, 2**32, cuts=[4, 16])
+    >>> H.update([1, 2, 3], [4, 5, 6], [1.0, 1.0, 1.0]).update([1, 7, 8, 9], [4, 7, 8, 9], 2.0)
+    <HierarchicalMatrix 4294967296x4294967296 FP64, levels=3, cuts=[4, 16], layer_nvals=[0, 6, 0]>
     >>> H.materialize()[1, 4]
     3.0
+    >>> H.stats.total_updates, H.stats.cascades
+    (7, [1, 0, 0])
     """
 
     def __init__(
@@ -120,7 +118,6 @@ class HierarchicalMatrix:
         cuts: Optional[Sequence[int]] = None,
         policy: Optional[CutPolicy] = None,
         accum: Optional[BinaryOp] = None,
-        track_stats: bool = True,
         track_reductions: bool = True,
         name: str = "",
     ):
@@ -141,7 +138,7 @@ class HierarchicalMatrix:
             Matrix(self._dtype, self._nrows, self._ncols, name=f"{name}A{i + 1}")
             for i in range(self._nlevels)
         ]
-        self._stats = UpdateStats(self._nlevels) if track_stats else None
+        self._stats = UpdateStats(self._nlevels)
         self._incremental = IncrementalReductions(
             self._nrows,
             self._ncols,
@@ -214,8 +211,8 @@ class HierarchicalMatrix:
         return self.materialize().nvals
 
     @property
-    def stats(self) -> Optional[UpdateStats]:
-        """Update instrumentation, or None when ``track_stats=False``."""
+    def stats(self) -> UpdateStats:
+        """Update counters: updates, element writes and cascades per layer."""
         return self._stats
 
     @property
@@ -282,10 +279,9 @@ class HierarchicalMatrix:
         once, here, and appended to layer 1, where the :attr:`incremental`
         reduction tracker reads it.
         """
-        start = time.perf_counter()
         r = K.as_index_array(rows, "rows")
         c = K.as_index_array(cols, "cols")
-        return self._ingest(start, r, c, self._layers[0].pack_batch(r, c), values)
+        return self._ingest(r, c, self._layers[0].pack_batch(r, c), values)
 
     def update_packed(self, keys, values=1) -> "HierarchicalMatrix":
         """:meth:`update` for a batch that already is packed keys.
@@ -297,24 +293,20 @@ class HierarchicalMatrix:
         :meth:`update` to pack again.  Raises for shapes with no 64-bit
         split and for keys outside the shape.
         """
-        start = time.perf_counter()
         keys = np.ascontiguousarray(keys, dtype=coords.KEY_DTYPE)
         self._layers[0].check_keys(keys)
-        return self._ingest(start, None, None, keys, values)
+        return self._ingest(None, None, keys, values)
 
-    def _ingest(self, start, r, c, keys, values) -> "HierarchicalMatrix":
+    def _ingest(self, r, c, keys, values) -> "HierarchicalMatrix":
         """Append one validated batch (``keys`` is ``None`` on the dual-key store)."""
         # No defensive copies: the layer-1 pending buffer is a preallocated
         # arena that copies at append time, so caller-owned arrays are safe
         # to reuse immediately.  The tracker needs no call: it reads this
         # same buffer.
         self._layers[0].build(r, c, values, dup_op=self._accum, lazy=True, keys=keys)
-        if self._stats is not None:
-            self._stats.record_update(int(r.size if keys is None else keys.size))
-            self._stats.record_layer_size(0, self._layers[0].nvals_upper_bound)
+        self._stats.record_update(int(r.size if keys is None else keys.size))
+        self._stats.record_layer_size(0, self._layers[0].nvals_upper_bound)
         self._cascade()
-        if self._stats is not None:
-            self._stats.elapsed_seconds += time.perf_counter() - start
         return self
 
     def update_matrix(self, other: Matrix) -> "HierarchicalMatrix":
@@ -323,9 +315,8 @@ class HierarchicalMatrix:
             raise DimensionMismatch(
                 f"update_matrix requires shape {self.shape}, got {other.shape}"
             )
-        start = time.perf_counter()
         r, c, v = other.extract_tuples()
-        return self._ingest(start, r, c, self._layers[0].pack_batch(r, c), v)
+        return self._ingest(r, c, self._layers[0].pack_batch(r, c), v)
 
     def insert(self, row: int, col: int, value=1) -> "HierarchicalMatrix":
         """Add a single element (convenience wrapper around :meth:`update`)."""
@@ -355,20 +346,17 @@ class HierarchicalMatrix:
         for i in range(self._nlevels - 1):
             bound = self._layers[i].nvals_upper_bound
             if bound <= self._cuts[i]:
-                if self._stats is not None:
-                    self._stats.record_layer_size(i, bound)
+                self._stats.record_layer_size(i, bound)
                 break
             nvals_i = self._layers[i].nvals  # forces the deferred merge
-            if self._stats is not None:
-                self._stats.record_layer_size(i, nvals_i)
+            self._stats.record_layer_size(i, nvals_i)
             if nvals_i <= self._cuts[i]:
                 # Duplicate collapse brought the layer back under the cut.
                 break
             self._layers[i + 1].update(self._layers[i], accum=self._accum)
             self._layers[i].reset()  # keeps the pending arena for the next window
-            if self._stats is not None:
-                self._stats.record_cascade(i, nvals_i)
-                self._stats.record_layer_size(i + 1, self._layers[i + 1].nvals)
+            self._stats.record_cascade(i, nvals_i)
+            self._stats.record_layer_size(i + 1, self._layers[i + 1].nvals)
 
     # ------------------------------------------------------------------ #
     # queries
@@ -390,8 +378,9 @@ class HierarchicalMatrix:
 
         Streaming may continue afterwards, and the :attr:`incremental`
         reduction tracker is unaffected (it drains on its own schedule).
-        Measurement harnesses call this at the end of the timed loop so the
-        reported ingest rate includes the sort/merge work that deferred ingest
+        :class:`~repro.workloads.IngestSession` and the shard workers'
+        ``finalize`` call this inside their timed span, so the reported
+        ingest rate includes the sort/merge work that deferred ingest
         postponed; it is a no-op under a non-associative ``accum``, which
         ingests eagerly.  Returns ``self`` for chaining.
         """
@@ -410,8 +399,7 @@ class HierarchicalMatrix:
         for layer in self._layers[:-1]:
             if layer.nvals:
                 top.update(layer, accum=self._accum)
-                if self._stats is not None:
-                    self._stats.element_writes[-1] += layer.nvals
+                self._stats.element_writes[-1] += layer.nvals
                 layer.reset()
         return top
 
@@ -464,8 +452,7 @@ class HierarchicalMatrix:
         """Empty every layer (cuts and statistics structure are retained)."""
         for layer in self._layers:
             layer.clear()
-        if self._stats is not None:
-            self._stats.reset()
+        self._stats.reset()
         self._incremental.reset()
         return self
 

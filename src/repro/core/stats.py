@@ -6,15 +6,18 @@ quantities needed to verify that claim: how many raw element updates arrived,
 how many element-writes each layer absorbed, and how many cascades each layer
 triggered.  ``slow_memory_writes`` (writes into the unbounded last layer) and
 ``fast_memory_fraction`` read the claim straight off those counts.
+
+The counters are always on and hold no clock: ingest rates are timed outside
+the matrix, by :class:`~repro.workloads.IngestSession` in process and by each
+shard worker's ``finalize``/``report`` behind a wire.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-__all__ = ["UpdateStats", "Timer"]
+__all__ = ["UpdateStats"]
 
 
 @dataclass
@@ -26,8 +29,7 @@ class UpdateStats:
     nlevels:
         Number of layers being tracked.
     total_updates:
-        Total number of element updates submitted by the application
-        (the denominator of the updates-per-second metric).
+        Total number of element updates submitted by the application.
     update_calls:
         Number of ``update`` batch calls.
     element_writes:
@@ -38,8 +40,6 @@ class UpdateStats:
         Per-layer count of cascade events (layer ``i`` overflowed into ``i+1``).
     max_layer_nvals:
         Largest number of stored entries ever observed per layer.
-    elapsed_seconds:
-        Wall-clock time spent inside ``update`` (including cascades).
     """
 
     nlevels: int
@@ -48,7 +48,6 @@ class UpdateStats:
     element_writes: List[int] = field(default_factory=list)
     cascades: List[int] = field(default_factory=list)
     max_layer_nvals: List[int] = field(default_factory=list)
-    elapsed_seconds: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.element_writes:
@@ -80,13 +79,6 @@ class UpdateStats:
     # ------------------------------------------------------------------ #
 
     @property
-    def updates_per_second(self) -> float:
-        """Measured streaming update rate (0.0 when no time has elapsed)."""
-        if self.elapsed_seconds <= 0:
-            return 0.0
-        return self.total_updates / self.elapsed_seconds
-
-    @property
     def slow_memory_writes(self) -> int:
         """Element writes that reached the last (slow-memory) layer."""
         return int(self.element_writes[-1]) if self.element_writes else 0
@@ -99,26 +91,8 @@ class UpdateStats:
             return 1.0
         return 1.0 - self.element_writes[-1] / total
 
-    def merge(self, other: "UpdateStats") -> "UpdateStats":
-        """Combine counters from another instance (e.g. another process)."""
-        if other.nlevels != self.nlevels:
-            raise ValueError(
-                f"cannot merge stats with different level counts "
-                f"({self.nlevels} vs {other.nlevels})"
-            )
-        out = UpdateStats(self.nlevels)
-        out.total_updates = self.total_updates + other.total_updates
-        out.update_calls = self.update_calls + other.update_calls
-        out.element_writes = [a + b for a, b in zip(self.element_writes, other.element_writes)]
-        out.cascades = [a + b for a, b in zip(self.cascades, other.cascades)]
-        out.max_layer_nvals = [
-            max(a, b) for a, b in zip(self.max_layer_nvals, other.max_layer_nvals)
-        ]
-        out.elapsed_seconds = max(self.elapsed_seconds, other.elapsed_seconds)
-        return out
-
     def as_dict(self) -> Dict[str, object]:
-        """Plain-dict view (used by the CLI and the benchmark reports)."""
+        """Plain-dict view (the form a checkpoint stores)."""
         return {
             "nlevels": self.nlevels,
             "total_updates": self.total_updates,
@@ -126,8 +100,6 @@ class UpdateStats:
             "element_writes": list(self.element_writes),
             "cascades": list(self.cascades),
             "max_layer_nvals": list(self.max_layer_nvals),
-            "elapsed_seconds": self.elapsed_seconds,
-            "updates_per_second": self.updates_per_second,
             "slow_memory_writes": self.slow_memory_writes,
             "fast_memory_fraction": self.fast_memory_fraction,
         }
@@ -139,19 +111,4 @@ class UpdateStats:
         self.element_writes = [0] * self.nlevels
         self.cascades = [0] * self.nlevels
         self.max_layer_nvals = [0] * self.nlevels
-        self.elapsed_seconds = 0.0
 
-
-class Timer:
-    """Tiny context manager accumulating wall-clock time into an UpdateStats."""
-
-    def __init__(self, stats: UpdateStats):
-        self._stats = stats
-        self._start = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._stats.elapsed_seconds += time.perf_counter() - self._start

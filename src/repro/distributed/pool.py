@@ -99,8 +99,8 @@ class ShardWorkerPool:
     matrix_kwargs:
         Constructor arguments for every worker's private
         :class:`~repro.core.HierarchicalMatrix` (``nrows``, ``ncols``,
-        ``dtype``, ``cuts``, ``track_stats`` ...).  ``accum`` may be given as
-        an operator *name* so it crosses the process boundary.
+        ``dtype``, ``cuts``, ``track_reductions`` ...).  ``accum`` may be
+        given as an operator *name* so it crosses the process boundary.
     use_processes:
         When True each worker is a separate long-lived process on the
         other end of a :class:`~repro.distributed.transport.SocketTransport`

@@ -413,17 +413,17 @@ class ShardedHierarchicalMatrix:
         bumped map epoch.  A shard whose primary *and* replicas are all
         dead raises :class:`~repro.distributed.worker.WorkerCrash` and
         leaves the epoch untouched.
-    track_stats / track_reductions:
-        Forwarded to every shard's :class:`~repro.core.HierarchicalMatrix`;
-        ``track_reductions`` (default True) maintains each shard's incremental
-        reduction vectors, served globally through :attr:`incremental`.
+    track_reductions:
+        Forwarded to every shard's :class:`~repro.core.HierarchicalMatrix`
+        (default True): maintains each shard's incremental reduction
+        vectors, served globally through :attr:`incremental`.
 
     Examples
     --------
     >>> import numpy as np
     >>> S = ShardedHierarchicalMatrix(2, cuts=[100, 1000])
-    >>> S.update([1, 2, 3], [4, 5, 6], 1.0)
-    >>> S.update(1, 4, 2.0)
+    >>> S.update([1, 2, 3], [4, 5, 6], 1.0).update(1, 4, 2.0)
+    <ShardedHierarchicalMatrix 4294967296x4294967296 FP64, shards=2, partition='hash', updates=4>
     >>> S.get(1, 4)
     3.0
     >>> S.materialize().nvals
@@ -444,7 +444,6 @@ class ShardedHierarchicalMatrix:
         transport: str = "socket",
         nodes: Optional[Sequence] = None,
         replicas: int = 0,
-        track_stats: bool = True,
         track_reductions: bool = True,
         name: str = "",
     ):
@@ -466,7 +465,6 @@ class ShardedHierarchicalMatrix:
             "nrows": int(nrows),
             "ncols": int(ncols),
             "dtype": self._dtype.name,
-            "track_stats": bool(track_stats),
             "track_reductions": bool(track_reductions),
         }
         if cuts is not None:

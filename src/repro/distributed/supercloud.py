@@ -113,8 +113,8 @@ class SuperCloudModel:
     --------
     >>> model = SuperCloudModel()
     >>> point = model.aggregate_rate(per_instance_rate=1.2e6, nodes=1100)
-    >>> point.aggregate_rate > 3e10
-    True
+    >>> point.instances, f"{point.aggregate_rate:.3g}", f"{point.efficiency:.2f}"
+    (30800, '2.87e+10', '0.78')
     """
 
     def __init__(self, config: Optional[ClusterConfig] = None):

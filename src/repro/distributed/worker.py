@@ -415,7 +415,6 @@ class ShardState:
         return count
 
     def report(self) -> WorkerReport:
-        stats = self.matrix.stats
         rate = self.done / self.elapsed if self.elapsed > 0 else 0.0
         return WorkerReport(
             worker_id=self.worker_id,
@@ -423,7 +422,7 @@ class ShardState:
             elapsed_seconds=self.elapsed,
             updates_per_second=rate,
             final_nvals=self.matrix.materialize().nvals,
-            cascades=list(stats.cascades) if stats is not None else [],
+            cascades=list(self.matrix.stats.cascades),
         )
 
 

@@ -32,15 +32,11 @@ from .binaryop import BinaryOp, binary
 from .errors import (
     DimensionMismatch,
     DomainMismatch,
-    EmptyObject,
     GraphBLASError,
     IndexOutOfBound,
     InvalidIndex,
     InvalidValue,
-    NotImplementedException,
-    OutputNotEmpty,
 )
-from .io import random_hypersparse
 from .matrix import Matrix
 from .monoid import Monoid, monoid
 from .types import (
@@ -89,11 +85,7 @@ __all__ = [
     "GraphBLASError",
     "DimensionMismatch",
     "DomainMismatch",
-    "EmptyObject",
     "IndexOutOfBound",
     "InvalidIndex",
     "InvalidValue",
-    "NotImplementedException",
-    "OutputNotEmpty",
-    "random_hypersparse",
 ]

@@ -23,8 +23,8 @@ results (property-tested in ``tests/graphblas/test_coords.py``).
 
 Packing is planned *per kernel call* from the observed maximum coordinates —
 an O(n) scan that is trivially cheap next to the O(n log n) sort it
-accelerates — so no global configuration is required.  For testing and
-benchmarking, :func:`packing_disabled` forces every kernel onto the fallback
+accelerates — so no global configuration is required.  For testing,
+:func:`packing_disabled` forces every kernel onto the fallback
 path.
 """
 
@@ -46,7 +46,6 @@ __all__ = [
     "unpack",
     "pack_calls",
     "packing_enabled",
-    "set_packing_enabled",
     "packing_disabled",
 ]
 
@@ -93,25 +92,19 @@ def packing_enabled() -> bool:
     return _PACKING_ENABLED
 
 
-def set_packing_enabled(flag: bool) -> None:
-    """Globally enable/disable the packed-key fast path (fallback still correct)."""
-    global _PACKING_ENABLED
-    _PACKING_ENABLED = bool(flag)
-
-
 @contextlib.contextmanager
 def packing_disabled() -> Iterator[None]:
     """Context manager forcing every kernel onto the dual-key lexsort fallback.
 
-    Used by the property-test suite to assert the two paths are bit-identical
-    and by the benchmark harness to measure the packed speedup.
+    Used by the property-test suite to assert the two paths are bit-identical.
     """
+    global _PACKING_ENABLED
     previous = _PACKING_ENABLED
-    set_packing_enabled(False)
+    _PACKING_ENABLED = False
     try:
         yield
     finally:
-        set_packing_enabled(previous)
+        _PACKING_ENABLED = previous
 
 
 def plan_split(

@@ -13,12 +13,9 @@ __all__ = [
     "GraphBLASError",
     "DimensionMismatch",
     "IndexOutOfBound",
-    "EmptyObject",
     "DomainMismatch",
     "InvalidValue",
     "InvalidIndex",
-    "OutputNotEmpty",
-    "NotImplementedException",
 ]
 
 
@@ -34,10 +31,6 @@ class IndexOutOfBound(GraphBLASError):
     """A row or column index exceeds the matrix dimensions."""
 
 
-class EmptyObject(GraphBLASError):
-    """An operation required a non-empty object (e.g. reduce of empty)."""
-
-
 class DomainMismatch(GraphBLASError):
     """Operand value types are incompatible with the requested operator."""
 
@@ -48,11 +41,3 @@ class InvalidValue(GraphBLASError):
 
 class InvalidIndex(GraphBLASError):
     """An index array is malformed (negative, non-integer, wrong length)."""
-
-
-class OutputNotEmpty(GraphBLASError):
-    """An output object was expected to be empty but was not."""
-
-
-class NotImplementedException(GraphBLASError):
-    """The requested combination of operator/type is not supported."""

@@ -1,22 +1,17 @@
 """I/O helpers for hypersparse matrices.
 
-TSV triple files (the format the D4M pipelines use for traffic data) and
-a seeded random hypersparse matrix generator.
+TSV triple files (the format the D4M pipelines use for traffic data).
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, TextIO, Tuple, Union
+from typing import TextIO, Tuple, Union
 
 import numpy as np
 
-from .matrix import Matrix
-from .types import lookup_dtype
-
 __all__ = [
     "read_triples_arrays",
-    "random_hypersparse",
 ]
 
 PathLike = Union[str, Path]
@@ -58,31 +53,3 @@ def read_triples_arrays(
         if should_close:
             fh.close()
 
-
-def random_hypersparse(
-    nvals: int,
-    *,
-    nrows: int = 2 ** 32,
-    ncols: int = 2 ** 32,
-    dtype="fp64",
-    seed: Optional[int] = None,
-    value_range: Tuple[float, float] = (0.0, 1.0),
-) -> Matrix:
-    """Generate a random hypersparse matrix with approximately ``nvals`` entries.
-
-    Coordinates are drawn uniformly from the full index space, so for
-    hypersparse dimensions collisions are vanishingly rare and the result has
-    very nearly ``nvals`` stored entries.
-    """
-    rng = np.random.default_rng(seed)
-    rows = rng.integers(0, nrows, size=nvals, dtype=np.uint64, endpoint=False)
-    cols = rng.integers(0, ncols, size=nvals, dtype=np.uint64, endpoint=False)
-    dt = lookup_dtype(dtype)
-    if dt.is_float:
-        vals = rng.uniform(value_range[0], value_range[1], size=nvals)
-    elif dt.is_bool:
-        vals = np.ones(nvals, dtype=bool)
-    else:
-        lo, hi = int(value_range[0]), max(int(value_range[1]), int(value_range[0]) + 1)
-        vals = rng.integers(lo, hi, size=nvals, endpoint=True)
-    return Matrix.from_coo(rows, cols, vals, dtype=dt, nrows=nrows, ncols=ncols)

@@ -79,8 +79,7 @@ class Matrix:
     --------
     >>> A = Matrix("fp64", nrows=2**32, ncols=2**32)
     >>> A.build([1, 2, 2], [10, 20, 20], [1.0, 2.0, 3.0])
-    >>> A.nvals
-    2
+    <Matrix 4294967296x4294967296 FP64, nvals=2>
     >>> A[2, 20]
     5.0
     """

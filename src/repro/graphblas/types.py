@@ -173,17 +173,6 @@ def unify(a: DTypeLike, b: DTypeLike) -> DataType:
     ta, tb = lookup_dtype(a), lookup_dtype(b)
     if ta is tb:
         return ta
-    promoted = np.promote_types(ta.np_type, tb.np_type)
-    if promoted in _BY_NPDTYPE:
-        return _BY_NPDTYPE[promoted]
-    # e.g. uint64 + int64 promotes to float64 under NumPy; accept that.
-    promoted = np.dtype(promoted)
-    if promoted.kind == "f":
-        return FP64
-    raise DomainMismatchError(ta, tb)  # pragma: no cover - unreachable
-
-
-def DomainMismatchError(ta: DataType, tb: DataType):  # pragma: no cover
-    from .errors import DomainMismatch
-
-    return DomainMismatch(f"Cannot unify {ta.name} and {tb.name}")
+    # Every pair of GraphBLAS types promotes to a GraphBLAS type (e.g.
+    # uint64 + int64 promotes to float64 under NumPy).
+    return _BY_NPDTYPE[np.promote_types(ta.np_type, tb.np_type)]

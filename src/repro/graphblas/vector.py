@@ -53,6 +53,7 @@ class Vector:
     --------
     >>> v = Vector("int64", size=2**32)
     >>> v.build([3, 5, 5], [1, 1, 1])
+    <Vector size=4294967296 INT64, nvals=2>
     >>> v.nvals, v[5]
     (2, 2)
     """

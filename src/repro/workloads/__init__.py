@@ -1,10 +1,11 @@
 """Workload generators and streaming utilities.
 
 Provides the paper's power-law edge stream (:func:`paper_stream`), Graph500
-Kronecker graphs, synthetic IP packet traffic with supernodes, the
-origin-destination :class:`TrafficMatrixBuilder`, and the
-:class:`IngestSession` harness every benchmark uses to measure updates/second
-identically across systems.
+Kronecker graphs, synthetic IP packet traffic with supernodes, and
+:class:`IngestSession`, the in-process ingest stopwatch that ``repro-ingest``,
+``repro-fig2`` and the examples use to measure updates/second identically
+across systems (final deferred flush included).  The stage-budget benchmark
+in ``bench/`` keeps its own clock and traces these calls from outside.
 """
 
 from .powerlaw import (
@@ -17,14 +18,12 @@ from .powerlaw import (
 from .stream import (
     IngestResult,
     IngestSession,
-    RateMeter,
     batched,
     interleave,
     normalize_batch,
 )
 from .traffic import (
     PacketBatch,
-    TrafficMatrixBuilder,
     int_to_ipv4,
     int_to_ipv6,
     ipv4_to_int,
@@ -41,7 +40,6 @@ __all__ = [
     "degree_distribution",
     "PacketBatch",
     "synthetic_packets",
-    "TrafficMatrixBuilder",
     "ipv4_to_int",
     "int_to_ipv4",
     "ipv6_to_int",
@@ -49,7 +47,6 @@ __all__ = [
     "subnet_of",
     "IngestSession",
     "IngestResult",
-    "RateMeter",
     "batched",
     "interleave",
     "normalize_batch",

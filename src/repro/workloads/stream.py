@@ -1,18 +1,18 @@
-"""Streaming utilities: batching, rate measurement, and ingest sessions.
+"""Streaming utilities: batching and the in-process ingest stopwatch.
 
-The benchmark harness measures "updates per second" the way the paper does:
-total element updates divided by the wall-clock time spent updating, for any
-object exposing an ``update(rows, cols, values)`` method (hierarchical
-matrices, flat matrices, D4M baselines, database emulations).  The
-:class:`IngestSession` wraps that protocol so every system is measured
-identically.
+:class:`IngestSession` measures "updates per second" the way the paper does:
+total element updates divided by the wall-clock time spent ingesting them,
+for any object exposing an ``update(rows, cols, values)`` method
+(hierarchical matrices, flat matrices, D4M baselines).  It is the library's
+one in-process ingest stopwatch; a shard worker times the same span from
+``ingest`` through ``finalize``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, List, Optional, Protocol, Tuple
+from typing import Iterable, Iterator, List, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -20,7 +20,6 @@ __all__ = [
     "batched",
     "interleave",
     "normalize_batch",
-    "RateMeter",
     "IngestResult",
     "IngestSession",
     "Ingestor",
@@ -103,49 +102,6 @@ def normalize_batch(batch) -> Tuple[np.ndarray, np.ndarray, object]:
     return rows, cols, values
 
 
-class RateMeter:
-    """Accumulates (updates, seconds) observations and reports rates."""
-
-    def __init__(self) -> None:
-        self._updates = 0
-        self._seconds = 0.0
-        self._samples: List[Tuple[int, float]] = []
-
-    def record(self, nupdates: int, seconds: float) -> None:
-        """Add one observation."""
-        self._updates += int(nupdates)
-        self._seconds += float(seconds)
-        self._samples.append((int(nupdates), float(seconds)))
-
-    @property
-    def total_updates(self) -> int:
-        """Total updates across all observations."""
-        return self._updates
-
-    @property
-    def total_seconds(self) -> float:
-        """Total wall-clock seconds across all observations."""
-        return self._seconds
-
-    @property
-    def updates_per_second(self) -> float:
-        """Aggregate updates per second (0.0 before any time has elapsed)."""
-        if self._seconds <= 0:
-            return 0.0
-        return self._updates / self._seconds
-
-    @property
-    def per_batch_rates(self) -> List[float]:
-        """Updates/second of each individual observation."""
-        return [n / s if s > 0 else 0.0 for n, s in self._samples]
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"RateMeter(updates={self._updates}, seconds={self._seconds:.3f}, "
-            f"rate={self.updates_per_second:,.0f}/s)"
-        )
-
-
 @dataclass
 class IngestResult:
     """Outcome of one ingest session.
@@ -157,7 +113,8 @@ class IngestResult:
     total_updates:
         Number of element updates streamed.
     elapsed_seconds:
-        Wall-clock time spent inside ``update`` calls.
+        Wall-clock time spent inside ``update`` calls plus the final
+        ``wait()`` of an ingestor that defers work.
     updates_per_second:
         ``total_updates / elapsed_seconds``.
     batches:
@@ -189,6 +146,12 @@ class IngestResult:
 class IngestSession:
     """Streams batches into any :class:`Ingestor` and measures the update rate.
 
+    :meth:`run` times every ``update()`` call and, when the ingestor defers
+    work (it has a ``wait()`` method, as
+    :class:`~repro.core.HierarchicalMatrix` does for layer 1's pending
+    window), one final ``wait()``: the rate covers all of the insert work,
+    the same span a shard worker times from ``ingest`` through ``finalize``.
+
     Parameters
     ----------
     ingestor:
@@ -200,49 +163,47 @@ class IngestSession:
     --------
     >>> from repro.core import HierarchicalMatrix
     >>> from repro.workloads import paper_stream
-    >>> session = IngestSession(HierarchicalMatrix(cuts=[1000, 100000]), "hier")
-    >>> result = session.run(paper_stream(scale=0.0001))
-    >>> result.total_updates
-    10000
+    >>> H = HierarchicalMatrix(cuts=[1000, 100000])
+    >>> result = IngestSession(H, "hier").run(paper_stream(scale=0.0001))
+    >>> result.total_updates == H.stats.total_updates == 10000
+    True
+    >>> H.layers[0].has_pending
+    False
     """
 
     def __init__(self, ingestor: Ingestor, system: str = "unnamed"):
         self._ingestor = ingestor
         self._system = system
-        self._meter = RateMeter()
 
     @property
     def ingestor(self) -> Ingestor:
         """The wrapped system under test."""
         return self._ingestor
 
-    @property
-    def meter(self) -> RateMeter:
-        """The rate meter accumulating observations."""
-        return self._meter
-
-    def ingest(self, rows, cols, values=1) -> float:
-        """Stream one batch; returns the seconds spent in ``update``."""
-        n = np.asarray(rows).size
-        start = time.perf_counter()
-        self._ingestor.update(rows, cols, values)
-        elapsed = time.perf_counter() - start
-        self._meter.record(n, elapsed)
-        return elapsed
-
     def run(self, batches: Iterable, *, max_batches: Optional[int] = None) -> IngestResult:
-        """Stream an entire workload.
+        """Stream an entire workload and time it, final flush included.
 
         ``batches`` may yield :class:`~repro.workloads.powerlaw.EdgeBatch`,
         :class:`~repro.workloads.traffic.PacketBatch`, or plain
         ``(rows, cols, values)`` tuples.
         """
-        count = 0
+        update = self._ingestor.update
+        count = updates = 0
+        seconds = 0.0
         for batch in batches:
             if max_batches is not None and count >= max_batches:
                 break
-            self.ingest(*normalize_batch(batch))
+            rows, cols, values = normalize_batch(batch)
+            start = time.perf_counter()
+            update(rows, cols, values)
+            seconds += time.perf_counter() - start
+            updates += np.asarray(rows).size
             count += 1
+        wait = getattr(self._ingestor, "wait", None)
+        if wait is not None:
+            start = time.perf_counter()
+            wait()
+            seconds += time.perf_counter() - start
         metadata = {}
         stats = getattr(self._ingestor, "stats", None)
         if stats is not None:
@@ -253,9 +214,9 @@ class IngestSession:
             }
         return IngestResult(
             system=self._system,
-            total_updates=self._meter.total_updates,
-            elapsed_seconds=self._meter.total_seconds,
-            updates_per_second=self._meter.updates_per_second,
+            total_updates=updates,
+            elapsed_seconds=seconds,
+            updates_per_second=updates / seconds if seconds > 0 else 0.0,
             batches=count,
             metadata=metadata,
         )

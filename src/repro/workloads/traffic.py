@@ -1,4 +1,4 @@
-"""Synthetic IP network traffic and origin-destination traffic matrices.
+"""Synthetic IP network traffic for origin-destination traffic matrices.
 
 The paper's motivating application is building origin-destination traffic
 matrices from streaming network data: for IPv4 the matrix is
@@ -14,11 +14,10 @@ IP strings, integers and subnets used by the analytics layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional
 
 import numpy as np
 
-from ..core import HierarchicalMatrix
 from .powerlaw import _splitmix64, _zipf_ranks
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "subnet_of",
     "PacketBatch",
     "synthetic_packets",
-    "TrafficMatrixBuilder",
 ]
 
 
@@ -174,95 +172,3 @@ def synthetic_packets(
         destinations = _splitmix64(dst_rank + np.uint64(nsources)) % np.uint64(2 ** 32)
         nbytes = np.exp(rng.normal(6.0, 1.0, npackets)).astype(np.float64)
         yield PacketBatch(w, sources, destinations, nbytes)
-
-
-# --------------------------------------------------------------------------- #
-# traffic-matrix construction
-# --------------------------------------------------------------------------- #
-
-
-class TrafficMatrixBuilder:
-    """Builds an origin-destination traffic matrix from packet streams.
-
-    The builder owns a :class:`~repro.core.HierarchicalMatrix` over the IPv4
-    address space (or any space the caller chooses) and exposes the two
-    operations a network-monitoring pipeline needs: ``observe`` to ingest a
-    window of packets at streaming rates, and ``snapshot`` to materialise the
-    matrix for analysis.
-
-    Parameters
-    ----------
-    value:
-        What to accumulate per packet: ``"packets"`` adds 1 per packet,
-        ``"bytes"`` adds the packet's byte count.
-    cuts / policy / nrows / ncols:
-        Forwarded to :class:`HierarchicalMatrix`.
-
-    Examples
-    --------
-    >>> builder = TrafficMatrixBuilder(cuts=[1000, 100000])
-    >>> for batch in synthetic_packets(10000, 3, seed=1):
-    ...     builder.observe(batch)
-    >>> builder.total_packets
-    30000
-    """
-
-    def __init__(
-        self,
-        *,
-        value: str = "packets",
-        nrows: int = 2 ** 32,
-        ncols: int = 2 ** 32,
-        cuts: Optional[Sequence[int]] = None,
-        policy=None,
-    ):
-        if value not in ("packets", "bytes"):
-            raise ValueError(f"value must be 'packets' or 'bytes', got {value!r}")
-        self._value = value
-        kwargs = {}
-        if cuts is not None:
-            kwargs["cuts"] = cuts
-        if policy is not None:
-            kwargs["policy"] = policy
-        self._matrix = HierarchicalMatrix(nrows, ncols, "fp64", **kwargs)
-        self._total_packets = 0
-        self._windows = 0
-
-    @property
-    def matrix(self) -> HierarchicalMatrix:
-        """The underlying hierarchical hypersparse matrix."""
-        return self._matrix
-
-    @property
-    def total_packets(self) -> int:
-        """Number of packets observed so far."""
-        return self._total_packets
-
-    @property
-    def windows_observed(self) -> int:
-        """Number of windows ingested."""
-        return self._windows
-
-    def observe(self, batch: PacketBatch) -> None:
-        """Ingest one window of packets into the traffic matrix."""
-        values = 1.0 if self._value == "packets" else batch.bytes
-        self._matrix.update(batch.sources, batch.destinations, values)
-        self._total_packets += batch.npackets
-        self._windows += 1
-
-    def observe_arrays(self, sources, destinations, values=1.0) -> None:
-        """Ingest raw coordinate arrays (for callers not using PacketBatch)."""
-        src = np.asarray(sources)
-        self._matrix.update(src, destinations, values)
-        self._total_packets += int(src.size)
-        self._windows += 1
-
-    def snapshot(self):
-        """Materialise the traffic matrix for analysis (layers stay intact)."""
-        return self._matrix.materialize()
-
-    @property
-    def updates_per_second(self) -> float:
-        """Measured ingest rate so far."""
-        stats = self._matrix.stats
-        return stats.updates_per_second if stats is not None else 0.0

@@ -184,3 +184,39 @@ class TestWindowedAnalyzer:
         totals = [s.summary["total_traffic"] for s in analyzer.snapshots]
         assert totals == sorted(totals)
         assert totals[-1] == pytest.approx(300.0)
+
+    def test_analyze_leaves_the_pending_window_pending(self):
+        # Snapshots come from the tracker: no materialize, no forced flush.
+        analyzer = WindowedAnalyzer(cuts=[10_000, 100_000], analysis_interval=2, top_k=3)
+        for batch in synthetic_packets(500, 3, seed=5):
+            analyzer.ingest(batch)
+        H = analyzer.matrix
+        assert H.layers[0].has_pending
+        snap = analyzer.analyze()
+        assert H.layers[0].has_pending  # check before the flushing reads below
+        assert snap.window == 2 and snap.packets_ingested == 1500
+        assert snap.summary == degree_summary(H, materialized=True)
+        assert snap.supernodes == supernode_report(H, 3, materialized=True)
+
+    def test_analyze_without_a_64_bit_split_materializes_once(self, monkeypatch):
+        # A 2^64 shape has no packed split, so the tracker serves no fan
+        # queries: one materialised matrix must serve every report.
+        analyzer = WindowedAnalyzer(
+            cuts=[10_000], analysis_interval=100, top_k=3, nrows=2**64, ncols=2**64
+        )
+        for batch in synthetic_packets(200, 2, seed=6):
+            analyzer.ingest(batch)
+        H = analyzer.matrix
+        assert not H.incremental.fan_supported
+        calls = []
+        materialize = HierarchicalMatrix.materialize
+        monkeypatch.setattr(
+            HierarchicalMatrix,
+            "materialize",
+            lambda self: calls.append(1) or materialize(self),
+        )
+        snap = analyzer.analyze()
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert snap.summary == degree_summary(H, materialized=True)
+        assert snap.supernodes == supernode_report(H, 3, materialized=True)

@@ -6,9 +6,9 @@ from repro.baselines import (
     PAPER_HEADLINE_RATE,
     PAPER_HEADLINE_SERVERS,
     PublishedSeries,
-    figure2_reference_rows,
     published_series,
 )
+from repro.distributed import build_figure2_table
 
 
 class TestSeries:
@@ -61,12 +61,11 @@ class TestSeries:
         assert paper.rate_at(1100) == pytest.approx(7.5e10, rel=0.35)
 
 
-class TestReferenceRows:
-    def test_rows_structure(self):
-        rows = figure2_reference_rows(servers=(1, 1100))
-        assert all({"system", "servers", "updates_per_second", "source"} <= set(r) for r in rows)
-        assert all(r["source"] == "published" for r in rows)
-
+class TestFigure2PublishedRows:
     def test_every_series_contributes(self):
-        rows = figure2_reference_rows(servers=(1,))
-        assert len({r["system"] for r in rows}) == len(published_series())
+        rows = build_figure2_table({}, server_counts=(1,))
+        series = published_series()
+        assert len({r.system for r in rows}) == len(series)
+        assert all(r.source == "published" for r in rows)
+        expected = {s.name: s.rate_at(1) for s in series.values()}
+        assert {r.system: r.updates_per_second for r in rows} == expected

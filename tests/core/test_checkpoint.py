@@ -87,3 +87,19 @@ class TestCheckpointRoundtrip:
         np.savez_compressed(path, **arrays)
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+    def test_stored_clock_ignored(self, tmp_path):
+        # Checkpoints written while the counters still carried a clock load
+        # as counters only.
+        import json
+
+        H = build_matrix()
+        path = save_checkpoint(H, tmp_path / "clock.npz")
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(bytes(arrays["meta_json"]).decode())
+        meta["stats"].update(elapsed_seconds=1.5, updates_per_second=373.0)
+        arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez_compressed(path, **arrays)
+        restored = load_checkpoint(path)
+        assert restored.stats.as_dict() == H.stats.as_dict()

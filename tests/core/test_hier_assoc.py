@@ -79,9 +79,10 @@ class TestUpdates:
     def test_stats_track_updates(self):
         H = HierarchicalAssoc(cuts=[100])
         H.update(["a", "b", "a"], ["x", "y", "x"], [1, 1, 1])
-        # duplicate (a, x) collapses inside the batch Assoc, so 2 distinct triples
-        assert H.stats.total_updates == 2
-        assert H.stats.updates_per_second > 0
+        # Counted as submitted, duplicates included (as HierarchicalMatrix
+        # counts); the batch Assoc collapses (a, x) before layer 1.
+        assert H.stats.total_updates == 3
+        assert H.layer_nnz[0] == 2
 
     def test_repr(self):
         assert "HierarchicalAssoc" in repr(HierarchicalAssoc(cuts=[2]))

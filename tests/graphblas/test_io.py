@@ -1,10 +1,9 @@
-"""Tests for triple-file reading and random matrix generation."""
+"""Tests for triple-file reading."""
 
 import io
 
 import numpy as np
 
-from repro.graphblas import random_hypersparse
 from repro.graphblas.io import read_triples_arrays
 
 
@@ -28,24 +27,3 @@ class TestTriples:
         assert cols.tolist() == [2**50, 5, 2**50]
         assert vals.tolist() == [1.0, 2.0, 4.0]
 
-
-class TestRandom:
-    def test_reproducible_with_seed(self):
-        A = random_hypersparse(500, seed=7)
-        B = random_hypersparse(500, seed=7)
-        assert A.isequal(B)
-
-    def test_nvals_close_to_requested(self):
-        A = random_hypersparse(1000, seed=1)
-        assert A.nvals >= 990  # collisions vanishingly rare over 2^32 x 2^32
-
-    def test_dtypes(self):
-        assert random_hypersparse(10, dtype="bool", seed=0).dtype.is_bool
-        assert random_hypersparse(10, dtype="int64", seed=0, value_range=(1, 5)).dtype.is_integer
-        assert random_hypersparse(10, dtype="fp32", seed=0).dtype.is_float
-
-    def test_custom_shape(self):
-        A = random_hypersparse(50, nrows=100, ncols=200, seed=2)
-        assert A.nrows == 100 and A.ncols == 200
-        rows, cols, _ = A.extract_tuples()
-        assert rows.max() < 100 and cols.max() < 200

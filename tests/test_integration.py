@@ -11,7 +11,7 @@ from repro.analytics import degree_summary, supernode_report, total_traffic
 from repro.baselines import FlatGraphBLASIngestor, HierarchicalD4MIngestor
 from repro.core import HierarchicalMatrix
 from repro.distributed import SuperCloudModel, build_figure2_table
-from repro.workloads import IngestSession, TrafficMatrixBuilder, paper_stream, synthetic_packets
+from repro.workloads import IngestSession, paper_stream, synthetic_packets
 
 
 class TestPackageSurface:
@@ -48,11 +48,11 @@ class TestEndToEndIngestAndAnalyze:
     def test_traffic_monitoring_scenario(self):
         """The motivating use case: build an origin-destination traffic matrix
         from synthetic packet windows and watch supernodes emerge."""
-        builder = TrafficMatrixBuilder(cuts=[1000, 10_000])
+        H = HierarchicalMatrix(2**32, 2**32, cuts=[1000, 10_000])
         for batch in synthetic_packets(2_000, 5, supernode_fraction=0.2, seed=11):
-            builder.observe(batch)
-        assert builder.total_packets == 10_000
-        snap = builder.snapshot()
+            H.update(batch.sources, batch.destinations)
+        assert H.stats.total_updates == 10_000
+        snap = H.materialize()
         assert total_traffic(snap) == pytest.approx(10_000.0)
         report = supernode_report(snap, 3)
         assert report["top_source_share"] > 0.15

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import HierarchicalMatrix
-from repro.workloads import IngestResult, IngestSession, RateMeter, batched, paper_stream, synthetic_packets
+from repro.workloads import IngestResult, IngestSession, batched, paper_stream, synthetic_packets
+from repro.workloads import stream as stream_module
 
 
 class TestBatched:
@@ -27,28 +28,6 @@ class TestBatched:
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError):
             list(batched(np.arange(3), np.arange(3), batch_size=0))
-
-
-class TestRateMeter:
-    def test_accumulates(self):
-        m = RateMeter()
-        m.record(100, 0.5)
-        m.record(300, 0.5)
-        assert m.total_updates == 400
-        assert m.total_seconds == 1.0
-        assert m.updates_per_second == 400.0
-        assert m.per_batch_rates == [200.0, 600.0]
-
-    def test_zero_time(self):
-        m = RateMeter()
-        assert m.updates_per_second == 0.0
-        m.record(10, 0.0)
-        assert m.per_batch_rates == [0.0]
-
-    def test_repr(self):
-        m = RateMeter()
-        m.record(10, 0.1)
-        assert "rate=" in repr(m)
 
 
 class TestIngestSession:
@@ -81,13 +60,39 @@ class TestIngestSession:
         )
         assert result.batches == 3
 
-    def test_ingest_returns_elapsed(self):
-        H = HierarchicalMatrix(cuts=[100])
-        session = IngestSession(H)
-        elapsed = session.ingest(np.arange(10), np.arange(10))
-        assert elapsed >= 0
-        assert session.meter.total_updates == 10
+    def test_run_ends_with_the_deferred_flush(self):
+        # A repro-fig2-sized stream leaves a pending layer-1 window behind
+        # its last update(); run() must flush it inside the timed span.
+        H = HierarchicalMatrix(2**32, 2**32, cuts=[2**17, 2**20, 2**23])
+        session = IngestSession(H, "h")
+        result = session.run(paper_stream(scale=0.003, nbatches=100, seed=0))
         assert session.ingestor is H
+        assert not H.layers[0].has_pending
+        assert result.total_updates == H.stats.total_updates == 300_000
+
+    def test_final_wait_is_timed(self, monkeypatch):
+        # One fake-clock tick per perf_counter() call: each timed call spans 1 s.
+        ticks = iter(range(10_000))
+        monkeypatch.setattr(stream_module.time, "perf_counter", lambda: float(next(ticks)))
+        calls = []
+
+        class Deferring:
+            def update(self, rows, cols, values=1):
+                calls.append("update")
+
+            def wait(self):
+                calls.append("wait")
+
+        class Eager:
+            def update(self, rows, cols, values=1):
+                pass
+
+        tuples = [(np.arange(10), np.arange(10), 1.0)] * 4
+        deferred = IngestSession(Deferring()).run(tuples)
+        assert calls == ["update"] * 4 + ["wait"]
+        assert deferred.elapsed_seconds == 5.0
+        assert deferred.updates_per_second == 40 / 5.0
+        assert IngestSession(Eager()).run(tuples).elapsed_seconds == 4.0
 
     def test_as_row_flattens(self):
         H = HierarchicalMatrix(cuts=[100])

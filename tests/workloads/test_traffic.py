@@ -1,11 +1,10 @@
-"""Tests for synthetic traffic generation and traffic-matrix building."""
+"""Tests for synthetic traffic generation and address conversions."""
 
 import numpy as np
 import pytest
 
 from repro.workloads import (
     PacketBatch,
-    TrafficMatrixBuilder,
     int_to_ipv4,
     int_to_ipv6,
     ipv4_to_int,
@@ -78,39 +77,3 @@ class TestSyntheticPackets:
     def test_bytes_positive(self):
         batch = next(iter(synthetic_packets(100, seed=4)))
         assert np.all(batch.bytes > 0)
-
-
-class TestTrafficMatrixBuilder:
-    def test_counts_packets(self):
-        builder = TrafficMatrixBuilder(cuts=[100, 1000])
-        for batch in synthetic_packets(500, 4, seed=0):
-            builder.observe(batch)
-        assert builder.total_packets == 2000
-        assert builder.windows_observed == 4
-        snap = builder.snapshot()
-        assert float(snap.reduce_scalar()) == 2000.0
-
-    def test_bytes_mode(self):
-        builder = TrafficMatrixBuilder(value="bytes", cuts=[100, 1000])
-        batch = next(iter(synthetic_packets(100, seed=1)))
-        builder.observe(batch)
-        assert float(builder.snapshot().reduce_scalar()) == pytest.approx(batch.bytes.sum())
-
-    def test_invalid_value_mode(self):
-        with pytest.raises(ValueError):
-            TrafficMatrixBuilder(value="flows")
-
-    def test_observe_arrays(self):
-        builder = TrafficMatrixBuilder(cuts=[10])
-        builder.observe_arrays([1, 2], [3, 4], 2.0)
-        assert builder.total_packets == 2
-        assert builder.matrix.get(1, 3) == 2.0
-
-    def test_updates_per_second_positive(self):
-        builder = TrafficMatrixBuilder(cuts=[1000])
-        builder.observe_arrays(np.arange(100), np.arange(100))
-        assert builder.updates_per_second > 0
-
-    def test_default_policy_used_when_no_cuts(self):
-        builder = TrafficMatrixBuilder()
-        assert builder.matrix.nlevels == 4
