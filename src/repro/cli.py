@@ -244,7 +244,7 @@ def main_shard(argv: Optional[Sequence[str]] = None) -> int:
         "--auto-rejoin", action="store_true",
         help="run the hands-off AutoRejoiner supervisor alongside ingest: "
         "replica slots retired by a failover are re-dialed with back-off and "
-        "resynced from a primary checkpoint without stopping the stream "
+        "resynced from a slab of the primary without stopping the stream "
         "(requires --replicas > 0)",
     )
     parser.add_argument("--seed", type=int, default=0)

@@ -11,30 +11,27 @@ is bit-identical to the original.
 
 from __future__ import annotations
 
-import io
 import json
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
-from ..graphblas import Matrix
 from .hierarchical import HierarchicalMatrix
-from .stats import UpdateStats
 
-__all__ = [
-    "save_checkpoint",
-    "load_checkpoint",
-    "checkpoint_bytes",
-    "load_checkpoint_bytes",
-]
+__all__ = ["save_checkpoint", "load_checkpoint"]
 
 PathLike = Union[str, Path]
 
 _FORMAT_VERSION = 1
 
 
-def _checkpoint_arrays(matrix: HierarchicalMatrix) -> dict:
+def save_checkpoint(matrix: HierarchicalMatrix, path: PathLike) -> Path:
+    """Write ``matrix`` (layers, cuts, stats) to ``path`` as a compressed .npz.
+
+    Returns the path written.  Pending scalar insertions are merged first so
+    the checkpoint is self-contained.
+    """
     arrays = {}
     meta = {
         "format_version": _FORMAT_VERSION,
@@ -52,30 +49,34 @@ def _checkpoint_arrays(matrix: HierarchicalMatrix) -> dict:
         arrays[f"layer{i}_cols"] = cols
         arrays[f"layer{i}_vals"] = vals
     arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    return arrays
+    path = Path(path)
+    np.savez_compressed(path, **arrays)
+    # np.savez appends .npz when missing; normalise the returned path.
+    return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
 
 
-def _matrix_from_npz(data) -> HierarchicalMatrix:
-    meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
-    if meta.get("format_version") != _FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported checkpoint format {meta.get('format_version')!r}"
+def load_checkpoint(path: PathLike) -> HierarchicalMatrix:
+    """Rebuild a :class:`HierarchicalMatrix` previously written by :func:`save_checkpoint`."""
+    with np.load(Path(path)) as data:
+        meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
+        if meta.get("format_version") != _FORMAT_VERSION:
+            raise ValueError(
+                f"unsupported checkpoint format {meta.get('format_version')!r}"
+            )
+        matrix = HierarchicalMatrix(
+            int(meta["nrows"]),
+            int(meta["ncols"]),
+            meta["dtype"],
+            cuts=list(meta["cuts"]),
+            name=meta.get("name", ""),
         )
-    matrix = HierarchicalMatrix(
-        int(meta["nrows"]),
-        int(meta["ncols"]),
-        meta["dtype"],
-        cuts=list(meta["cuts"]),
-        name=meta.get("name", ""),
-    )
-    for i in range(meta["nlevels"]):
-        rows = data[f"layer{i}_rows"]
-        cols = data[f"layer{i}_cols"]
-        vals = data[f"layer{i}_vals"]
-        if rows.size:
-            # Restore the layer content directly; bypassing update() keeps
-            # the exact layer occupancy (no spurious cascades on load).
-            matrix.layers[i].build(rows, cols, vals)
+        for i in range(meta["nlevels"]):
+            rows = data[f"layer{i}_rows"]
+            if rows.size:
+                # Restore the layer content directly; bypassing update() keeps
+                # the exact layer occupancy (no spurious cascades on load).
+                cols, vals = data[f"layer{i}_cols"], data[f"layer{i}_vals"]
+                matrix.layers[i].build(rows, cols, vals)
     if matrix.incremental.supported:
         # Layer injection bypassed the incremental tracker; re-derive its
         # reduction vectors from the materialised content once at load.
@@ -91,39 +92,3 @@ def _matrix_from_npz(data) -> HierarchicalMatrix:
         stats.cascades = [int(x) for x in stats_meta["cascades"]]
         stats.max_layer_nvals = [int(x) for x in stats_meta["max_layer_nvals"]]
     return matrix
-
-
-def save_checkpoint(matrix: HierarchicalMatrix, path: PathLike) -> Path:
-    """Write ``matrix`` (layers, cuts, stats) to ``path`` as a compressed .npz.
-
-    Returns the path written.  Pending scalar insertions are merged first so
-    the checkpoint is self-contained.
-    """
-    path = Path(path)
-    np.savez_compressed(path, **_checkpoint_arrays(matrix))
-    # np.savez appends .npz when missing; normalise the returned path.
-    return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
-
-
-def load_checkpoint(path: PathLike) -> HierarchicalMatrix:
-    """Rebuild a :class:`HierarchicalMatrix` previously written by :func:`save_checkpoint`."""
-    with np.load(Path(path)) as data:
-        return _matrix_from_npz(data)
-
-
-def checkpoint_bytes(matrix: HierarchicalMatrix) -> bytes:
-    """The checkpoint of ``matrix`` as in-memory .npz bytes (no file touched).
-
-    Replica resynchronisation ships these bytes over the worker reply channel
-    so a freshly respawned replica can catch up to its primary without either
-    side needing shared filesystem access.
-    """
-    buf = io.BytesIO()
-    np.savez_compressed(buf, **_checkpoint_arrays(matrix))
-    return buf.getvalue()
-
-
-def load_checkpoint_bytes(data: bytes) -> HierarchicalMatrix:
-    """Rebuild a :class:`HierarchicalMatrix` from :func:`checkpoint_bytes` output."""
-    with np.load(io.BytesIO(data)) as npz:
-        return _matrix_from_npz(npz)

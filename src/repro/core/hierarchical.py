@@ -305,7 +305,6 @@ class HierarchicalMatrix:
         # same buffer.
         self._layers[0].build(r, c, values, dup_op=self._accum, lazy=True, keys=keys)
         self._stats.record_update(int(r.size if keys is None else keys.size))
-        self._stats.record_layer_size(0, self._layers[0].nvals_upper_bound)
         self._cascade()
         return self
 
@@ -341,12 +340,16 @@ class HierarchicalMatrix:
         The first check per layer uses the O(1) ``nvals_upper_bound`` (stored
         + pending tuples) so the streaming hot path never forces a pending
         merge; only when the bound crosses the cut is the layer flushed and
-        the exact post-collapse ``nvals`` consulted.
+        the exact post-collapse ``nvals`` consulted.  A layer's size is
+        recorded in ``max_layer_nvals`` only where it is exact: raw pending
+        tuples over-count duplicates, so a bound with pending tuples in it
+        is never recorded.
         """
         for i in range(self._nlevels - 1):
             bound = self._layers[i].nvals_upper_bound
             if bound <= self._cuts[i]:
-                self._stats.record_layer_size(i, bound)
+                if not self._layers[i].has_pending:
+                    self._stats.record_layer_size(i, bound)
                 break
             nvals_i = self._layers[i].nvals  # forces the deferred merge
             self._stats.record_layer_size(i, nvals_i)
@@ -426,26 +429,25 @@ class HierarchicalMatrix:
     def __contains__(self, key) -> bool:
         return self.get(int(key[0]), int(key[1])) is not None
 
-    def reset_from_triples(
-        self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
-    ) -> "HierarchicalMatrix":
-        """Replace the logical content with an already-combined COO set.
+    def reset_from_triples(self, pieces) -> "HierarchicalMatrix":
+        """Replace the logical content with COO pieces given in layer order.
 
-        The triples must be duplicate-free with values already combined the
-        way :meth:`materialize` would have combined them — the shape of data
-        produced by materialising and filtering this (or a peer) hierarchy,
-        which is exactly what shard slab migration and checkpoint restore
-        hand back.  The set is installed into the unbounded top layer (no
+        Each ``(rows, cols, vals)`` piece must be sorted and duplicate-free,
+        as one layer's ``extract_tuples`` is — what a shard's
+        ``discard_slab`` keeps of each layer.  The pieces are folded into the
+        unbounded top layer with ``accum`` in the order given (the combine
+        :meth:`materialize` does, each step a merge of two sorted runs; no
         cascades fire), the lower layers start empty, and the
-        :attr:`incremental` tracker is rebuilt from the same triples, so the
-        logical matrix and its tracked reductions stay mutually exact.
+        :attr:`incremental` tracker is rebuilt from the combined triples, so
+        the logical matrix and its tracked reductions stay mutually exact.
         Streaming may continue afterwards.
         """
         for layer in self._layers:
             layer.clear()
-        if rows.size:
-            self._layers[-1].build(rows, cols, vals, dup_op=self._accum)
-        self._incremental.rebuild_from_triples(rows, cols, vals)
+        top = self._layers[-1]
+        for rows, cols, vals in pieces:
+            top.build(rows, cols, vals, dup_op=self._accum)
+        self._incremental.rebuild_from_triples(*top.extract_tuples())
         return self
 
     def clear(self) -> "HierarchicalMatrix":

@@ -546,8 +546,8 @@ class IncrementalReductions:
     ) -> None:
         """Re-derive all state from a materialised (sorted, duplicate-free) COO set.
 
-        Used by checkpoint restore, which injects layer contents without
-        replaying the update stream.  O(n log n) once at load time.
+        Used by checkpoint load and slab discard, which inject layer
+        contents without replaying the update stream.  O(n log n) once.
         """
         self.reset()
         self.observe(rows, cols, vals)

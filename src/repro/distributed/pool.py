@@ -34,7 +34,8 @@ in-process slot when ``use_processes=False`` — owns a private
     copy a partition-key slab out of a shard (packed keys + raw value
     bits), apply a migrated slab, and drop a slab after its new owner
     confirmed.  All reply-bearing, so they are barriers against in-flight
-    ingest.
+    ingest.  A replica resync (:meth:`ShardWorkerPool.resync_replica`)
+    copies a primary with the first two, over the whole key space.
 ``report`` / ``clear`` / ``stop``
     Measurement snapshot, state reset, and shutdown.
 
@@ -414,12 +415,16 @@ class ShardWorkerPool:
         """Respawn one retired slot of ``shard`` and catch it up; returns the
         slot re-registered as a replica (None when nothing needed resyncing).
 
-        The replacement starts empty, restores the primary's
-        ``checkpoint`` bytes (:mod:`repro.core.checkpoint` over the reply
-        channel — no shared filesystem needed), and only then rejoins the
-        mirror set.  Both commands are reply-bearing barriers, and the
-        single routing thread publishes no batches mid-resync, so the
-        restored replica is exactly the primary's logical content.
+        The replacement starts empty and installs the primary's whole shard
+        as one slab: ``extract_slab`` over the entire key space (a pure,
+        per-layer copy — nothing is materialised or compressed), then
+        ``install_slab`` into the new slot (an empty slab installs nothing),
+        and only then does the slot rejoin the mirror set.  Both commands
+        are reply-bearing barriers, and the single routing thread publishes
+        no batches mid-resync, so the replica holds exactly the primary's
+        logical content and tracker state.  Like a migration destination,
+        the replica's ``UpdateStats`` count the installed slab (one update
+        call and its cascades); the primary's counters are not copied.
         """
         home = {
             r * self.nworkers + shard for r in range(1 + self.replicas)
@@ -429,13 +434,22 @@ class ShardWorkerPool:
             return None
         slot = dead[0]
         self._transport.respawn(slot)
-        self._dead.discard(slot)
-        blob = self.request(shard, "checkpoint")
-        self._submit_slot(slot, "restore", blob)
+        # Both legs are addressed by slot: this copy is no migration step,
+        # so it bypasses ``submit`` and anything hooked on migration
+        # commands there.
+        self._submit_slot(
+            self._primary[shard],
+            "extract_slab",
+            {"partition": "range", "lo": 0, "hi": 2 ** 64},
+        )
+        whole = self.collect(shard)
+        self._submit_slot(slot, "install_slab", whole["slab"])
         status, value = self._transport.recv_reply(slot)
         if status != "ok":
-            self._dead.add(slot)
             raise WorkerCrash(f"replica resync for shard {shard} failed:\n{value}")
+        # Retired until here: a failed leg above leaves the slot for the
+        # next resync to pick again.
+        self._dead.discard(slot)
         self._replicas_of[shard].append(slot)
         return slot
 

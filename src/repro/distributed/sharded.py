@@ -674,18 +674,20 @@ class ShardedHierarchicalMatrix:
 
         Returns the slot re-registered as a replica, or ``None`` when the
         shard already has its full mirror set.  Raises when the retired
-        slot cannot be respawned (its agent is still down) or the restore
-        failed — callers that retry on a schedule catch this and back off.
+        slot cannot be respawned (its agent is still down) or the slab
+        install failed — callers that retry on a schedule catch this and
+        back off.
         """
         return self._pool.resync_replica(shard)
 
     def resync_replicas(self) -> int:
         """Respawn and catch up every retired replica slot; returns how many.
 
-        Each resynchronised slot restores its primary's ``checkpoint`` bytes
-        over the reply channel (:func:`repro.core.checkpoint.checkpoint_bytes`
-        — no shared filesystem) before rejoining the mirror set, restoring
-        the failure budget after a failover.
+        Each resynchronised slot installs its primary's whole shard as one
+        slab over the reply channel (see :meth:`ShardWorkerPool.resync_replica
+        <repro.distributed.pool.ShardWorkerPool.resync_replica>`) before
+        rejoining the mirror set, restoring the failure budget after a
+        failover.
         """
         count = 0
         for s in range(self.nshards):
@@ -996,8 +998,8 @@ class ShardedHierarchicalMatrix:
         A replica that failed a mirrored migration leg is retired so it can
         never be promoted with divergent state — but leaving it retired
         *silently* would hand the next failover a reduced budget nobody
-        asked for.  Each touched shard is resynchronised in place
-        (checkpoint/restore over the reply channel); if the budget cannot
+        asked for.  Each touched shard is resynchronised in place (a
+        whole-shard slab over the reply channel); if the budget cannot
         be restored — the slot's agent is still down — the migration
         surfaces it as :class:`WorkerCrash` rather than returning success
         over an under-replicated shard.  The published epoch stays valid

@@ -126,7 +126,8 @@ class ShardTransport:
         """Replace a dead worker slot with a fresh, empty worker.
 
         Used by replica resynchronisation: the new worker starts from an
-        empty matrix and is caught up via ``checkpoint``/``restore``.
+        empty matrix and is caught up by installing the primary's whole
+        shard as one slab (``extract_slab``/``install_slab``).
         """
         raise NotImplementedError
 

@@ -21,7 +21,6 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from ..core import HierarchicalMatrix
-from ..core.checkpoint import checkpoint_bytes, load_checkpoint_bytes
 from ..graphblas import Matrix
 from ..graphblas.binaryop import binary
 from .codec import BatchCodec
@@ -55,7 +54,9 @@ class WorkerReport:
     updates_per_second:
         This worker's measured rate.
     final_nvals:
-        Stored entries in the worker's materialised matrix (sanity check).
+        Logical entries in the worker's matrix (sanity check): the
+        tracker's exact ``nnz`` where it tracks fans, else counted on the
+        materialised matrix.
     cascades:
         Per-layer cascade counts.
     """
@@ -99,8 +100,6 @@ REPLY_COMMANDS = frozenset(
         "extract_slab",
         "install_slab",
         "discard_slab",
-        "checkpoint",
-        "restore",
     }
 )
 
@@ -142,8 +141,6 @@ class ShardState:
         self.spec = self.codec.spec
         self.done = 0
         self.elapsed = 0.0
-        self.slabs_in = 0
-        self.slabs_out = 0
 
     # -- command handlers ------------------------------------------------ #
 
@@ -195,8 +192,6 @@ class ShardState:
             self.matrix.clear()
             self.done = 0
             self.elapsed = 0.0
-            self.slabs_in = 0
-            self.slabs_out = 0
             return True
         if cmd == "extract_slab":
             return self._extract_slab(payload)
@@ -204,20 +199,6 @@ class ShardState:
             return self._install_slab(payload)
         if cmd == "discard_slab":
             return self._discard_slab(payload)
-        if cmd == "checkpoint":
-            # Replica resync source: the primary's full logical content as
-            # in-memory .npz bytes (reply-bearing, so it is a barrier — the
-            # snapshot reflects every batch mirrored before it).
-            return checkpoint_bytes(self.matrix)
-        if cmd == "restore":
-            # Replica resync sink: replace this worker's content with the
-            # primary's checkpoint.  reset_from_triples keeps the worker's
-            # own hierarchy configuration (cuts, accum, tracker) — only the
-            # logical triples are adopted.
-            restored = load_checkpoint_bytes(payload)
-            rows, cols, vals = restored.materialize().extract_tuples()
-            self.matrix.reset_from_triples(rows, cols, vals)
-            return int(rows.size)
         raise ValueError(f"unknown worker command {cmd!r}")
 
     def _apply(self, batch) -> int:
@@ -245,45 +226,50 @@ class ShardState:
     # install and asked for the discard, which is what keeps a crash at any
     # step from orphaning or double-owning a coordinate.
 
-    def _slab_triples(self, partition: str, lo: int, hi: int):
-        """Materialised shard triples split into (slab mask, rows, cols, vals)."""
-        rows, cols, vals = self.matrix.to_coo()
-        pkeys = partition_keys(rows, cols, partition, self.spec)
-        return interval_mask(pkeys, int(lo), int(hi)), rows, cols, vals
+    def _layer_keys(self, partition: str):
+        """Yield each non-empty layer's ``(rows, cols, vals, partition keys)``.
+
+        Every slab step reads the shard through here, one sorted layer at a
+        time (``extract_tuples`` merges only that layer's own pending
+        buffer), so none of them materialises the shard.
+        """
+        for layer in self.matrix.layers:
+            rows, cols, vals = layer.extract_tuples()
+            if rows.size:
+                yield rows, cols, vals, partition_keys(rows, cols, partition, self.spec)
+
+    def _combine(self, parts):
+        """Combine per-layer ``(rows, cols, vals)`` pieces, given in layer
+        order, with the hierarchy's own accumulator.
+
+        The pieces are folded in one at a time, as
+        :meth:`HierarchicalMatrix.materialize
+        <repro.core.HierarchicalMatrix.materialize>` folds its layers: each
+        piece is already sorted and duplicate-free, so every step is a merge
+        of two sorted runs, and the values are bit-identical to cutting the
+        materialised sum.
+        """
+        if len(parts) == 1:
+            return parts[0]
+        combined = Matrix(self.matrix.dtype, self.matrix.nrows, self.matrix.ncols)
+        for rows, cols, vals in parts:
+            combined.build(rows, cols, vals, dup_op=self.matrix.accum)
+        return combined.extract_tuples()
 
     def _gather_slab(self, partition: str, lo: int, hi: int):
         """Combined ``[lo, hi)`` slab triples without materialising the shard.
 
-        Each sorted layer is cut independently (``extract_tuples`` merges only
-        that layer's own pending buffer) and only the *slab-sized* gathered
-        pieces are combined across layers, so copying a small slab out of a
-        large shard costs O(shard keys scanned + slab entries combined)
-        instead of a full multi-layer merge.  The combine uses the hierarchy's
-        own accumulator, so values are bit-identical to cutting the
-        materialised sum.
+        Only the *slab-sized* pieces of each layer are combined, so copying
+        a small slab out of a large shard costs O(shard keys scanned + slab
+        entries combined) instead of a full multi-layer merge.
         """
         lo, hi = int(lo), int(hi)
         parts = []
-        for layer in self.matrix.layers:
-            rows, cols, vals = layer.extract_tuples()
-            if rows.size == 0:
-                continue
-            mask = interval_mask(partition_keys(rows, cols, partition, self.spec), lo, hi)
+        for rows, cols, vals, pkeys in self._layer_keys(partition):
+            mask = interval_mask(pkeys, lo, hi)
             if mask.any():
                 parts.append((rows[mask], cols[mask], vals[mask]))
-        if not parts:
-            vt = self.matrix.dtype.np_type
-            return np.empty(0, np.uint64), np.empty(0, np.uint64), np.empty(0, vt)
-        if len(parts) == 1:
-            return parts[0]
-        combined = Matrix(self.matrix.dtype, self.matrix.nrows, self.matrix.ncols)
-        combined.build(
-            np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts]),
-            np.concatenate([p[2] for p in parts]),
-            dup_op=self.matrix.accum,
-        )
-        return combined.extract_tuples()
+        return self._combine(parts)
 
     def _extract_slab(self, payload) -> Dict[str, Any]:
         """Choose and copy out one slab; the shard's content is unchanged.
@@ -325,15 +311,12 @@ class ShardState:
             weight = payload.get("weight", "count")
             key_parts = []
             w_parts = []
-            for layer in self.matrix.layers:
-                lr, lc, lv = layer.extract_tuples()
-                if lr.size == 0:
-                    continue
-                key_parts.append(partition_keys(lr, lc, partition, self.spec))
+            for _, _, lv, lkeys in self._layer_keys(partition):
+                key_parts.append(lkeys)
                 if weight == "value":
                     w_parts.append(np.abs(lv.astype(np.float64, copy=False)))
                 else:
-                    w_parts.append(np.ones(lr.size, dtype=np.float64))
+                    w_parts.append(np.ones(lkeys.size, dtype=np.float64))
             if key_parts:
                 pkeys = np.concatenate(key_parts)
                 all_w = np.concatenate(w_parts)
@@ -389,39 +372,54 @@ class ShardState:
         is exactly the tracker state the slab carried on the source (for the
         ``plus`` accumulator — the only one the tracker supports — a
         coordinate's tracked contribution *is* its combined value).
-        Deliberately not counted into the ingest measurement counters.
+        ``slab`` is ``None`` for an empty slab (a replica resynced from an
+        empty primary), which installs nothing.  Deliberately not counted
+        into the ingest measurement counters.
         """
+        if slab is None:
+            return 0
         batch = self.codec.decode(*slab)
-        self.slabs_in += 1
         return self._apply(batch) if batch[0].size else 0
 
-    def _discard_slab(self, payload) -> int:
-        """Drop the slab ``[lo, hi)`` and rebuild this shard without it.
+    def _discard_slab(self, payload) -> bool:
+        """Drop the slab ``[lo, hi)``; returns whether it held any entry.
 
         Runs only after the coordinator confirmed the destination installed
         its copy.  Deterministic: membership is recomputed with the same
         shared :func:`partition_keys`, and no batch can have landed since
         the extract (the single routing thread publishes no new batches
-        mid-migration), so exactly the extracted entries are removed.
+        mid-migration), so exactly the extracted entries are removed.  Each
+        layer is cut as :meth:`_gather_slab` cuts it, and the kept pieces go
+        to :meth:`HierarchicalMatrix.reset_from_triples
+        <repro.core.HierarchicalMatrix.reset_from_triples>`, which combines
+        them in layer order and rebuilds the tracker from the result.
         """
-        move, rows, cols, vals = self._slab_triples(
-            payload["partition"], payload["lo"], payload["hi"]
-        )
-        count = int(move.sum())
-        if count:
-            keep = ~move
-            self.matrix.reset_from_triples(rows[keep], cols[keep], vals[keep])
-        self.slabs_out += 1
-        return count
+        lo, hi = int(payload["lo"]), int(payload["hi"])
+        kept = []
+        hit = False
+        for rows, cols, vals, pkeys in self._layer_keys(payload["partition"]):
+            move = interval_mask(pkeys, lo, hi)
+            if move.any():
+                hit = True
+                keep = ~move
+                rows, cols, vals = rows[keep], cols[keep], vals[keep]
+            if rows.size:
+                kept.append((rows, cols, vals))
+        if hit:
+            self.matrix.reset_from_triples(kept)
+        return hit
 
     def report(self) -> WorkerReport:
         rate = self.done / self.elapsed if self.elapsed > 0 else 0.0
+        inc = self.matrix.incremental
+        # The tracker's exact nnz answers without a materialize.
+        nvals = inc.nnz() if inc.fan_supported else self.matrix.materialize().nvals
         return WorkerReport(
             worker_id=self.worker_id,
             total_updates=self.done,
             elapsed_seconds=self.elapsed,
             updates_per_second=rate,
-            final_nvals=self.matrix.materialize().nvals,
+            final_nvals=nvals,
             cascades=list(self.matrix.stats.cascades),
         )
 

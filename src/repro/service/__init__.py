@@ -24,7 +24,7 @@ This package provides it as a composition of already-tested mechanisms:
   previously lived in ``cli.py``.
 * :class:`AutoRejoiner` — the hands-off availability policy: detects
   replica slots retired by failovers or node kills, re-dials the restarted
-  agents with exponential back-off, and drives the checkpoint resync until
+  agents with exponential back-off, and drives the slab resync until
   every shard holds its full mirror set again.
 
 All matrix access happens on the gateway's event-loop thread (the rebalancer

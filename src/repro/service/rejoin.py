@@ -1,8 +1,8 @@
 """Hands-off replica rejoin: detect retired mirrors, re-dial, resync, repeat.
 
 PR 7 made a failover survivable (`promote` + mirrored ingest) and made the
-recovery *possible* (`resync_replicas()` re-mirrors a respawned slot from a
-checkpoint of its primary), but left the recovery caller-driven: after a node
+recovery *possible* (`resync_replicas()` re-mirrors a respawned slot from
+its primary), but left the recovery caller-driven: after a node
 restart somebody had to notice the spent failure budget and call
 ``resync_replicas()`` by hand — and keep calling it until the restarted
 ``repro-node`` agent actually answered.  :class:`AutoRejoiner` owns that loop:
@@ -17,11 +17,11 @@ restart somebody had to notice the spent failure budget and call
   while the agent is still down the attempt fails, and the check interval
   doubles up to ``max_backoff`` times.  Any successful rejoin — or a fully healthy
   observation — re-arms the interval.
-* **Checkpoint catch-up, hands-off** — each rejoin drives
+* **Slab catch-up, hands-off** — each rejoin drives
   :meth:`~repro.distributed.ShardedHierarchicalMatrix.resync_replica`:
-  the fresh worker restores the primary's checkpoint bytes over the reply
-  channel and re-registers as a mirror, restoring the failure budget while
-  the stream keeps flowing.
+  the fresh worker installs the primary's whole shard as one slab (the
+  frames a migration moves) and re-registers as a mirror, restoring the
+  failure budget while the stream keeps flowing.
 
 The supervisor is shaped exactly like :class:`~repro.service.AutoRebalancer`
 and composes the same three ways: :meth:`step`/:meth:`maybe_step` for inline
@@ -116,7 +116,7 @@ class AutoRejoiner:
                         slot = self._matrix.resync_replica(shard)
                     except Exception as exc:
                         # The slot's endpoint refused (agent not back yet) or
-                        # the restore failed; keep the slot retired and move
+                        # the slab install failed; keep the slot retired and move
                         # on — other shards' agents may already be up.
                         failed = exc
                         break

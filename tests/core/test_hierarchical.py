@@ -366,6 +366,16 @@ class TestStatsTracking:
         H.update(np.arange(5), np.arange(5), 1.0)
         assert H.stats.max_layer_nvals[0] >= 5 or H.stats.max_layer_nvals[1] >= 5
 
+    def test_max_layer_nvals_counts_stored_entries_not_pending_tuples(self):
+        """150 pending copies of one coordinate collapse to 1 stored entry;
+        the raw pending count must never be recorded as layer 1's size."""
+        H = HierarchicalMatrix(2**32, 2**32, cuts=[100])
+        for _ in range(3):
+            H.update(np.full(50, 7), np.full(50, 9), 1.0)
+        H.wait()
+        assert H.stats.max_layer_nvals == [1, 0]
+        assert H.get(7, 9) == 150.0
+
     def test_memory_usage_positive(self):
         H = HierarchicalMatrix(cuts=[100])
         H.update(np.arange(10), np.arange(10), 1.0)

@@ -47,9 +47,13 @@ from repro.distributed.node import (
     parse_address,
     spawn_local_agents,
 )
-from repro.distributed.partition import partition_keyspace
+from repro.distributed.partition import (
+    interval_mask,
+    partition_keys,
+    partition_keyspace,
+)
 from repro.distributed.worker import ShardState
-from repro.graphblas import coords
+from repro.graphblas import Matrix, coords
 
 from .conftest import PROCESS_MODES, deadline, mode_kwargs
 
@@ -363,13 +367,62 @@ class TestRespawnReplacesChannels:
                 assert pool.request(0, "stats")["updates"] == 200
 
 
-class TestMaterializeFreeSlabExtraction:
-    """``extract_slab`` must never materialise the shard (PR-7 satellite).
+#: Shapes and value types the slab path must carry exactly: a 2^32 shape
+#: (packed keys), a 2^64 shape (no 64-bit split, so ``DATA_COO`` frames) and
+#: an integer dtype.
+SLAB_CASES = [
+    pytest.param(2 ** 32, "fp64", id="fp64-2^32"),
+    pytest.param(2 ** 64, "fp64", id="fp64-2^64"),
+    pytest.param(2 ** 32, "int64", id="int64-2^32"),
+]
 
-    The slab is gathered per layer and combined at slab size; a full
-    multi-layer merge of the shard would make every migration cost O(shard)
-    regardless of slab size.  Patching ``materialize`` to raise proves the
-    fast path is the only path.
+
+def _slab_batches(n, dtype, nbatches=40, size=120, seed=5, dyadic=False):
+    """Batches spread over the whole ``n x n`` shape on a coarse grid, so
+    coordinates repeat across batches and end up stored in several layers.
+
+    ``dyadic`` fp64 values (multiples of 1/64) sum exactly in any order, so
+    tracker vectors summed batch by batch can be compared bit for bit with
+    ones rebuilt from combined values."""
+    rng = np.random.default_rng(seed)
+    step = np.uint64(n // 128)
+    for _ in range(nbatches):
+        rows = rng.integers(0, 128, size, dtype=np.uint64) * step
+        cols = rng.integers(0, 128, size, dtype=np.uint64) * step + np.uint64(3)
+        if dtype == "fp64":
+            vals = rng.random(size)  # non-integral: combine order shows
+            if dyadic:
+                vals = np.round(vals * 64) / 64
+        else:
+            vals = rng.integers(-50, 50, size, dtype=np.int64)
+        yield rows, cols, vals
+
+
+def _boom(*args, **kwargs):
+    raise AssertionError("the slab path materialised or compressed the shard")
+
+
+def _assert_same_tracker(a, b):
+    ia, ib = a.incremental, b.incremental
+    assert ia.supported and ia.supported == ib.supported
+    kinds = ["row_traffic", "col_traffic"]
+    if ia.fan_supported:
+        kinds += ["row_fan", "col_fan"]
+        assert ia.nnz() == ib.nnz()
+    for kind in kinds:
+        assert getattr(ia, kind)().isequal(getattr(ib, kind)(), check_dtype=True), kind
+
+
+class TestMaterializeFreeSlabExtraction:
+    """No slab step ever materialises the shard: not ``extract_slab``, not
+    ``discard_slab``, and not a replica resync, which copies the primary as
+    one whole-key-space slab.  ``report()`` counts its
+    entries from the tracker, too.
+
+    Slabs are cut per layer and combined at slab size; a full multi-layer
+    merge of the shard would make every migration cost O(shard) regardless
+    of slab size.  Patching ``materialize`` to raise proves the fast path is
+    the only path.
     """
 
     def test_extract_slab_never_materialises(self, monkeypatch):
@@ -412,3 +465,95 @@ class TestMaterializeFreeSlabExtraction:
             },
         )
         assert 0 < chosen["count"] <= ref_rows.size
+
+    @pytest.mark.parametrize("n, dtype", SLAB_CASES)
+    def test_discard_slab_never_materialises(self, n, dtype, monkeypatch):
+        state = ShardState(0, {"nrows": n, "ncols": n, "dtype": dtype, "cuts": CUTS})
+        for batch in _slab_batches(n, dtype):
+            state.handle("ingest", batch)
+        assert all(layer.nvals_upper_bound for layer in state.matrix.layers)
+        rows, cols, vals = state.matrix.materialize().extract_tuples()
+        keyspace = partition_keyspace("range", state.spec, n)
+        lo, hi = keyspace // 4, keyspace // 2
+        move = interval_mask(partition_keys(rows, cols, "range", state.spec), lo, hi)
+        assert 0 < move.sum() < rows.size
+        expected = Matrix(dtype, n, n)
+        expected.build(rows[~move], cols[~move], vals[~move])
+
+        monkeypatch.setattr(HierarchicalMatrix, "materialize", _boom)
+        monkeypatch.setattr(HierarchicalMatrix, "to_coo", _boom)
+        payload = {"partition": "range", "lo": lo, "hi": hi}
+        assert state.handle("discard_slab", payload) is True
+        # A second discard finds nothing left to drop.
+        assert state.handle("discard_slab", payload) is False
+        monkeypatch.undo()
+
+        assert state.matrix.materialize().isequal(expected, check_dtype=True)
+        reference = HierarchicalMatrix(n, n, dtype, cuts=CUTS)
+        reference.update(*expected.extract_tuples())
+        _assert_same_tracker(state.matrix, reference)
+
+    @pytest.mark.parametrize("n, dtype", SLAB_CASES)
+    def test_resync_never_materialises(self, n, dtype, monkeypatch):
+        kwargs = {"nrows": n, "ncols": n, "dtype": dtype, "cuts": CUTS}
+        with ShardWorkerPool(
+            1, matrix_kwargs=kwargs, use_processes=False, replicas=1
+        ) as pool:
+            for batch in _slab_batches(n, dtype, dyadic=True):
+                pool.submit(0, "ingest", batch)
+            # Fail over to the replica; the old primary's slot is retired.
+            assert pool.promote(0) == 1
+            assert pool.missing_replicas(0) == 1
+            states = [executor.state for executor in pool._transport.executors]
+            source = states[1].matrix
+            assert all(layer.nvals_upper_bound for layer in source.layers)
+
+            monkeypatch.setattr(HierarchicalMatrix, "materialize", _boom)
+            monkeypatch.setattr(HierarchicalMatrix, "to_coo", _boom)
+            monkeypatch.setattr(np, "savez_compressed", _boom)
+            assert pool.resync_replica(0) == 0
+            monkeypatch.undo()
+
+            assert pool.missing_replicas(0) == 0
+            replica = pool._transport.executors[0].state.matrix
+            assert replica is not states[0].matrix  # a fresh worker
+            assert replica.materialize().isequal(source.materialize(), check_dtype=True)
+            _assert_same_tracker(replica, source)
+            # And the resynced slot mirrors the stream from here on.
+            for batch in _slab_batches(n, dtype, nbatches=2, seed=9, dyadic=True):
+                pool.submit(0, "ingest", batch)
+            assert replica.materialize().isequal(source.materialize(), check_dtype=True)
+
+    def test_failed_resync_leaves_the_slot_for_the_next(self, monkeypatch):
+        original = ShardState.handle
+        failures = []
+
+        def failing_handle(self, cmd, payload):
+            if cmd == "extract_slab" and not failures:
+                failures.append(self.worker_id)
+                raise RuntimeError("injected extract_slab failure")
+            return original(self, cmd, payload)
+
+        with ShardWorkerPool(
+            1, matrix_kwargs={"cuts": CUTS}, use_processes=False, replicas=1
+        ) as pool:
+            for batch in _slab_batches(2 ** 32, "fp64"):
+                pool.submit(0, "ingest", batch)
+            assert pool.promote(0) == 1
+            monkeypatch.setattr(ShardState, "handle", failing_handle)
+            with pytest.raises(WorkerCrash, match="injected extract_slab"):
+                pool.resync_replica(0)
+            assert failures == [1]  # the primary's copy failed
+            assert pool.missing_replicas(0) == 1
+            assert pool.resync_replica(0) == 0
+            assert pool.missing_replicas(0) == 0
+            states = [executor.state.matrix for executor in pool._transport.executors]
+            assert states[0].materialize().isequal(states[1].materialize(), check_dtype=True)
+
+    def test_report_counts_without_materialising(self, monkeypatch):
+        state = ShardState(0, {"cuts": CUTS})
+        for batch in _slab_batches(2 ** 32, "fp64"):
+            state.handle("ingest", batch)
+        expected = state.matrix.materialize().nvals
+        monkeypatch.setattr(HierarchicalMatrix, "materialize", _boom)
+        assert state.report().final_nvals == expected

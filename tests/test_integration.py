@@ -58,21 +58,29 @@ class TestEndToEndIngestAndAnalyze:
         assert report["top_source_share"] > 0.15
 
     def test_figure2_table_end_to_end(self):
-        """Measure both hierarchical systems on a small stream and build the
-        complete Figure 2 table with modelled scaling plus published curves."""
+        """Run both hierarchical systems on a small stream, then build the
+        complete Figure 2 table with modelled scaling plus published curves.
+
+        The runs are checked on their deterministic outputs; the table is fed
+        fixed per-instance rates, so no assertion here reads a stopwatch."""
         hier = HierarchicalMatrix(2**32, 2**32, cuts=[2000, 20_000])
-        hier_rate = IngestSession(hier, "hg").run(
+        hier_result = IngestSession(hier, "hg").run(
             paper_stream(total_entries=20_000, nbatches=20, seed=1)
-        ).updates_per_second
+        )
+        assert hier_result.total_updates == hier.stats.total_updates == 20_000
+        assert not hier.layers[0].has_pending  # the final wait() ran
+        assert hier_result.metadata["cascades"] == [5, 0, 0]
         d4m = HierarchicalD4MIngestor(cuts=[500, 5000])
-        d4m_rate = IngestSession(d4m, "hd").run(
+        d4m_result = IngestSession(d4m, "hd").run(
             paper_stream(total_entries=2_000, nbatches=5, seed=1)
-        ).updates_per_second
+        )
+        assert d4m_result.total_updates == d4m.stats.total_updates == 2_000
+        assert d4m_result.metadata["cascades"] == [2, 0, 0]
 
         rows = build_figure2_table(
             {
-                "Hierarchical GraphBLAS (measured)": hier_rate,
-                "Hierarchical D4M (measured)": d4m_rate,
+                "Hierarchical GraphBLAS (measured)": 1.0e6,
+                "Hierarchical D4M (measured)": 2.0e4,
             },
             server_counts=(1, 64, 1100),
         )
@@ -80,13 +88,13 @@ class TestEndToEndIngestAndAnalyze:
         for row in rows:
             by_system.setdefault(row.system, {})[row.servers] = row.updates_per_second
 
-        # Shape of Figure 2: GraphBLAS above D4M at every measured scale.
+        # Shape of Figure 2: GraphBLAS above D4M at every scale.
         for servers in (1, 64, 1100):
             assert (
                 by_system["Hierarchical GraphBLAS (measured)"][servers]
                 > by_system["Hierarchical D4M (measured)"][servers]
             )
-        # And the measured hierarchical GraphBLAS scales into the billions at 1,100 nodes.
+        # And a million updates/s per instance scales into the billions at 1,100 nodes.
         assert by_system["Hierarchical GraphBLAS (measured)"][1100] > 1e9
 
     def test_memory_pressure_story(self):
@@ -97,14 +105,18 @@ class TestEndToEndIngestAndAnalyze:
         assert hier.stats.fast_memory_fraction > 0.5
 
     def test_headline_claims_shape(self):
-        """Both headline numbers, at reduced scale: a single instance exceeds
-        100k updates/s even in pure Python, and the modelled 1,100-node
-        aggregate lands within an order of magnitude of 75e9 when fed the
-        locally measured rate."""
+        """Both headline numbers, at reduced scale: a single instance ingests
+        the paper's stream completely, and the modelled 1,100-node aggregate
+        lands within an order of magnitude of 75e9 when fed a per-instance
+        rate of one million updates/s (a fixed figure, not a measurement)."""
         hier = HierarchicalMatrix(2**32, 2**32, cuts=[2**17, 2**20, 2**23])
         result = IngestSession(hier, "h").run(
             paper_stream(total_entries=100_000, nbatches=10, seed=0)
         )
-        assert result.updates_per_second > 1e5
-        projection = SuperCloudModel().headline_projection(result.updates_per_second)
+        assert result.total_updates == hier.stats.total_updates == 100_000
+        assert not hier.layers[0].has_pending
+        # The stream collapses below the first cut, so nothing cascades.
+        assert result.metadata["cascades"] == [0, 0, 0, 0]
+        projection = SuperCloudModel().headline_projection(1.0e6)
         assert projection["aggregate_rate"] > 1e9
+        assert 0.1 < projection["ratio_to_paper"] < 10
